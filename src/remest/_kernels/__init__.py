@@ -1,7 +1,7 @@
-"""Hot-loop kernels with a compiled (Cython) core and a pure-Python fallback.
+"""Value-iteration kernel with a compiled (Cython) core and a pure-Python fallback.
 
-The compiled modules are optional: when they are not built (no compiler,
-no Cython), the pure-Python twins are selected at import time. Both
+The compiled module is optional: when it is not built (no compiler, no
+Cython), the pure-Python twin is selected at import time. Both
 implementations are arithmetically identical, so results do not depend on
 which backend runs. Set REMEST_BACKEND=python or REMEST_BACKEND=compiled
 to force a choice; the default prefers the compiled core when present.
@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import os
 
-from . import chain_py, rvi_py
+from . import rvi_py
 
 try:
-    from . import chain_cy, rvi_cy
+    from . import rvi_cy
 
     _COMPILED_OK = True
 except ImportError:
-    chain_cy = None
     rvi_cy = None
     _COMPILED_OK = False
 
@@ -39,7 +38,7 @@ def default_backend() -> str:
         if env not in BACKENDS:
             raise ValueError(f"REMEST_BACKEND must be one of {BACKENDS}, got {env!r}")
         if env == "compiled" and not _COMPILED_OK:
-            raise RuntimeError("REMEST_BACKEND=compiled but the compiled kernels are not built")
+            raise RuntimeError("REMEST_BACKEND=compiled but the compiled kernel is not built")
         return env
     return "compiled" if _COMPILED_OK else "python"
 
@@ -50,13 +49,8 @@ def _resolve(backend):
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     if backend == "compiled" and not _COMPILED_OK:
-        raise RuntimeError("compiled kernels are not built; run `python setup.py build_ext --inplace`")
+        raise RuntimeError("compiled kernel is not built; run `python setup.py build_ext --inplace`")
     return backend
-
-
-def chain_kernel(backend=None):
-    """Chunked chain-simulation kernel for the requested backend."""
-    return chain_cy.simulate_chunk if _resolve(backend) == "compiled" else chain_py.simulate_chunk
 
 
 def rvi_kernel(backend=None):

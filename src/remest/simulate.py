@@ -7,7 +7,9 @@ state, applies the receiver's prediction estimator, and reports the
 empirical squared error next to the analytic value for the same realized
 staleness. Runs use independent counter-based streams split from the
 master seed, so results are reproducible and independent of the number of
-worker threads.
+worker threads. The chain mode walks all runs of a fixed-size chunk
+together in numpy, one step at a time, and sums in the order of a per-run
+scalar loop, so it reproduces such a loop bit for bit.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .harq import HarqModel
 from .lti import LtiSystem, SteadyKalman
 from .policies import PolicyGrid
 
 CHUNK_RUNS = 128  # fixed chunk size keeps reductions independent of thread count
+TIME_BLOCK = 64  # steps recorded per block of the chain walk; longer blocks cost memory
 
 
 @dataclass(frozen=True)
@@ -102,23 +104,106 @@ def _kernel_tables(policy: PolicyGrid, m: HarqModel, sk: SteadyKalman):
     return policy.actions, g_eff, sk.cost_table
 
 
+@dataclass(frozen=True)
+class _ChainTables:
+    """Per-edge tables of the (r, q) chain walk, built once per call.
+
+    A state is s = r * n_q + q. Each step's uniform u maps to a level, the
+    number of distinct g values at or below u, so the detection draw
+    u < g(r') fails exactly when the level is at most the index of g(r')
+    among them. An edge e = s * n_levels + level fixes the whole step:
+    next_base[e] is the next state times n_levels, and cost[e], age[e] and
+    saturated[e] are what the step accrues.
+    """
+
+    g_values: np.ndarray   # distinct failure probabilities, ascending
+    next_base: np.ndarray
+    cost: np.ndarray
+    age: np.ndarray
+    saturated: np.ndarray
+
+    @classmethod
+    def build(cls, actions, g_eff, cost_table):
+        r_cap = actions.shape[0] - 1  # r saturates at the grid's q_max
+        q_max = actions.shape[1] - 1
+        table_end = len(cost_table) - 1
+        # a delivery after more than table_end retransmissions lands past the
+        # table; its cost is NaN so simulate_chain can reject the run
+        n_q = max(table_end, r_cap) + 1
+        r = np.repeat(np.arange(r_cap + 1), n_q)
+        q = np.tile(np.arange(n_q), r_cap + 1)
+        r_next = np.where(actions[r, np.minimum(q, q_max)] == 0, 0, np.minimum(r + 1, r_cap))
+        g_values = np.array(sorted(set(g_eff.tolist())))  # np.unique would import numpy.ma
+        n_levels = len(g_values) + 1
+        failed = np.arange(n_levels) <= np.searchsorted(g_values, g_eff[r_next])[:, None]
+        on_fail = r_next * n_q + np.minimum(q + 1, table_end)
+        on_success = r_next * n_q + r_next
+        cost = np.full(n_q, np.nan)
+        cost[:table_end + 1] = cost_table
+        return cls(
+            g_values=g_values,
+            next_base=(np.where(failed, on_fail[:, None], on_success[:, None]) * n_levels).ravel(),
+            cost=np.repeat(cost[q], n_levels),
+            age=np.repeat(q + 1, n_levels),
+            saturated=(failed & (q >= table_end)[:, None]).ravel(),
+        )
+
+    def walk(self, uniforms, initial_q, step_mse, step_aoi, run_mse, run_aoi):
+        """Advance every run of a chunk together, one step at a time.
+
+        Per step: accrue the cost and age of the current q, act, update r,
+        draw detection against g(r'), update q. Writes the per-step sums
+        over runs into step_mse/step_aoi and the per-run horizon averages
+        into run_mse/run_aoi, and returns the number of steps at which q
+        saturated at the cost-table end. States are recorded in blocks of
+        TIME_BLOCK steps and reduced per block; float sums run over runs
+        in order and over time in order, exactly as a per-run scalar loop
+        adds them.
+        """
+        n_runs, horizon = uniforms.shape
+        n_levels = len(self.g_values) + 1
+        base = np.full(n_runs, initial_q * n_levels, dtype=np.intp)  # r = 0, q = initial_q
+        total_cost = np.zeros(n_runs)
+        total_age = np.zeros(n_runs, dtype=np.int64)
+        saturated = 0
+        for k0 in range(0, horizon, TIME_BLOCK):
+            k1 = min(k0 + TIME_BLOCK, horizon)
+            levels = np.searchsorted(self.g_values, uniforms[:, k0:k1], side="right")
+            edges = np.empty((k1 - k0, n_runs), dtype=np.intp)
+            for t in range(k1 - k0):
+                np.add(base, levels[:, t], out=edges[t])
+                self.next_base.take(edges[t], out=base)
+            cost = self.cost[edges]
+            # accumulate is sequential; sum() would pair terms up on some shapes
+            step_mse[k0:k1] = np.add.accumulate(cost, axis=1)[:, -1]
+            cost[0] += total_cost
+            total_cost = np.add.accumulate(cost, axis=0)[-1]
+            age = self.age[edges]
+            step_aoi[k0:k1] = age.sum(axis=1)
+            total_age += age.sum(axis=0)
+            saturated += int(np.count_nonzero(self.saturated[edges]))
+        run_mse[:] = total_cost / horizon
+        run_aoi[:] = total_age / horizon
+        return saturated
+
+
 def simulate_chain(policy: PolicyGrid, m: HarqModel, sk: SteadyKalman, cfg: SimConfig,
-                   backend=None, threads=None) -> SimReport:
+                   threads=None) -> SimReport:
     """Analytic-mode Monte Carlo of the (r, q) chain under a policy.
 
     Per step the accrued MSE is the cost-table entry for the current q and
     the accrued age is q+1; then the policy acts, detection is drawn with
     probability 1 - g(r), and the state advances. q saturates at the end
     of the cost table (with a warning) mirroring the truncated decision
-    model. Identical seed and config give bit-identical reports
-    regardless of backend or thread count.
+    model. A delivery that lands past the cost table, possible only when
+    the grid's q_max exceeds the table, raises ValueError. Identical seed
+    and config give bit-identical reports regardless of thread count.
     """
     if cfg.mode != "analytic":
         raise ValueError("simulate_chain requires mode='analytic'")
     if cfg.initial_q > sk.n_max:
         raise ValueError(f"initial_q={cfg.initial_q} outside cost table range 0..{sk.n_max}")
-    actions, g_eff, cost_table = _kernel_tables(policy, m, sk)
-    kernel = _kernels.chain_kernel(backend)
+    tables = _ChainTables.build(*_kernel_tables(policy, m, sk))
 
     horizon, runs = cfg.horizon, cfg.runs
     children = np.random.SeedSequence(cfg.seed).spawn(runs)
@@ -133,8 +218,8 @@ def simulate_chain(policy: PolicyGrid, m: HarqModel, sk: SteadyKalman, cfg: SimC
             uniforms[i - start] = np.random.Generator(np.random.Philox(children[i])).random(horizon)
         step_mse = np.zeros(horizon)
         step_aoi = np.zeros(horizon)
-        sat = kernel(actions, g_eff, cost_table, uniforms, cfg.initial_q,
-                     step_mse, step_aoi, run_mse[start:stop], run_aoi[start:stop])
+        sat = tables.walk(uniforms, cfg.initial_q, step_mse, step_aoi,
+                          run_mse[start:stop], run_aoi[start:stop])
         return step_mse, step_aoi, sat
 
     n_threads = min(_thread_count(threads), len(chunks))
@@ -151,6 +236,11 @@ def simulate_chain(policy: PolicyGrid, m: HarqModel, sk: SteadyKalman, cfg: SimC
         step_mse += part_mse
         step_aoi += part_aoi
         saturation += sat
+    if np.isnan(run_mse).any():
+        raise ValueError(
+            f"a delivery after more than {sk.n_max} retransmissions left the cost table "
+            f"range 0..{sk.n_max}; the grid's q_max={policy.q_max} needs a longer table"
+        )
     if saturation:
         warnings.warn(
             f"staleness exceeded the cost table range in {saturation} steps; "

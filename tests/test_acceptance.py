@@ -261,17 +261,12 @@ def test_criterion_9_byte_identical_simulation(tmp_path):
 
 
 def test_backend_parity_of_the_full_pipeline(sk, channel):
-    """The compiled core and the pure-Python fallback agree bit for bit."""
+    """The compiled value iteration and the pure-Python fallback agree bit for bit."""
     if not remest.has_compiled():
-        pytest.skip("compiled kernels not built")
+        pytest.skip("compiled kernel not built")
     model = build_mdp(sk, channel, Q_MAX, "mse")
     sol_py = solve(model, backend="python")
     sol_cy = solve(model, backend="compiled")
     assert sol_py.gain == sol_cy.gain
     assert np.array_equal(sol_py.bias, sol_cy.bias)
-    sim_cfg = SimConfig(horizon=500, runs=200, seed=31)
-    rep_py = simulate_chain(sol_py.policy, channel, sk, sim_cfg, backend="python")
-    rep_cy = simulate_chain(sol_cy.policy, channel, sk, sim_cfg, backend="compiled")
-    assert np.array_equal(rep_py.avg_mse_vs_k, rep_cy.avg_mse_vs_k)
-    assert np.array_equal(rep_py.run_final_mse, rep_cy.run_final_mse)
-    note("backend parity PASS: compiled and pure kernels bit-identical end to end")
+    note("backend parity PASS: compiled and pure value iteration bit-identical")

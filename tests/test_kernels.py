@@ -3,6 +3,7 @@ import pytest
 
 import remest
 from remest import _kernels
+from remest.simulate import _ChainTables
 
 
 class TestBackendSelection:
@@ -21,13 +22,11 @@ class TestBackendSelection:
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            _kernels.chain_kernel("fortran")
+            _kernels.rvi_kernel("fortran")
 
     def test_kernels_resolve(self):
-        assert callable(_kernels.chain_kernel("python"))
         assert callable(_kernels.rvi_kernel("python"))
         if remest.has_compiled():
-            assert callable(_kernels.chain_kernel("compiled"))
             assert callable(_kernels.rvi_kernel("compiled"))
 
 
@@ -41,49 +40,24 @@ def _chain_inputs(seed=0, runs=9, horizon=64, q_max=6):
 
 
 class TestChainKernelContract:
-    @pytest.mark.parametrize("backend", ["python", "compiled"])
-    def test_edge_probabilities(self, backend):
-        if backend == "compiled" and not remest.has_compiled():
-            pytest.skip("compiled kernels not built")
-        kernel = _kernels.chain_kernel(backend)
+    def test_edge_probabilities(self):
         actions, g, cost, uniforms = _chain_inputs()
-        # g = 0 everywhere: every transmission lands, q tracks r
-        horizon = uniforms.shape[1]
+        runs, horizon = uniforms.shape
         step_mse = np.zeros(horizon)
         step_aoi = np.zeros(horizon)
-        run_mse = np.zeros(uniforms.shape[0])
-        run_aoi = np.zeros(uniforms.shape[0])
-        sat = kernel(np.zeros_like(actions), np.zeros_like(g), cost, uniforms, 0,
-                     step_mse, step_aoi, run_mse, run_aoi)
+        run_mse = np.zeros(runs)
+        run_aoi = np.zeros(runs)
+        # g = 0 everywhere: every transmission lands, q tracks r
+        walk = _ChainTables.build(np.zeros_like(actions), np.zeros_like(g), cost).walk
+        sat = walk(uniforms, 0, step_mse, step_aoi, run_mse, run_aoi)
         assert sat == 0
         np.testing.assert_allclose(run_mse, cost[0], rtol=1e-12)
         # g = 1 everywhere: every transmission fails, q climbs and saturates
-        step_mse[:] = 0
-        step_aoi[:] = 0
-        sat = kernel(np.zeros_like(actions), np.ones_like(g), cost, uniforms, 0,
-                     step_mse, step_aoi, run_mse, run_aoi)
-        assert sat > 0
+        walk = _ChainTables.build(np.zeros_like(actions), np.ones_like(g), cost).walk
+        sat = walk(uniforms, 0, step_mse, step_aoi, run_mse, run_aoi)
+        assert sat == runs * (horizon - len(cost) + 1)
         expected_first = [cost[min(k, len(cost) - 1)] for k in range(horizon)]
-        np.testing.assert_allclose(step_mse / uniforms.shape[0], expected_first)
-
-    def test_backends_bit_identical(self):
-        if not remest.has_compiled():
-            pytest.skip("compiled kernels not built")
-        actions, g, cost, uniforms = _chain_inputs(seed=3)
-        outs = {}
-        for backend in ("python", "compiled"):
-            kernel = _kernels.chain_kernel(backend)
-            step_mse = np.zeros(uniforms.shape[1])
-            step_aoi = np.zeros(uniforms.shape[1])
-            run_mse = np.zeros(uniforms.shape[0])
-            run_aoi = np.zeros(uniforms.shape[0])
-            sat = kernel(actions, g, cost, uniforms, 2, step_mse, step_aoi, run_mse, run_aoi)
-            outs[backend] = (step_mse, step_aoi, run_mse, run_aoi, sat)
-        for a, b in zip(outs["python"], outs["compiled"]):
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b)
-            else:
-                assert a == b
+        np.testing.assert_allclose(step_mse / runs, expected_first)
 
 
 class TestRviKernelContract:

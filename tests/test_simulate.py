@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-import remest
 from remest import (
     HarqModel,
     LtiSystem,
+    PolicyGrid,
     SimConfig,
     arq_baseline_policy,
     build_mdp,
@@ -16,7 +16,7 @@ from remest import (
     simulate_trajectory,
     solve,
 )
-from remest.simulate import report_summary, write_report_csv
+from remest.simulate import CHUNK_RUNS, TIME_BLOCK, report_summary, write_report_csv
 
 Q_MAX = 20
 
@@ -24,9 +24,12 @@ Q_MAX = 20
 def reference_chain(policy, model, sk, cfg):
     """Slow dictionary-based reference simulator, used as an exact oracle.
 
-    Consumes the same per-run uniform streams as the production kernels and
-    additionally asserts the structural invariants (r <= q and the age
-    identity age == previous q + 1) at every step.
+    Consumes the same per-run uniform streams as simulate_chain, sums the
+    per-step costs within each CHUNK_RUNS-run chunk before adding the
+    chunks together (simulate_chain's fixed reduction order), counts the
+    steps at which q saturates at the cost-table end, and additionally
+    asserts the structural invariants (r <= q and the age identity
+    age == previous q + 1) at every step.
     """
     table = list(sk.cost_table)
     table_end = len(table) - 1
@@ -35,7 +38,11 @@ def reference_chain(policy, model, sk, cfg):
     step_aoi = np.zeros(cfg.horizon)
     run_mse = np.zeros(cfg.runs)
     run_aoi = np.zeros(cfg.runs)
+    saturated = 0
     for i in range(cfg.runs):
+        if i % CHUNK_RUNS == 0:
+            chunk_mse = np.zeros(cfg.horizon)
+            chunk_aoi = np.zeros(cfg.horizon)
         u = np.random.Generator(np.random.Philox(children[i])).random(cfg.horizon)
         r, q = 0, cfg.initial_q
         totals = [0.0, 0.0]
@@ -43,21 +50,51 @@ def reference_chain(policy, model, sk, cfg):
             assert r <= q
             age = q + 1  # identity: age at step k equals previous q + 1
             cost = table[q]
-            step_mse[k] += cost
-            step_aoi[k] += age
+            chunk_mse[k] += cost
+            chunk_aoi[k] += age
             totals[0] += cost
             totals[1] += age
             action = policy.actions[min(r, policy.q_max), min(q, policy.q_max)]
             r = 0 if action == 0 else min(r + 1, policy.q_max)
             if u[k] < model.failure_prob_clamped(r):
+                saturated += q == table_end
                 q = min(q + 1, table_end)
             else:
                 q = r
         run_mse[i] = totals[0] / cfg.horizon
         run_aoi[i] = totals[1] / cfg.horizon
+        if i % CHUNK_RUNS == CHUNK_RUNS - 1 or i == cfg.runs - 1:
+            step_mse += chunk_mse
+            step_aoi += chunk_aoi
     steps = np.arange(1, cfg.horizon + 1)
     return (np.cumsum(step_mse / cfg.runs) / steps,
-            np.cumsum(step_aoi / cfg.runs) / steps, run_mse, run_aoi)
+            np.cumsum(step_aoi / cfg.runs) / steps, run_mse, run_aoi, saturated)
+
+
+def _short_table(system):
+    return riccati_steady_state(system, q_max=2)
+
+
+# name -> (policy, channel, cost table, config) built from the session fixtures
+EXACT_CASES = {
+    "baseline": lambda system, sk, channel: (
+        psi_policy(Q_MAX), channel, sk, SimConfig(horizon=80, runs=7, seed=123)),
+    "runs_past_chunk": lambda system, sk, channel: (
+        psi_policy(Q_MAX), channel, sk, SimConfig(horizon=40, runs=300, seed=11)),
+    "single_run": lambda system, sk, channel: (
+        arq_baseline_policy(Q_MAX), channel, sk, SimConfig(horizon=90, runs=1, seed=12)),
+    "partial_time_block": lambda system, sk, channel: (
+        psi_policy(Q_MAX), channel, sk, SimConfig(horizon=2 * TIME_BLOCK + 1, runs=9, seed=13)),
+    "initial_q": lambda system, sk, channel: (
+        psi_policy(Q_MAX), channel, sk, SimConfig(horizon=70, runs=11, seed=14, initial_q=6)),
+    # r passes the table's r_cap = 3 at four steps of this seed
+    "r_past_r_cap": lambda system, sk, channel: (
+        psi_policy(Q_MAX), HarqModel.from_table([0.2, 0.1, 0.05, 0.025]), sk,
+        SimConfig(horizon=5000, runs=8, seed=17)),
+    "q_at_table_end": lambda system, sk, channel: (
+        psi_policy(2), HarqModel(0.1, 1.0, r_cap=2), _short_table(system),
+        SimConfig(horizon=150, runs=10, seed=16)),
+}
 
 
 class TestSimConfig:
@@ -82,15 +119,27 @@ class TestChainSim:
         assert report.final_avg_mse == pytest.approx(9.2, abs=0.02)
         assert np.abs(report.avg_aoi_vs_k - 1.0).max() < 1e-12
 
-    def test_matches_reference_simulator_exactly(self, sk, channel):
-        cfg = SimConfig(horizon=80, runs=7, seed=123)
-        grid = psi_policy(Q_MAX)
-        report = simulate_chain(grid, channel, sk, cfg)
-        ref_mse, ref_aoi, ref_run_mse, ref_run_aoi = reference_chain(grid, channel, sk, cfg)
+    @pytest.mark.parametrize("case", list(EXACT_CASES))
+    def test_matches_reference_simulator_exactly(self, case, system, sk, channel):
+        grid, model, table, cfg = EXACT_CASES[case](system, sk, channel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = simulate_chain(grid, model, table, cfg)
+        ref_mse, ref_aoi, ref_run_mse, ref_run_aoi, ref_sat = reference_chain(grid, model, table, cfg)
         assert np.array_equal(report.avg_mse_vs_k, ref_mse)
         assert np.array_equal(report.avg_aoi_vs_k, ref_aoi)
         assert np.array_equal(report.run_final_mse, ref_run_mse)
         assert np.array_equal(report.run_final_aoi, ref_run_aoi)
+        assert report.saturation_events == ref_sat
+
+    def test_delivery_past_cost_table_rejected(self, system):
+        always_retransmit = PolicyGrid(Q_MAX, np.ones((Q_MAX + 1, Q_MAX + 1)))
+        cfg = SimConfig(horizon=100, runs=3, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="cost table"):
+                simulate_chain(always_retransmit, HarqModel(0.9, 1.0, r_cap=2),
+                               _short_table(system), cfg)
 
     def test_custom_initial_q(self, sk, channel):
         cfg = SimConfig(horizon=5, runs=3, seed=9, initial_q=4)
@@ -122,18 +171,6 @@ class TestChainSim:
         monkeypatch.setenv("REMEST_THREADS", "2")
         bounded = simulate_chain(grid, channel, sk, cfg)
         assert np.array_equal(baseline.avg_mse_vs_k, bounded.avg_mse_vs_k)
-
-    def test_backend_equivalence(self, sk, channel):
-        if not remest.has_compiled():
-            pytest.skip("compiled kernels not built")
-        cfg = SimConfig(horizon=250, runs=60, seed=21)
-        grid = psi_policy(Q_MAX)
-        rp = simulate_chain(grid, channel, sk, cfg, backend="python")
-        rc = simulate_chain(grid, channel, sk, cfg, backend="compiled")
-        assert np.array_equal(rp.avg_mse_vs_k, rc.avg_mse_vs_k)
-        assert np.array_equal(rp.avg_aoi_vs_k, rc.avg_aoi_vs_k)
-        assert np.array_equal(rp.run_final_mse, rc.run_final_mse)
-        assert np.array_equal(rp.run_final_aoi, rc.run_final_aoi)
 
     def test_mse_floor(self, sk, channel):
         cfg = SimConfig(horizon=500, runs=50, seed=3)
