@@ -2,23 +2,21 @@
 remote state estimation of linear dynamic processes.
 
 Pipeline: compute the sensor's steady-state filter covariance, build the
-truncated (r, q) average-cost decision model, solve it by relative value
-iteration, and evaluate the resulting policies exactly (stationary
-analysis) and by Monte-Carlo simulation.
+truncated (r, q) average-cost decision model, solve it by policy
+iteration, and evaluate the resulting policies exactly (the gain of each
+policy's Poisson equation) and by Monte-Carlo simulation.
 """
 
-from ._kernels import available_backends, default_backend, has_compiled
 from .config import ConfigError, ExperimentConfig, default_config, load_config
 from .harq import HarqModel, StabilityReport
 from .linalg import Mat, mat_mul, spd_inverse, spectral_radius_sq, trace
 from .lti import LtiSystem, RiccatiError, SteadyKalman, cost_of_q, f_apply, riccati_steady_state
 from .mdp import (
     MdpSolution,
-    RviConvergenceError,
+    SolverError,
     TruncatedMdp,
     build_mdp,
     evaluate_policy,
-    relative_value_iteration,
     solve,
 )
 from .policies import (

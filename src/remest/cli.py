@@ -54,12 +54,12 @@ def _stability(cfg: ExperimentConfig):
     return system, channel, channel.stability_check(system.rho_sq)
 
 
-def _solve_pipeline(cfg: ExperimentConfig, cost_kind: str, backend=None):
+def _solve_pipeline(cfg: ExperimentConfig, cost_kind: str):
     system = cfg.make_system()
     channel = cfg.make_channel()
     sk = riccati_steady_state(system, tol=cfg.tol, max_iter=cfg.max_iter, q_max=cfg.q_max)
     model = mdp.build_mdp(sk if cost_kind == "mse" else None, channel, cfg.q_max, cost_kind)
-    solution = mdp.solve(model, tol=cfg.tol, max_iter=cfg.max_iter, backend=backend)
+    solution = mdp.solve(model, tol=cfg.tol, max_iter=cfg.max_iter)
     return system, channel, sk, model, solution
 
 
@@ -105,7 +105,7 @@ def cmd_solve(args) -> int:
         mdp.save_bias_csv(solution, bias_path)
     if "json" in cfg.formats:
         mdp.save_solution_json(solution, summary_path)
-    print(f"gain = {_fmt(solution.gain)}  ({solution.iterations} sweeps, "
+    print(f"gain = {_fmt(solution.gain)}  ({solution.iterations} policy-iteration rounds, "
           f"span residual {solution.span_residual:.3e})")
     for path in (policy_path, bias_path, summary_path):
         if path.exists():
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (mdp.RviConvergenceError, RiccatiError) as exc:
+    except (mdp.SolverError, RiccatiError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:

@@ -28,8 +28,9 @@ class HarqModel:
     h in (0, 1] is the combining-gain factor (h = 1 degenerates to plain
     ARQ: retransmissions are no more reliable than new packets). An
     explicit table can be supplied instead for other combining schemes;
-    it must satisfy g(0) = 1 - lam, be non-increasing, and keep g(0)
-    strictly above g(r) for r > 0 unless it is constant (the ARQ case).
+    it must satisfy g(0) = 1 - lam and be non-increasing, so that no
+    retransmission is less reliable than a new transmission (a constant
+    table is the ARQ case).
     """
 
     def __init__(self, lam: float, h: float, r_cap: int = 20):
@@ -59,8 +60,6 @@ class HarqModel:
         lam = 1.0 - float(g[0])
         if lam <= 0.0:
             raise ValueError("g_table[0] must be < 1 (new transmissions must sometimes succeed)")
-        if float(g[1:].max()) >= g[0] and not np.all(g == g[0]):
-            raise ValueError("retransmissions must not be less reliable than new transmissions")
         model = cls.__new__(cls)
         model.lam = lam
         model.h = None

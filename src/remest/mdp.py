@@ -1,11 +1,14 @@
-"""Truncated average-cost decision model on the (r, q) grid and its
-relative-value-iteration solver.
+"""Truncated average-cost decision model on the (r, q) grid, its exact
+policy evaluation and its policy-iteration solver.
 
 The state is (r, q): r consecutive retransmissions of the in-flight
 packet, q the age of the newest estimate the receiver holds. Action 0
 sends fresh, action 1 retransmits. Transitions follow the detection
-probabilities of the channel model; q saturates at q_max and r at r_cap
-so the grid is closed (a standard approximating construction).
+probabilities of the channel model; r and q saturate at q_max so the grid
+is closed (a standard approximating construction), and the detection
+probability of a retransmission saturates at the channel's r_cap, exactly
+as in the simulators. The chain under a policy is defined once, in
+_poisson, which both the solver and evaluate_policy use.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .harq import HarqModel
 from .lti import SteadyKalman
 from .policies import PolicyGrid
@@ -24,18 +26,13 @@ from .policies import PolicyGrid
 COST_KINDS = ("mse", "delay")
 
 
-class RviConvergenceError(RuntimeError):
-    """Value iteration ran out of iterations; carries the last span."""
-
-    def __init__(self, message, span):
-        super().__init__(message)
-        self.span = span
+class SolverError(RuntimeError):
+    """A policy's Poisson equation is singular, or policy iteration did not settle."""
 
 
 @dataclass(frozen=True)
 class TruncatedMdp:
     q_max: int
-    r_cap: int
     cost_kind: str
     states: tuple
     index: dict
@@ -80,10 +77,10 @@ def build_mdp(sk: SteadyKalman | None, m: HarqModel, q_max: int, cost_kind: str 
     """Assemble the truncated decision model.
 
     Action 0 leads to (0, 0) on success and (0, min(q+1, q_max)) on
-    failure, with failure probability g(0). Action 1 leads to
-    (r', min(r+1, q_max)) on success and (r', min(q+1, q_max)) on failure
-    with r' = min(r+1, r_cap, q_max) and failure probability g(min(r+1,
-    r_cap)). The stage cost depends on the state only: the staleness MSE
+    failure, with failure probability g(0). Action 1 leads to (r', r') on
+    success and (r', min(q+1, q_max)) on failure with r' = min(r+1, q_max)
+    and failure probability g(min(r+1, r_cap)), r_cap being the channel's.
+    The stage cost depends on the state only: the staleness MSE
     table at q, or q+1 for the age-minimizing variant.
     """
     if q_max < 1:
@@ -95,8 +92,6 @@ def build_mdp(sk: SteadyKalman | None, m: HarqModel, q_max: int, cost_kind: str 
             raise ValueError("the MSE cost needs a steady-state filter (sk)")
         if sk.n_max < q_max:
             raise ValueError(f"cost table covers q up to {sk.n_max}, need {q_max}")
-    r_cap = min(m.r_cap, q_max)
-
     states = enumerate_states(q_max)
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
@@ -110,117 +105,137 @@ def build_mdp(sk: SteadyKalman | None, m: HarqModel, q_max: int, cost_kind: str 
         succ[0, i] = index[(0, 0)]
         fail[0, i] = index[(0, min(q + 1, q_max))]
         pfail[0, i] = g0
-        r_next = min(r + 1, r_cap)
-        succ[1, i] = index[(r_next, min(r + 1, q_max))]
+        r_next = min(r + 1, q_max)
+        succ[1, i] = index[(r_next, r_next)]
         fail[1, i] = index[(r_next, min(q + 1, q_max))]
         pfail[1, i] = m.failure_prob_clamped(r + 1)
     for arr in (cost, succ, fail, pfail):
         arr.flags.writeable = False
     return TruncatedMdp(
-        q_max=q_max, r_cap=r_cap, cost_kind=cost_kind, states=states, index=index,
+        q_max=q_max, cost_kind=cost_kind, states=states, index=index,
         cost=cost, succ_idx=succ, fail_idx=fail, fail_prob=pfail,
     )
 
 
-def _greedy_policy(mdp: TruncatedMdp, h: np.ndarray, label: str) -> PolicyGrid:
-    # ties break toward action 0 (fresh data preferred at equal cost)
-    q0 = (1.0 - mdp.fail_prob[0]) * h[mdp.succ_idx[0]] + mdp.fail_prob[0] * h[mdp.fail_idx[0]]
-    q1 = (1.0 - mdp.fail_prob[1]) * h[mdp.succ_idx[1]] + mdp.fail_prob[1] * h[mdp.fail_idx[1]]
-    choose_retransmit = q1 < q0
-    actions = np.zeros((mdp.q_max + 1, mdp.q_max + 1), dtype=np.int8)
-    for i, (r, q) in enumerate(mdp.states):
-        if choose_retransmit[i]:
-            actions[r, q] = 1
-    return PolicyGrid(mdp.q_max, actions, label=label)
+def _state_rq(mdp: TruncatedMdp):
+    """r and q of every state, as index arrays into a PolicyGrid's actions."""
+    r, q = np.array(mdp.states).T
+    return r, q
 
 
-def relative_value_iteration(
-    mdp: TruncatedMdp,
-    tol: float = 1e-9,
-    max_iter: int = 100000,
-    damping: float = 0.0,
-    backend=None,
-) -> MdpSolution:
-    """Solve for the average-cost-optimal stationary deterministic policy.
+def _reached_by_all(successors: np.ndarray, target: int) -> bool:
+    """Whether every state has a path to target; successors is (2, S)."""
+    seen = np.zeros(successors.shape[1], dtype=bool)
+    seen[target] = True
+    while True:
+        grow = seen[successors].any(axis=0) & ~seen
+        if not grow.any():
+            return bool(seen.all())
+        seen |= grow
 
-    Iterates h <- Bellman(h) - Bellman(h)[ref] with reference state (0, 0),
-    stopping when the span of the increments falls below tol. When the
-    stage costs are large (the MSE table grows like rho^2(A) per step of
-    staleness) the span cannot reach a tight tol in float64; the iteration
-    then terminates at its exact numerical fixed point and reports the
-    achieved span as span_residual. The gain estimate is accurate to about
-    span_residual. Optional damping in (0, 1) breaks periodic oscillation.
 
-    Raises RviConvergenceError when max_iter sweeps finish without either
-    stopping condition.
+def _poisson(mdp: TruncatedMdp, actions: np.ndarray):
+    """Gain and bias of the chain that takes action actions[i] in state i.
+
+    This is the one definition of how the (r, q) chain moves: row i of P
+    puts 1 - fail_prob on succ_idx and fail_prob on fail_idx of the chosen
+    action. One dense solve of the Poisson equation (I - P) h + g 1 = c
+    with h(ref) = 0 gives both: the column of I - P that h(ref) would
+    multiply is replaced by the ones that multiply g.
+
+    The equation has a unique solution only when the chain has one
+    recurrent class, i.e. some state is reachable from every state. A
+    fresh transmission returns to (0, 0) with probability lambda > 0 and a
+    retransmission raises r until the corner (q_max, q_max), so if such a
+    state exists, (0, 0) or the corner is one. ref is (0, 0) when every
+    state reaches it, as under every policy that sends fresh at the
+    corner, else the corner. Pinning h at a recurrent state keeps the
+    gain exact even when the other states reach it only with
+    probabilities below float64 resolution. Raises SolverError when
+    neither state qualifies, or when the gain leaves the range of the
+    stage costs.
+    """
+    n = mdp.n_states
+    rows = np.arange(n)
+    pf = mdp.fail_prob[actions, rows]
+    succ = mdp.succ_idx[actions, rows]
+    fail = mdp.fail_idx[actions, rows]
+    # successors along edges of positive probability
+    successors = np.stack([np.where(pf < 1.0, succ, fail), np.where(pf > 0.0, fail, succ)])
+    ref = mdp.index[(0, 0)]
+    if not _reached_by_all(successors, ref):
+        ref = mdp.index[(mdp.q_max, mdp.q_max)]
+        if not _reached_by_all(successors, ref):
+            raise SolverError("the policy's chain has more than one recurrent class")
+    lhs = np.eye(n)
+    np.add.at(lhs, (rows, succ), pf - 1.0)
+    np.add.at(lhs, (rows, fail), -pf)
+    lhs[:, ref] = 1.0
+    try:
+        h = np.linalg.solve(lhs, mdp.cost)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("the policy's Poisson equation is singular") from exc
+    gain = float(h[ref])
+    # a unichain gain averages the stage costs over the stationary distribution
+    if not mdp.cost.min() * (1 - 1e-9) <= gain <= mdp.cost.max() * (1 + 1e-9):
+        raise SolverError(f"the policy's Poisson equation gave gain {gain!r}, outside the "
+                          "range of the stage costs")
+    h[ref] = 0.0
+    return gain, h
+
+
+def solve(mdp: TruncatedMdp, tol: float = 1e-9, max_iter: int = 100000) -> MdpSolution:
+    """Average-cost-optimal stationary deterministic policy, by policy iteration.
+
+    Howard's policy iteration (Puterman, Markov Decision Processes, 1994,
+    section 8.6): start from all-fresh, evaluate the policy exactly, and
+    switch a state's action only when that lowers its Q-value by more
+    than tol * max(1, |Q|); stop when no state switches. Each round is
+    one dense Poisson solve; every round improves the gain or the bias, so
+    no policy repeats, and 2-4 rounds suffice on the models tested.
+    span_residual is the span of Bellman(h) - h at the returned bias, zero
+    in exact arithmetic.
+
+    Raises SolverError when a policy's chain is not unichain or when
+    max_iter rounds do not settle.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not 0.0 <= damping < 1.0:
-        raise ValueError("damping must be in [0, 1)")
-    kernel = _kernels.rvi_kernel(backend)
-    h = np.zeros(mdp.n_states)
-    ref = mdp.index[(0, 0)]
-    gain, iterations, span, converged = kernel(
-        mdp.cost, mdp.succ_idx[0], mdp.fail_idx[0], mdp.fail_prob[0],
-        mdp.succ_idx[1], mdp.fail_idx[1], mdp.fail_prob[1],
-        ref, tol, max_iter, damping, h,
-    )
-    if not converged:
-        raise RviConvergenceError(
-            f"value iteration did not converge within {max_iter} sweeps (span {span:.3e}); "
-            "the chain may be periodic, retry with damping",
-            span,
-        )
-    policy = _greedy_policy(mdp, h, label=f"optimal-{mdp.cost_kind}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    rows = np.arange(mdp.n_states)
+    actions = np.zeros(mdp.n_states, dtype=np.intp)
+    for iterations in range(1, max_iter + 1):
+        gain, h = _poisson(mdp, actions)
+        pf = mdp.fail_prob
+        q = mdp.cost + (1.0 - pf) * h[mdp.succ_idx] + pf * h[mdp.fail_idx]  # (2, S) Q-values
+        current = q[actions, rows]
+        switch = q[1 - actions, rows] < current - tol * np.maximum(1.0, np.abs(current))
+        if not switch.any():
+            break
+        actions = np.where(switch, 1 - actions, actions)
+    else:
+        raise SolverError(f"policy iteration still switched actions after {max_iter} rounds")
+    delta = q.min(axis=0) - h
+    grid = np.zeros((mdp.q_max + 1, mdp.q_max + 1), dtype=np.int8)
+    grid[_state_rq(mdp)] = actions
     h.flags.writeable = False
     return MdpSolution(
-        gain=float(gain), bias=h, policy=policy, iterations=int(iterations),
-        span_residual=float(span), q_max=mdp.q_max, cost_kind=mdp.cost_kind,
-        states=mdp.states,
+        gain=gain, bias=h, policy=PolicyGrid(mdp.q_max, grid, label=f"optimal-{mdp.cost_kind}"),
+        iterations=iterations, span_residual=float(delta.max() - delta.min()),
+        q_max=mdp.q_max, cost_kind=mdp.cost_kind, states=mdp.states,
     )
-
-
-def solve(mdp: TruncatedMdp, tol: float = 1e-9, max_iter: int = 100000, backend=None) -> MdpSolution:
-    """relative_value_iteration with an automatic damped retry on oscillation."""
-    try:
-        return relative_value_iteration(mdp, tol=tol, max_iter=max_iter, backend=backend)
-    except RviConvergenceError:
-        return relative_value_iteration(mdp, tol=tol, max_iter=max_iter, damping=0.01, backend=backend)
 
 
 def evaluate_policy(mdp: TruncatedMdp, policy: PolicyGrid) -> float:
     """Exact long-run average cost of the chain induced by a policy.
 
-    Solves for the stationary distribution of the policy's transition
-    matrix; the chain must be unichain (one recurrent class). Raises
-    RuntimeError when the stationary solve fails or is inconsistent,
-    which signals reducible or absorbing structure.
+    The gain of the policy's Poisson equation; the chain must be unichain
+    (one recurrent class), else SolverError is raised.
     """
     if policy.q_max != mdp.q_max:
         raise ValueError(f"policy grid q_max={policy.q_max} does not match model q_max={mdp.q_max}")
-    n = mdp.n_states
-    actions = np.array([policy.actions[r, q] for (r, q) in mdp.states])
-    trans = np.zeros((n, n))
-    rows = np.arange(n)
-    pf = mdp.fail_prob[actions, rows]
-    np.add.at(trans, (rows, mdp.succ_idx[actions, rows]), 1.0 - pf)
-    np.add.at(trans, (rows, mdp.fail_idx[actions, rows]), pf)
-    lhs = trans.T - np.eye(n)
-    lhs[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("stationary distribution solve failed (reducible chain?)") from exc
-    if pi.min() < -1e-9 or abs(pi.sum() - 1.0) > 1e-9:
-        raise RuntimeError("no valid stationary distribution (reducible or absorbing structure)")
-    residual = float(np.abs(trans.T @ pi - pi).max())
-    if residual > 1e-8:
-        raise RuntimeError(f"stationary distribution residual too large ({residual:.3e})")
-    pi = np.clip(pi, 0.0, None)
-    return float(pi @ mdp.cost)
+    return _poisson(mdp, policy.actions[_state_rq(mdp)])[0]
 
 
 def save_bias_csv(solution: MdpSolution, path):

@@ -72,7 +72,7 @@ class PolicyGrid:
         return self.q_max == other.q_max and bool(np.all(self.actions == other.actions))
 
     def __repr__(self):
-        ones = int(sum(self.actions[r, q] for (r, q) in self.states()))
+        ones = np.count_nonzero(self.actions)  # entries with r > q are zero
         return f"PolicyGrid(q_max={self.q_max}, label={self.label!r}, retransmit_states={ones})"
 
 
@@ -105,14 +105,11 @@ def myopic_policy(sk: SteadyKalman, m: HarqModel, q_max: int) -> PolicyGrid:
     return PolicyGrid(q_max, actions, label="myopic")
 
 
-def delay_optimal_policy(m: HarqModel, q_max: int, solver=None) -> PolicyGrid:
+def delay_optimal_policy(m: HarqModel, q_max: int) -> PolicyGrid:
     """Policy minimizing the long-run average information age instead of MSE."""
     from . import mdp as _mdp
 
-    model = _mdp.build_mdp(None, m, q_max, cost_kind="delay")
-    solve = solver if solver is not None else _mdp.solve
-    solution = solve(model)
-    return solution.policy.relabeled("delay")
+    return _mdp.solve(_mdp.build_mdp(None, m, q_max, cost_kind="delay")).policy.relabeled("delay")
 
 
 def arq_baseline_policy(q_max: int) -> PolicyGrid:

@@ -6,19 +6,17 @@ also draws the physical process, runs the sensor filter at its steady
 state, applies the receiver's prediction estimator, and reports the
 empirical squared error next to the analytic value for the same realized
 staleness. Runs use independent counter-based streams split from the
-master seed, so results are reproducible and independent of the number of
-worker threads. The chain mode walks all runs of a fixed-size chunk
-together in numpy, one step at a time, and sums in the order of a per-run
-scalar loop, so it reproduces such a loop bit for bit.
+master seed, so results are reproducible. The chain mode walks all runs
+of a fixed-size chunk together in numpy, one step at a time, and sums in
+the order of a per-run scalar loop, so it reproduces such a loop bit for
+bit.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +25,7 @@ from .harq import HarqModel
 from .lti import LtiSystem, SteadyKalman
 from .policies import PolicyGrid
 
-CHUNK_RUNS = 128  # fixed chunk size keeps reductions independent of thread count
+CHUNK_RUNS = 128  # runs walked together; chunk sums are added in chunk order
 TIME_BLOCK = 64  # steps recorded per block of the chain walk; longer blocks cost memory
 
 
@@ -88,13 +86,6 @@ def _ci95(per_run: np.ndarray) -> float:
     if len(per_run) < 2:
         return 0.0
     return float(1.96 * per_run.std(ddof=1) / np.sqrt(len(per_run)))
-
-
-def _thread_count(threads):
-    if threads is None:
-        env = os.environ.get("REMEST_THREADS")
-        threads = int(env) if env else min(8, os.cpu_count() or 1)
-    return max(1, threads)
 
 
 def _kernel_tables(policy: PolicyGrid, m: HarqModel, sk: SteadyKalman):
@@ -187,8 +178,15 @@ class _ChainTables:
         return saturated
 
 
-def simulate_chain(policy: PolicyGrid, m: HarqModel, sk: SteadyKalman, cfg: SimConfig,
-                   threads=None) -> SimReport:
+def _uniforms(children, horizon: int) -> np.ndarray:
+    """One row of horizon uniforms per run, each from the run's own Philox stream."""
+    out = np.empty((len(children), horizon))
+    for row, child in zip(out, children):
+        row[:] = np.random.Generator(np.random.Philox(child)).random(horizon)
+    return out
+
+
+def simulate_chain(policy: PolicyGrid, m: HarqModel, sk: SteadyKalman, cfg: SimConfig) -> SimReport:
     """Analytic-mode Monte Carlo of the (r, q) chain under a policy.
 
     Per step the accrued MSE is the cost-table entry for the current q and
@@ -197,7 +195,7 @@ def simulate_chain(policy: PolicyGrid, m: HarqModel, sk: SteadyKalman, cfg: SimC
     of the cost table (with a warning) mirroring the truncated decision
     model. A delivery that lands past the cost table, possible only when
     the grid's q_max exceeds the table, raises ValueError. Identical seed
-    and config give bit-identical reports regardless of thread count.
+    and config give bit-identical reports.
     """
     if cfg.mode != "analytic":
         raise ValueError("simulate_chain requires mode='analytic'")
@@ -209,33 +207,18 @@ def simulate_chain(policy: PolicyGrid, m: HarqModel, sk: SteadyKalman, cfg: SimC
     children = np.random.SeedSequence(cfg.seed).spawn(runs)
     run_mse = np.zeros(runs)
     run_aoi = np.zeros(runs)
-    chunks = [(start, min(start + CHUNK_RUNS, runs)) for start in range(0, runs, CHUNK_RUNS)]
-
-    def work(bounds):
-        start, stop = bounds
-        uniforms = np.empty((stop - start, horizon))
-        for i in range(start, stop):
-            uniforms[i - start] = np.random.Generator(np.random.Philox(children[i])).random(horizon)
-        step_mse = np.zeros(horizon)
-        step_aoi = np.zeros(horizon)
-        sat = tables.walk(uniforms, cfg.initial_q, step_mse, step_aoi,
-                          run_mse[start:stop], run_aoi[start:stop])
-        return step_mse, step_aoi, sat
-
-    n_threads = min(_thread_count(threads), len(chunks))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(c) for c in chunks]
-
     step_mse = np.zeros(horizon)
     step_aoi = np.zeros(horizon)
+    part_mse = np.empty(horizon)
+    part_aoi = np.empty(horizon)
     saturation = 0
-    for part_mse, part_aoi, sat in results:  # fixed reduction order
-        step_mse += part_mse
+    for start in range(0, runs, CHUNK_RUNS):
+        stop = min(start + CHUNK_RUNS, runs)
+        # the chunk's uniforms are a temporary, freed before the next chunk draws
+        saturation += tables.walk(_uniforms(children[start:stop], horizon), cfg.initial_q,
+                                  part_mse, part_aoi, run_mse[start:stop], run_aoi[start:stop])
+        step_mse += part_mse  # per-chunk sums, added in chunk order
         step_aoi += part_aoi
-        saturation += sat
     if np.isnan(run_mse).any():
         raise ValueError(
             f"a delivery after more than {sk.n_max} retransmissions left the cost table "

@@ -12,7 +12,6 @@ import warnings
 import numpy as np
 import pytest
 
-import remest
 from remest import (
     HarqModel,
     SimConfig,
@@ -131,7 +130,7 @@ def test_criterion_5_policy_ordering(sk, channel, solutions, zoo):
     t0 = time.perf_counter()
     gains = {name: evaluate_policy(mse_model, grid) for name, grid in zoo.items()}
     elapsed = time.perf_counter() - t0
-    slack = 1e-6  # stationary solves carry ~1e-6 relative float error here
+    slack = 1e-6  # optimal and myopic coincide on this channel
     assert gains["optimal"] <= gains["myopic"] + slack
     assert gains["myopic"] <= max(gains["delay"], gains["arq"], gains["psi"]) + slack
     margin = gains["arq"] - gains["optimal"]
@@ -199,26 +198,29 @@ def test_criterion_7b_trajectory_cross_validation(system, sk, channel, zoo):
 
 
 def test_criterion_7c_gain_consistency(sk, channel, solutions):
-    # the age-cost model meets the stopping tolerance outright
+    # span_residual is the span of Bellman(h) - h at the returned bias: zero
+    # in exact arithmetic, a few float64 ulps of the largest bias in practice
+    eps = np.finfo(float).eps
     delay_solution = solutions["delay"]
     delay_model = build_mdp(None, channel, Q_MAX, "delay")
     delay_eval = evaluate_policy(delay_model, delay_solution.policy)
     assert delay_solution.span_residual < TOL
+    assert delay_solution.span_residual <= 16 * eps * np.abs(delay_solution.bias).max()
     assert abs(delay_solution.gain - delay_eval) <= 10 * TOL
 
-    # the MSE-cost model carries stage costs up to ~1e11, so float64 pins the
-    # achievable span at its exact fixed point (span_residual, reported);
-    # agreement is asserted against the tolerance the solver actually achieved
+    # the MSE-cost model carries stage costs up to ~1e11, so its bias spans
+    # ~3e11 and the residual sits near 1e-4, well above TOL but still ulps
     mse_solution = solutions["mse"]
     mse_model = build_mdp(sk, channel, Q_MAX, "mse")
     mse_eval = evaluate_policy(mse_model, mse_solution.policy)
     achieved = max(TOL, mse_solution.span_residual)
+    ulps = mse_solution.span_residual / (eps * np.abs(mse_solution.bias).max())
     gap = abs(mse_solution.gain - mse_eval)
     assert gap <= 10 * achieved
+    assert ulps <= 16
     note(f"criterion 7c PASS: delay gain consistent within 10*tol (gap "
          f"{abs(delay_solution.gain - delay_eval):.2e}); MSE gain gap {gap:.2e} "
-         f"<= 10 * achieved span {mse_solution.span_residual:.2e} "
-         f"(1e-9 span is below the float64 floor at this cost scale)")
+         f"<= 10 * span residual {mse_solution.span_residual:.2e} ({ulps:.1f} ulp of max |bias|)")
 
 
 def test_criterion_8_qualitative_policy_geometry(sk, channel, solutions):
@@ -259,14 +261,3 @@ def test_criterion_9_byte_identical_simulation(tmp_path):
     note(f"criterion 9 PASS: repeated simulate runs produced byte-identical CSV "
          f"({len(first)} bytes)")
 
-
-def test_backend_parity_of_the_full_pipeline(sk, channel):
-    """The compiled value iteration and the pure-Python fallback agree bit for bit."""
-    if not remest.has_compiled():
-        pytest.skip("compiled kernel not built")
-    model = build_mdp(sk, channel, Q_MAX, "mse")
-    sol_py = solve(model, backend="python")
-    sol_cy = solve(model, backend="compiled")
-    assert sol_py.gain == sol_cy.gain
-    assert np.array_equal(sol_py.bias, sol_cy.bias)
-    note("backend parity PASS: compiled and pure value iteration bit-identical")

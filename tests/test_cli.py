@@ -152,6 +152,17 @@ class TestSolveCommand:
         grid = load_policy_csv(tmp_path / "o" / "policy_mse.csv")
         assert len(grid.states()) == 3
 
+    def test_table_channel_solves(self, tmp_path):
+        # value iteration ran out of sweeps on this stable model (exit 3)
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["channel"] = {"lambda": 0.8, "g_table": [0.2] + [0.1] * 20}
+        cfg["mdp"]["q_max"] = 20
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("solve", "--config", str(path)) == 0
+        assert verify_switching(load_policy_csv(tmp_path / "o" / "policy_mse.csv")).ok
+
     def test_stability_gate_and_force(self, tmp_path):
         cfg = json.loads(json.dumps(SMALL_CONFIG))
         cfg["channel"] = {"lambda": 0.1, "h": 1.0}

@@ -60,6 +60,11 @@ class TestTableOverride:
         with pytest.raises(ValueError):
             HarqModel.from_table([1.0, 0.5])
 
+    def test_first_retransmission_as_reliable_as_new_accepted(self):
+        m = HarqModel.from_table([0.99, 0.99, 0.5])
+        assert m.lambda_prime() == pytest.approx(0.01)
+        assert m.failure_prob(2) == 0.5
+
     def test_constant_table_is_arq(self):
         m = HarqModel.from_table([0.2, 0.2, 0.2])
         assert m.lambda_prime() == pytest.approx(0.8)

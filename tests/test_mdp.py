@@ -1,18 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
-import remest
 from remest import (
     HarqModel,
     PolicyGrid,
+    SimConfig,
+    SolverError,
     arq_baseline_policy,
     build_mdp,
+    delay_optimal_policy,
     evaluate_policy,
     myopic_policy,
     psi_policy,
-    relative_value_iteration,
     riccati_steady_state,
+    simulate_chain,
     solve,
+    verify_switching,
 )
 from remest.mdp import enumerate_states
 
@@ -36,6 +41,27 @@ def arq_stationary_oracle(lam, cost_table, q_max):
     return total + (1 - lam) ** q_max * cost_table[q_max]
 
 
+def gth_gain(model, policy):
+    """Average cost from the stationary distribution by Grassmann-Taksar-
+    Heyman elimination, which never subtracts and so keeps every entry,
+    however small, to full relative accuracy."""
+    n = model.n_states
+    p = np.zeros((n, n))
+    for i, (r, q) in enumerate(model.states):
+        action = policy.actions[r, q]
+        pf = model.fail_prob[action, i]
+        p[i, model.succ_idx[action, i]] += 1.0 - pf
+        p[i, model.fail_idx[action, i]] += pf
+    for k in range(n - 1, 0, -1):
+        p[:k, k] /= p[k, :k].sum()
+        p[:k, :k] += np.outer(p[:k, k], p[k, :k])
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ p[:k, k]
+    return float(pi @ model.cost / pi.sum())
+
+
 class TestBuild:
     def test_state_enumeration(self):
         states = enumerate_states(3)
@@ -49,6 +75,13 @@ class TestBuild:
         # g(2) = 0.2 * 0.25 = 0.05
         out = mse_mdp.transitions((1, 3), 1)
         assert out == {(2, 2): pytest.approx(0.95), (2, 4): pytest.approx(0.05)}
+
+    def test_r_passes_the_channel_r_cap(self, sk):
+        # r counts on to q_max as in the simulators; only g saturates at r_cap = 3
+        model = build_mdp(sk, HarqModel.from_table([0.2, 0.1, 0.05, 0.025]), Q_MAX, "mse")
+        assert model.transitions((5, 7), 1) == {(6, 6): pytest.approx(0.975),
+                                                 (6, 8): pytest.approx(0.025)}
+        assert model.transitions((Q_MAX, Q_MAX), 1) == {(Q_MAX, Q_MAX): pytest.approx(1.0)}
 
     def test_boundary_saturation(self, mse_mdp):
         out = mse_mdp.transitions((0, Q_MAX), 0)
@@ -85,6 +118,8 @@ class TestBuild:
 
 
 class TestRvi:
+    """solve(); the class name predates policy iteration and keeps the test ids stable."""
+
     def test_perfect_channel_never_retransmits(self, sk):
         channel = HarqModel(1.0, 0.5, r_cap=Q_MAX)
         model = build_mdp(sk, channel, Q_MAX, "mse")
@@ -94,7 +129,7 @@ class TestRvi:
         assert solution.gain == pytest.approx(sk.cost_table[0], abs=1e-6)
 
     def test_benchmark_policy_is_switching(self, mse_solution):
-        report = remest.verify_switching(mse_solution.policy)
+        report = verify_switching(mse_solution.policy)
         assert report.ok
 
     def test_delay_arq_degeneration_prefers_fresh(self, channel):
@@ -123,16 +158,6 @@ class TestRvi:
             if (r, q + 1) in bias:
                 assert bias[(r, q + 1)] >= value - 1e-6
 
-    def test_backend_equivalence(self, mse_mdp):
-        sol_py = relative_value_iteration(mse_mdp, backend="python")
-        if not remest.has_compiled():
-            pytest.skip("compiled kernels not built")
-        sol_cy = relative_value_iteration(mse_mdp, backend="compiled")
-        assert sol_py.gain == sol_cy.gain
-        assert sol_py.iterations == sol_cy.iterations
-        assert np.array_equal(sol_py.bias, sol_cy.bias)
-        assert sol_py.policy == sol_cy.policy
-
     def test_truncation_insensitivity(self, system, channel, sk_uncapped):
         sol20 = solve(build_mdp(sk_uncapped, channel, 20, "mse"))
         sk30 = riccati_steady_state(system, q_max=30, cost_cap=np.inf)
@@ -142,9 +167,36 @@ class TestRvi:
 
     def test_invalid_params(self, mse_mdp):
         with pytest.raises(ValueError):
-            relative_value_iteration(mse_mdp, tol=0.0)
+            solve(mse_mdp, tol=0.0)
         with pytest.raises(ValueError):
-            relative_value_iteration(mse_mdp, damping=1.0)
+            solve(mse_mdp, max_iter=0)
+
+    def test_unsettled_policy_iteration_is_a_solver_error(self, mse_mdp):
+        # all-fresh is not optimal here, so one round cannot settle
+        with pytest.raises(SolverError):
+            solve(mse_mdp, max_iter=1)
+
+    @pytest.mark.parametrize("channel_id, q_max", [
+        ("g0.2+0.1x20", 20),
+        ("l0.8-h0.3", 20),
+        ("l0.8-h0.3", 40),
+    ])
+    @pytest.mark.parametrize("kind", ["mse", "delay"])
+    def test_models_value_iteration_could_not_solve(self, system, channel_id, q_max, kind):
+        if channel_id == "g0.2+0.1x20":
+            channel = HarqModel.from_table([0.2] + [0.1] * 20)
+        else:
+            channel = HarqModel(0.8, 0.3, r_cap=q_max)
+        sk_q = None
+        if kind == "mse":
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # cost_cap clamps q near 40
+                sk_q = riccati_steady_state(system, q_max=q_max)
+        model = build_mdp(sk_q, channel, q_max, kind)
+        solution = solve(model)
+        assert solution.gain == evaluate_policy(model, solution.policy)
+        assert verify_switching(solution.policy).ok
+        assert solution.policy != arq_baseline_policy(q_max)  # the policy switches
 
 
 class TestEvaluatePolicy:
@@ -155,15 +207,40 @@ class TestEvaluatePolicy:
         assert gain == pytest.approx(sk.cost_table[0], abs=1e-9)
 
     def test_fresh_policy_matches_geometric_oracle(self, sk, channel, mse_mdp):
-        # stationary weights reach 0.2^20 against costs of 1e11, so the
-        # linear solve is good to roughly 1e-6 relative here
         oracle = arq_stationary_oracle(0.8, sk.cost_table, Q_MAX)
         gain = evaluate_policy(mse_mdp, arq_baseline_policy(Q_MAX))
-        assert gain == pytest.approx(oracle, rel=1e-6)
+        assert gain == pytest.approx(oracle, rel=1e-9)
+
+    def test_geometric_oracle_with_uncapped_costs(self, system):
+        # stationary weights reach 0.2^30 against costs of 7e15; a stationary
+        # LU solve was 1.5e-3 off here
+        sk30 = riccati_steady_state(system, q_max=30, cost_cap=np.inf)
+        model = build_mdp(sk30, HarqModel(0.8, 0.5, r_cap=30), 30, "mse")
+        gain = evaluate_policy(model, arq_baseline_policy(30))
+        assert gain == pytest.approx(arq_stationary_oracle(0.8, sk30.cost_table, 30), rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["mse", "delay"])
+    def test_matches_gth_on_the_zoo(self, sk, channel, mse_solution, kind):
+        model = build_mdp(sk if kind == "mse" else None, channel, Q_MAX, kind)
+        zoo = [mse_solution.policy, myopic_policy(sk, channel, Q_MAX),
+               delay_optimal_policy(channel, Q_MAX), arq_baseline_policy(Q_MAX), psi_policy(Q_MAX)]
+        for grid in zoo:
+            assert evaluate_policy(model, grid) == pytest.approx(gth_gain(model, grid), rel=1e-12)
+
+    def test_table_channel_past_r_cap_matches_simulation(self, sk):
+        # the model once froze r at the table's r_cap = 3 while the
+        # simulators count it on, and gave psi an exact MSE of 1025.5
+        table = HarqModel.from_table([0.2, 0.1, 0.05, 0.025])
+        grid = psi_policy(Q_MAX)
+        mse = evaluate_policy(build_mdp(sk, table, Q_MAX, "mse"), grid)
+        aoi = evaluate_policy(build_mdp(None, table, Q_MAX, "delay"), grid)
+        assert mse == pytest.approx(21.436, abs=5e-4)
+        assert aoi == pytest.approx(1.4201, abs=5e-5)
+        report = simulate_chain(grid, table, sk, SimConfig(horizon=2000, runs=256, seed=5))
+        assert report.final_avg_mse == pytest.approx(mse, rel=0.02)
+        assert report.final_avg_aoi == pytest.approx(aoi, rel=0.01)
 
     def test_optimal_dominates_the_zoo(self, sk, channel, mse_mdp, mse_solution):
-        from remest import delay_optimal_policy
-
         competitors = [
             myopic_policy(sk, channel, Q_MAX),
             delay_optimal_policy(channel, Q_MAX),
@@ -183,6 +260,22 @@ class TestEvaluatePolicy:
         broken = PolicyGrid(Q_MAX, actions)
         with pytest.raises(RuntimeError):
             evaluate_policy(model, broken)
+
+    def test_two_recurrent_classes_detected(self, mse_mdp):
+        # always-fresh never reaches the corner, where retransmitting stays put
+        actions = np.zeros((Q_MAX + 1, Q_MAX + 1), dtype=np.int8)
+        actions[Q_MAX, Q_MAX] = 1
+        with pytest.raises(SolverError):
+            evaluate_policy(mse_mdp, PolicyGrid(Q_MAX, actions))
+
+    def test_absorbing_corner_gain_is_its_cost(self, sk, mse_mdp):
+        # fresh on (0, q < q_max), retransmit elsewhere: a run leaves the
+        # states around (0, 0) only after q_max failures in a row (0.2^20),
+        # then retransmits at the corner forever, so (0, 0) is transient
+        actions = np.ones((Q_MAX + 1, Q_MAX + 1), dtype=np.int8)
+        actions[0, :Q_MAX] = 0
+        gain = evaluate_policy(mse_mdp, PolicyGrid(Q_MAX, actions))
+        assert gain == pytest.approx(sk.cost_table[Q_MAX], rel=1e-12)
 
     def test_grid_mismatch(self, mse_mdp):
         with pytest.raises(ValueError):

@@ -122,6 +122,10 @@ class TestFixedPolicies:
         for (r, q) in grid.states():
             assert grid.action(r, q) == (0 if r == q else 1)
 
+    def test_repr_counts_retransmit_states(self):
+        # more than 127 states: an int8 sum would wrap around
+        assert "retransmit_states=210" in repr(psi_policy(Q_MAX))
+
 
 class TestVerifySwitching:
     def test_constant_policy(self):

@@ -16,7 +16,7 @@ from remest import (
     simulate_trajectory,
     solve,
 )
-from remest.simulate import CHUNK_RUNS, TIME_BLOCK, report_summary, write_report_csv
+from remest.simulate import CHUNK_RUNS, TIME_BLOCK, _ChainTables, report_summary, write_report_csv
 
 Q_MAX = 20
 
@@ -132,6 +132,29 @@ class TestChainSim:
         assert np.array_equal(report.run_final_aoi, ref_run_aoi)
         assert report.saturation_events == ref_sat
 
+    def test_edge_probabilities(self):
+        rng = np.random.default_rng(0)
+        runs, horizon, q_max = 9, 64, 6
+        actions = np.zeros((q_max + 1, q_max + 1), dtype=np.int8)
+        g = np.linspace(0.4, 0.05, q_max + 1)
+        cost = np.cumsum(rng.random(q_max + 5)) + 1.0
+        uniforms = rng.random((runs, horizon))
+        step_mse = np.zeros(horizon)
+        step_aoi = np.zeros(horizon)
+        run_mse = np.zeros(runs)
+        run_aoi = np.zeros(runs)
+        # g = 0 everywhere: every transmission lands, q tracks r
+        walk = _ChainTables.build(actions, np.zeros_like(g), cost).walk
+        sat = walk(uniforms, 0, step_mse, step_aoi, run_mse, run_aoi)
+        assert sat == 0
+        np.testing.assert_allclose(run_mse, cost[0], rtol=1e-12)
+        # g = 1 everywhere: every transmission fails, q climbs and saturates
+        walk = _ChainTables.build(actions, np.ones_like(g), cost).walk
+        sat = walk(uniforms, 0, step_mse, step_aoi, run_mse, run_aoi)
+        assert sat == runs * (horizon - len(cost) + 1)
+        expected_first = [cost[min(k, len(cost) - 1)] for k in range(horizon)]
+        np.testing.assert_allclose(step_mse / runs, expected_first)
+
     def test_delivery_past_cost_table_rejected(self, system):
         always_retransmit = PolicyGrid(Q_MAX, np.ones((Q_MAX + 1, Q_MAX + 1)))
         cfg = SimConfig(horizon=100, runs=3, seed=5)
@@ -155,22 +178,6 @@ class TestChainSim:
         r2 = simulate_chain(grid, channel, sk, cfg)
         assert np.array_equal(r1.avg_mse_vs_k, r2.avg_mse_vs_k)
         assert np.array_equal(r1.run_final_mse, r2.run_final_mse)
-
-    def test_thread_count_does_not_change_results(self, sk, channel):
-        cfg = SimConfig(horizon=150, runs=300, seed=13)
-        grid = psi_policy(Q_MAX)
-        r1 = simulate_chain(grid, channel, sk, cfg, threads=1)
-        r3 = simulate_chain(grid, channel, sk, cfg, threads=3)
-        assert np.array_equal(r1.avg_mse_vs_k, r3.avg_mse_vs_k)
-        assert np.array_equal(r1.run_final_mse, r3.run_final_mse)
-
-    def test_threads_env_var(self, sk, channel, monkeypatch):
-        cfg = SimConfig(horizon=100, runs=260, seed=14)
-        grid = psi_policy(Q_MAX)
-        baseline = simulate_chain(grid, channel, sk, cfg, threads=1)
-        monkeypatch.setenv("REMEST_THREADS", "2")
-        bounded = simulate_chain(grid, channel, sk, cfg)
-        assert np.array_equal(baseline.avg_mse_vs_k, bounded.avg_mse_vs_k)
 
     def test_mse_floor(self, sk, channel):
         cfg = SimConfig(horizon=500, runs=50, seed=3)
