@@ -120,6 +120,11 @@ class ExperimentConfig:
             raise ConfigError("mdp.q_max must be at least 1")
         if cfg.tol <= 0:
             raise ConfigError("mdp.tol must be positive")
+        if cfg.initial_q > cfg.q_max:
+            raise ConfigError(f"sim.initial_q={cfg.initial_q} exceeds mdp.q_max={cfg.q_max}")
+        if cfg.mode == "trajectory" and cfg.initial_q != 0:
+            raise ConfigError("sim.mode 'trajectory' starts from a just-delivered estimate; "
+                              "sim.initial_q must be 0")
         return cfg
 
     def to_dict(self) -> dict:

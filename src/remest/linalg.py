@@ -7,8 +7,6 @@ explicit validation instead of delegating shape errors to the call site.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -86,54 +84,16 @@ def trace(a) -> float:
     return float(np.trace(aa))
 
 
-def spectral_radius_sq(a, tol: float = 1e-12, max_iter: int = 10000) -> float:
-    """Square of the largest-magnitude eigenvalue of a square matrix.
+def spectral_radius_sq(a) -> float:
+    """Square of the largest eigenvalue magnitude of a square matrix.
 
-    Uses the closed-form characteristic polynomial for 1x1 and 2x2 inputs
-    (which also covers complex conjugate pairs, |lambda|^2 = det). Larger
-    matrices use power iteration on the matrix itself, which only converges
-    when the dominant eigenvalue is real and simple; a complex dominant
-    pair makes the iteration stall and raises RuntimeError.
+    Complex eigenvalues count by their modulus, so a rotating process with
+    a complex dominant pair is covered.
     """
     aa = as_array(a)
-    n = aa.shape[0]
-    if n != aa.shape[1]:
+    if aa.shape[0] != aa.shape[1]:
         raise ValueError(f"spectral radius requires a square matrix, got {aa.shape}")
-    if n == 1:
-        return float(aa[0, 0] ** 2)
-    if n == 2:
-        tr = aa[0, 0] + aa[1, 1]
-        det = aa[0, 0] * aa[1, 1] - aa[0, 1] * aa[1, 0]
-        disc = tr * tr - 4.0 * det
-        if disc < 0.0:
-            # complex pair: |lambda|^2 = lambda * conj(lambda) = det
-            return float(det)
-        s = math.sqrt(disc)
-        lam = max(abs((tr + s) / 2.0), abs((tr - s) / 2.0))
-        return float(lam * lam)
-
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = aa @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            # x landed in the nullspace; restart from a fresh direction
-            x = rng.standard_normal(n)
-            x /= np.linalg.norm(x)
-            continue
-        lam_new = float(x @ y)
-        x = y / norm
-        resid = np.linalg.norm(aa @ x - lam_new * x)
-        if resid < tol * max(1.0, abs(lam_new)):
-            return float(lam_new * lam_new)
-        lam = lam_new
-    raise RuntimeError(
-        f"power iteration did not converge in {max_iter} iterations "
-        "(dominant eigenvalue may be complex)"
-    )
+    return float(np.abs(np.linalg.eigvals(aa)).max() ** 2)
 
 
 def spd_inverse(a, sym_tol: float = 1e-9) -> Mat:

@@ -6,9 +6,10 @@ packet, q the age of the newest estimate the receiver holds. Action 0
 sends fresh, action 1 retransmits. Transitions follow the detection
 probabilities of the channel model; r and q saturate at q_max so the grid
 is closed (a standard approximating construction), and the detection
-probability of a retransmission saturates at the channel's r_cap, exactly
-as in the simulators. The chain under a policy is defined once, in
-_poisson, which both the solver and evaluate_policy use.
+probability of a retransmission saturates at the channel's r_cap. The
+succ_idx, fail_idx and fail_prob arrays of a TruncatedMdp are the one
+definition of how the chain moves: _poisson builds from them the chain
+that the solver and evaluate_policy use, and both simulators walk them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .harq import HarqModel
 from .lti import SteadyKalman
-from .policies import PolicyGrid
+from .policies import PolicyGrid, enumerate_states
 
 COST_KINDS = ("mse", "delay")
 
@@ -66,11 +67,6 @@ class MdpSolution:
     q_max: int
     cost_kind: str
     states: tuple
-
-
-def enumerate_states(q_max: int):
-    """All (r, q) with 0 <= r <= q <= q_max, lexicographic in (q, r)."""
-    return tuple((r, q) for q in range(q_max + 1) for r in range(q + 1))
 
 
 def build_mdp(sk: SteadyKalman | None, m: HarqModel, q_max: int, cost_kind: str = "mse") -> TruncatedMdp:

@@ -17,6 +17,11 @@ from .harq import HarqModel
 from .lti import SteadyKalman
 
 
+def enumerate_states(q_max: int):
+    """All (r, q) with 0 <= r <= q <= q_max, lexicographic in (q, r)."""
+    return tuple((r, q) for q in range(q_max + 1) for r in range(q + 1))
+
+
 @dataclass(frozen=True)
 class SwitchingReport:
     ok: bool
@@ -57,7 +62,7 @@ class PolicyGrid:
 
     def states(self):
         """All (r, q) states in lexicographic (q, r) order."""
-        return [(r, q) for q in range(self.q_max + 1) for r in range(q + 1)]
+        return enumerate_states(self.q_max)
 
     def zero_states(self):
         """Set of states where a fresh transmission is chosen."""
@@ -183,8 +188,7 @@ def load_policy_csv(path, label: str = "") -> PolicyGrid:
     if not entries:
         raise ValueError("policy CSV contains no states")
     q_max = max(q for (_, q) in entries)
-    expected = {(r, q) for q in range(q_max + 1) for r in range(q + 1)}
-    missing = expected - set(entries)
+    missing = set(enumerate_states(q_max)) - set(entries)
     if missing:
         raise ValueError(f"policy CSV is not total: missing states {sorted(missing)[:5]}...")
     actions = np.zeros((q_max + 1, q_max + 1), dtype=np.int8)

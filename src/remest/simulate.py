@@ -5,11 +5,13 @@ the exact per-step MSE from the staleness cost table; the trajectory mode
 also draws the physical process, runs the sensor filter at its steady
 state, applies the receiver's prediction estimator, and reports the
 empirical squared error next to the analytic value for the same realized
-staleness. Runs use independent counter-based streams split from the
-master seed, so results are reproducible. The chain mode walks all runs
-of a fixed-size chunk together in numpy, one step at a time, and sums in
-the order of a per-run scalar loop, so it reproduces such a loop bit for
-bit.
+staleness. Both walk the chain of the truncated decision model
+(build_mdp), so r and q saturate at the grid's q_max exactly as in the
+exact evaluation. Runs use independent counter-based streams split from
+the master seed, so results are reproducible. The chain mode walks all
+runs of a fixed-size chunk together in numpy, one step at a time, and
+sums in the order of a per-run scalar loop, so it reproduces such a loop
+bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from .harq import HarqModel
 from .lti import LtiSystem, SteadyKalman
+from .mdp import TruncatedMdp, _state_rq, build_mdp
 from .policies import PolicyGrid
 
 CHUNK_RUNS = 128  # runs walked together; chunk sums are added in chunk order
@@ -88,23 +91,18 @@ def _ci95(per_run: np.ndarray) -> float:
     return float(1.96 * per_run.std(ddof=1) / np.sqrt(len(per_run)))
 
 
-def _kernel_tables(policy: PolicyGrid, m: HarqModel, sk: SteadyKalman):
-    # detection failure indexed by the grid's own r range, saturating at the
-    # channel model's r_cap
-    g_eff = np.array([m.failure_prob_clamped(r) for r in range(policy.q_max + 1)])
-    return policy.actions, g_eff, sk.cost_table
-
-
 @dataclass(frozen=True)
 class _ChainTables:
-    """Per-edge tables of the (r, q) chain walk, built once per call.
+    """Per-edge tables of the decision model's chain under a policy.
 
-    A state is s = r * n_q + q. Each step's uniform u maps to a level, the
-    number of distinct g values at or below u, so the detection draw
-    u < g(r') fails exactly when the level is at most the index of g(r')
-    among them. An edge e = s * n_levels + level fixes the whole step:
-    next_base[e] is the next state times n_levels, and cost[e], age[e] and
-    saturated[e] are what the step accrues.
+    States are the model's state indices, and every transition is read
+    from its succ_idx, fail_idx and fail_prob arrays. Each step's uniform
+    u maps to a level, the number of distinct failure probabilities at or
+    below u, so the detection draw u < p fails exactly when the level is
+    at most the index of p among them. An edge e = s * n_levels + level
+    fixes the whole step: next_base[e] is the next state times n_levels,
+    and cost[e], age[e] (q + 1) and saturated[e] (a failure at q = q_max)
+    are what the step accrues.
     """
 
     g_values: np.ndarray   # distinct failure probabilities, ascending
@@ -114,52 +112,47 @@ class _ChainTables:
     saturated: np.ndarray
 
     @classmethod
-    def build(cls, actions, g_eff, cost_table):
-        r_cap = actions.shape[0] - 1  # r saturates at the grid's q_max
-        q_max = actions.shape[1] - 1
-        table_end = len(cost_table) - 1
-        # a delivery after more than table_end retransmissions lands past the
-        # table; its cost is NaN so simulate_chain can reject the run
-        n_q = max(table_end, r_cap) + 1
-        r = np.repeat(np.arange(r_cap + 1), n_q)
-        q = np.tile(np.arange(n_q), r_cap + 1)
-        r_next = np.where(actions[r, np.minimum(q, q_max)] == 0, 0, np.minimum(r + 1, r_cap))
-        g_values = np.array(sorted(set(g_eff.tolist())))  # np.unique would import numpy.ma
+    def build(cls, mdp: TruncatedMdp, actions: np.ndarray):
+        """Tables of the chain that takes action actions[s] in model state s."""
+        rows = np.arange(mdp.n_states)
+        pf = mdp.fail_prob[actions, rows]
+        g_values = np.array(sorted(set(pf.tolist())))  # np.unique would import numpy.ma
         n_levels = len(g_values) + 1
-        failed = np.arange(n_levels) <= np.searchsorted(g_values, g_eff[r_next])[:, None]
-        on_fail = r_next * n_q + np.minimum(q + 1, table_end)
-        on_success = r_next * n_q + r_next
-        cost = np.full(n_q, np.nan)
-        cost[:table_end + 1] = cost_table
+        failed = np.arange(n_levels) <= np.searchsorted(g_values, pf)[:, None]
+        next_state = np.where(failed, mdp.fail_idx[actions, rows][:, None],
+                              mdp.succ_idx[actions, rows][:, None])
+        q = _state_rq(mdp)[1]
         return cls(
             g_values=g_values,
-            next_base=(np.where(failed, on_fail[:, None], on_success[:, None]) * n_levels).ravel(),
-            cost=np.repeat(cost[q], n_levels),
+            next_base=(next_state * n_levels).astype(np.intp).ravel(),
+            cost=np.repeat(mdp.cost, n_levels),
             age=np.repeat(q + 1, n_levels),
-            saturated=(failed & (q >= table_end)[:, None]).ravel(),
+            saturated=(failed & (q == mdp.q_max)[:, None]).ravel(),
         )
 
-    def walk(self, uniforms, initial_q, step_mse, step_aoi, run_mse, run_aoi):
-        """Advance every run of a chunk together, one step at a time.
+    def levels(self, uniforms: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self.g_values, uniforms, side="right")
 
-        Per step: accrue the cost and age of the current q, act, update r,
-        draw detection against g(r'), update q. Writes the per-step sums
+    def walk(self, uniforms, start, step_mse, step_aoi, run_mse, run_aoi):
+        """Advance every run of a chunk together from state start, one step at a time.
+
+        Per step: accrue the cost and age of the current state, then move
+        along the edge the step's uniform selects. Writes the per-step sums
         over runs into step_mse/step_aoi and the per-run horizon averages
         into run_mse/run_aoi, and returns the number of steps at which q
-        saturated at the cost-table end. States are recorded in blocks of
-        TIME_BLOCK steps and reduced per block; float sums run over runs
-        in order and over time in order, exactly as a per-run scalar loop
-        adds them.
+        saturated at q_max. States are recorded in blocks of TIME_BLOCK
+        steps and reduced per block; float sums run over runs in order and
+        over time in order, exactly as a per-run scalar loop adds them.
         """
         n_runs, horizon = uniforms.shape
         n_levels = len(self.g_values) + 1
-        base = np.full(n_runs, initial_q * n_levels, dtype=np.intp)  # r = 0, q = initial_q
+        base = np.full(n_runs, start * n_levels, dtype=np.intp)
         total_cost = np.zeros(n_runs)
         total_age = np.zeros(n_runs, dtype=np.int64)
         saturated = 0
         for k0 in range(0, horizon, TIME_BLOCK):
             k1 = min(k0 + TIME_BLOCK, horizon)
-            levels = np.searchsorted(self.g_values, uniforms[:, k0:k1], side="right")
+            levels = self.levels(uniforms[:, k0:k1])
             edges = np.empty((k1 - k0, n_runs), dtype=np.intp)
             for t in range(k1 - k0):
                 np.add(base, levels[:, t], out=edges[t])
@@ -178,6 +171,24 @@ class _ChainTables:
         return saturated
 
 
+def _policy_chain(policy: PolicyGrid, m: HarqModel, sk: SteadyKalman, initial_q: int):
+    """The MSE decision model's chain under a policy, and its start state (0, initial_q)."""
+    if initial_q > policy.q_max:
+        raise ValueError(f"initial_q={initial_q} outside the grid's q range 0..{policy.q_max}")
+    mdp = build_mdp(sk, m, policy.q_max, "mse")
+    return _ChainTables.build(mdp, policy.actions[_state_rq(mdp)]), mdp.index[(0, initial_q)]
+
+
+def _warn_saturation(saturation: int, q_max: int):
+    if saturation:
+        warnings.warn(
+            f"q reached the grid's q_max={q_max} and saturated there in {saturation} steps, "
+            "as in the truncated decision model",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def _uniforms(children, horizon: int) -> np.ndarray:
     """One row of horizon uniforms per run, each from the run's own Philox stream."""
     out = np.empty((len(children), horizon))
@@ -189,19 +200,18 @@ def _uniforms(children, horizon: int) -> np.ndarray:
 def simulate_chain(policy: PolicyGrid, m: HarqModel, sk: SteadyKalman, cfg: SimConfig) -> SimReport:
     """Analytic-mode Monte Carlo of the (r, q) chain under a policy.
 
-    Per step the accrued MSE is the cost-table entry for the current q and
-    the accrued age is q+1; then the policy acts, detection is drawn with
-    probability 1 - g(r), and the state advances. q saturates at the end
-    of the cost table (with a warning) mirroring the truncated decision
-    model. A delivery that lands past the cost table, possible only when
-    the grid's q_max exceeds the table, raises ValueError. Identical seed
-    and config give bit-identical reports.
+    The chain is the MSE decision model's (build_mdp at the grid's q_max):
+    per step the accrued MSE is the cost-table entry for the current q
+    and the accrued age is q+1; then the policy acts, detection is drawn
+    with probability 1 - g(r), and the state advances. q saturates at the
+    grid's q_max as in the model, with a warning that counts the failed
+    steps taken there. A cost table shorter than q_max, or an initial_q
+    above it, raises ValueError. Identical seed and config give
+    bit-identical reports.
     """
     if cfg.mode != "analytic":
         raise ValueError("simulate_chain requires mode='analytic'")
-    if cfg.initial_q > sk.n_max:
-        raise ValueError(f"initial_q={cfg.initial_q} outside cost table range 0..{sk.n_max}")
-    tables = _ChainTables.build(*_kernel_tables(policy, m, sk))
+    tables, initial_state = _policy_chain(policy, m, sk, cfg.initial_q)
 
     horizon, runs = cfg.horizon, cfg.runs
     children = np.random.SeedSequence(cfg.seed).spawn(runs)
@@ -215,22 +225,11 @@ def simulate_chain(policy: PolicyGrid, m: HarqModel, sk: SteadyKalman, cfg: SimC
     for start in range(0, runs, CHUNK_RUNS):
         stop = min(start + CHUNK_RUNS, runs)
         # the chunk's uniforms are a temporary, freed before the next chunk draws
-        saturation += tables.walk(_uniforms(children[start:stop], horizon), cfg.initial_q,
+        saturation += tables.walk(_uniforms(children[start:stop], horizon), initial_state,
                                   part_mse, part_aoi, run_mse[start:stop], run_aoi[start:stop])
         step_mse += part_mse  # per-chunk sums, added in chunk order
         step_aoi += part_aoi
-    if np.isnan(run_mse).any():
-        raise ValueError(
-            f"a delivery after more than {sk.n_max} retransmissions left the cost table "
-            f"range 0..{sk.n_max}; the grid's q_max={policy.q_max} needs a longer table"
-        )
-    if saturation:
-        warnings.warn(
-            f"staleness exceeded the cost table range in {saturation} steps; "
-            "values were saturated at the table end",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _warn_saturation(saturation, policy.q_max)
     steps = np.arange(1, horizon + 1)
     avg_mse = np.cumsum(step_mse / runs) / steps
     avg_aoi = np.cumsum(step_aoi / runs) / steps
@@ -261,8 +260,8 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     (so the sensor error starts in steady state), process/measurement
     noise drawn each step, the sensor running the converged-gain filter,
     and the receiver predicting from the newest delivered estimate, which
-    is q+1 steps old. Detection and state bookkeeping match the analytic
-    chain exactly.
+    is q+1 steps old. The (r, q) chain is the decision model's, walked
+    exactly as simulate_chain walks it.
 
     With an expansive process the raw state grows geometrically, so long
     horizons overflow float64 (and lose precision well before); the run
@@ -276,9 +275,7 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
         raise ValueError("trajectory mode starts from a just-delivered estimate (initial_q=0)")
     horizon, runs = cfg.horizon, cfg.runs
     n, m_dim = sys.n, sys.m
-    actions, g_eff, cost_table = _kernel_tables(policy, m, sk)
-    table_end = len(cost_table) - 1
-    q_max = policy.q_max
+    tables, initial_state = _policy_chain(policy, m, sk, cfg.initial_q)
 
     children = np.random.SeedSequence(cfg.seed).spawn(runs)
     z0 = np.empty((runs, n))
@@ -295,18 +292,18 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     l0 = _psd_factor(sk.p_bar0)
     lq = _psd_factor(sys.Q)
     lr = _psd_factor(sys.R)
-    a_pows = np.empty((table_end + 2, n, n))
+    depth = policy.q_max + 2  # ages run from 1 to q_max + 1
+    a_pows = np.empty((depth, n, n))
     a_pows[0] = np.eye(n)
-    for p in range(1, table_end + 2):
+    for p in range(1, depth):
         a_pows[p] = sys.A @ a_pows[p - 1]
 
     x = z0 @ l0.T               # true state; sensor estimate starts at 0
-    depth = table_end + 2
     hist = np.zeros((runs, depth, n))  # ring buffer of sensor estimates
     xs = np.zeros((runs, n))
     hist[:, 0] = xs
-    r = np.zeros(runs, dtype=np.int64)
-    q = np.full(runs, cfg.initial_q, dtype=np.int64)
+    n_levels = len(tables.g_values) + 1
+    base = np.full(runs, initial_state * n_levels, dtype=np.intp)
 
     step_emp = np.zeros(horizon)
     step_ana = np.zeros(horizon)
@@ -331,15 +328,15 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
         pred = xs @ sys.A.T
         xs = pred + (y - pred @ sys.C.T) @ sk.gain.T
 
+        edge = base + tables.levels(uniforms[:, k - 1])
         # receiver predicts from the estimate generated q+1 steps ago
-        exponent = q + 1
-        src = hist[run_idx, (k - exponent) % depth]
-        xhat = np.einsum("rij,rj->ri", a_pows[exponent], src)
+        aoi = tables.age[edge]
+        src = hist[run_idx, (k - aoi) % depth]
+        xhat = np.einsum("rij,rj->ri", a_pows[aoi], src)
         err = x - xhat
         sq = np.einsum("ri,ri->r", err, err)
         err_cov += err.T @ err
-        ana = cost_table[q]
-        aoi = q + 1
+        ana = tables.cost[edge]
 
         step_emp[k - 1] = sq.sum()
         step_ana[k - 1] = ana.sum()
@@ -347,24 +344,12 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
         run_emp += sq
         run_ana += ana
         run_aoi += aoi
+        saturation += int(np.count_nonzero(tables.saturated[edge]))
 
         hist[:, k % depth] = xs
+        tables.next_base.take(edge, out=base)
 
-        a = actions[np.minimum(r, q_max), np.minimum(q, q_max)]
-        r = np.where(a == 0, 0, np.minimum(r + 1, q_max))
-        failed = uniforms[:, k - 1] < g_eff[r]
-        q_next = np.where(failed, q + 1, r)
-        over = q_next > table_end
-        saturation += int(over.sum())
-        q = np.minimum(q_next, table_end)
-
-    if saturation:
-        warnings.warn(
-            f"staleness exceeded the cost table range in {saturation} steps; "
-            "values were saturated at the table end",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _warn_saturation(saturation, policy.q_max)
     steps = np.arange(1, horizon + 1)
     avg_emp = np.cumsum(step_emp / runs) / steps
     avg_ana = np.cumsum(step_ana / runs) / steps

@@ -221,6 +221,18 @@ class TestSimulateCommand:
         assert summary["mode"] == "trajectory"
         assert "final_analytic_mse" in summary
 
+    @pytest.mark.parametrize("mode, initial_q", [("analytic", 9), ("trajectory", 1)])
+    def test_bad_initial_q_is_a_config_error(self, tmp_path, capsys, mode, initial_q):
+        # rejected when the config loads, before any model is solved
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["sim"] = {"K": 30, "runs": 4, "seed": 3, "mode": mode, "initial_q": initial_q}
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(path), "--policy", "optimal") == 1
+        assert "sim.initial_q" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCompareCommand:
     def test_compare_table(self, small_config, capsys):

@@ -89,16 +89,16 @@ class TestSpectralRadiusSq:
         assert spectral_radius_sq([[2.0, 0.0], [0.0, 0.5]]) == pytest.approx(4.0)
 
     def test_complex_pair_2x2(self):
-        # rotation scaled by 2: eigenvalues +-2i, handled in closed form
+        # rotation scaled by 2: eigenvalues +-2i
         assert spectral_radius_sq([[0.0, -2.0], [2.0, 0.0]]) == pytest.approx(4.0)
 
-    def test_power_iteration_3x3(self):
+    def test_diagonal_3x3(self):
         assert spectral_radius_sq(np.diag([3.0, 1.0, 0.5])) == pytest.approx(9.0, rel=1e-9)
 
-    def test_complex_dominant_3x3_errors(self):
+    def test_complex_dominant_3x3(self):
+        # dominant pair +-2i: |lambda|^2 = 4
         a = [[0.0, -2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.1]]
-        with pytest.raises(RuntimeError):
-            spectral_radius_sq(a, max_iter=2000)
+        assert spectral_radius_sq(a) == pytest.approx(4.0, rel=1e-12)
 
     def test_non_square(self):
         with pytest.raises(ValueError):

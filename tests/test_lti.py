@@ -38,6 +38,12 @@ class TestLtiSystem:
     def test_rho_sq(self, system):
         assert system.rho_sq == pytest.approx(1.8385**2, abs=1e-3)
 
+    def test_rotating_process_rho_sq(self):
+        # the dominant eigenvalues are the complex pair +-1.2i
+        system = LtiSystem([[0.0, -1.2, 0.0], [1.2, 0.0, 0.0], [0.0, 0.0, 0.5]],
+                           [[1.0, 1.0, 1.0]], np.eye(3), [[1.0]])
+        assert system.rho_sq == pytest.approx(1.44, rel=1e-12)
+
 
 class TestRiccati:
     def test_benchmark_steady_state(self, sk):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from remest import (
     SimConfig,
     arq_baseline_policy,
     build_mdp,
+    evaluate_policy,
     psi_policy,
     riccati_steady_state,
     simulate_chain,
@@ -26,13 +28,14 @@ def reference_chain(policy, model, sk, cfg):
 
     Consumes the same per-run uniform streams as simulate_chain, sums the
     per-step costs within each CHUNK_RUNS-run chunk before adding the
-    chunks together (simulate_chain's fixed reduction order), counts the
-    steps at which q saturates at the cost-table end, and additionally
-    asserts the structural invariants (r <= q and the age identity
-    age == previous q + 1) at every step.
+    chunks together (simulate_chain's fixed reduction order), saturates r
+    and q at the grid's q_max as the decision model does, counts the
+    failed steps taken at q = q_max, and additionally asserts the
+    structural invariants (r <= q and the age identity age == previous
+    q + 1) at every step.
     """
     table = list(sk.cost_table)
-    table_end = len(table) - 1
+    q_max = policy.q_max
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.runs)
     step_mse = np.zeros(cfg.horizon)
     step_aoi = np.zeros(cfg.horizon)
@@ -54,11 +57,10 @@ def reference_chain(policy, model, sk, cfg):
             chunk_aoi[k] += age
             totals[0] += cost
             totals[1] += age
-            action = policy.actions[min(r, policy.q_max), min(q, policy.q_max)]
-            r = 0 if action == 0 else min(r + 1, policy.q_max)
+            r = 0 if policy.actions[r, q] == 0 else min(r + 1, q_max)
             if u[k] < model.failure_prob_clamped(r):
-                saturated += q == table_end
-                q = min(q + 1, table_end)
+                saturated += q == q_max
+                q = min(q + 1, q_max)
             else:
                 q = r
         run_mse[i] = totals[0] / cfg.horizon
@@ -91,7 +93,7 @@ EXACT_CASES = {
     "r_past_r_cap": lambda system, sk, channel: (
         psi_policy(Q_MAX), HarqModel.from_table([0.2, 0.1, 0.05, 0.025]), sk,
         SimConfig(horizon=5000, runs=8, seed=17)),
-    "q_at_table_end": lambda system, sk, channel: (
+    "q_at_q_max": lambda system, sk, channel: (
         psi_policy(2), HarqModel(0.1, 1.0, r_cap=2), _short_table(system),
         SimConfig(horizon=150, runs=10, seed=16)),
 }
@@ -132,28 +134,50 @@ class TestChainSim:
         assert np.array_equal(report.run_final_aoi, ref_run_aoi)
         assert report.saturation_events == ref_sat
 
-    def test_edge_probabilities(self):
+    def test_edge_probabilities(self, sk):
         rng = np.random.default_rng(0)
         runs, horizon, q_max = 9, 64, 6
-        actions = np.zeros((q_max + 1, q_max + 1), dtype=np.int8)
-        g = np.linspace(0.4, 0.05, q_max + 1)
-        cost = np.cumsum(rng.random(q_max + 5)) + 1.0
+        mdp = build_mdp(sk, HarqModel(0.6, 0.7, r_cap=q_max), q_max)
+        actions = np.zeros(mdp.n_states, dtype=np.intp)
+        start = mdp.index[(0, 0)]
         uniforms = rng.random((runs, horizon))
         step_mse = np.zeros(horizon)
         step_aoi = np.zeros(horizon)
         run_mse = np.zeros(runs)
         run_aoi = np.zeros(runs)
         # g = 0 everywhere: every transmission lands, q tracks r
-        walk = _ChainTables.build(actions, np.zeros_like(g), cost).walk
-        sat = walk(uniforms, 0, step_mse, step_aoi, run_mse, run_aoi)
+        never = replace(mdp, fail_prob=np.zeros_like(mdp.fail_prob))
+        sat = _ChainTables.build(never, actions).walk(uniforms, start, step_mse, step_aoi,
+                                                      run_mse, run_aoi)
         assert sat == 0
-        np.testing.assert_allclose(run_mse, cost[0], rtol=1e-12)
-        # g = 1 everywhere: every transmission fails, q climbs and saturates
-        walk = _ChainTables.build(actions, np.ones_like(g), cost).walk
-        sat = walk(uniforms, 0, step_mse, step_aoi, run_mse, run_aoi)
-        assert sat == runs * (horizon - len(cost) + 1)
-        expected_first = [cost[min(k, len(cost) - 1)] for k in range(horizon)]
+        np.testing.assert_allclose(run_mse, sk.cost_table[0], rtol=1e-12)
+        # g = 1 everywhere: every transmission fails, q climbs and saturates at q_max
+        always = replace(mdp, fail_prob=np.ones_like(mdp.fail_prob))
+        sat = _ChainTables.build(always, actions).walk(uniforms, start, step_mse, step_aoi,
+                                                       run_mse, run_aoi)
+        assert sat == runs * (horizon - q_max)
+        expected_first = [sk.cost_table[min(k, q_max)] for k in range(horizon)]
         np.testing.assert_allclose(step_mse / runs, expected_first)
+
+    @pytest.mark.parametrize("make_policy", [arq_baseline_policy, psi_policy], ids=["arq", "psi"])
+    def test_agrees_with_exact_when_q_saturates(self, system, make_policy):
+        # lambda = 0.5 puts mass on q = q_max, where the model saturates q
+        q_max = 5
+        sk_short = riccati_steady_state(system, q_max=q_max)
+        model = HarqModel(0.5, 0.5, r_cap=q_max)
+        grid = make_policy(q_max)
+        exact_mse = evaluate_policy(build_mdp(sk_short, model, q_max, "mse"), grid)
+        exact_aoi = evaluate_policy(build_mdp(None, model, q_max, "delay"), grid)
+        for seed in range(1, 6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                report = simulate_chain(grid, model, sk_short,
+                                        SimConfig(horizon=4000, runs=256, seed=seed))
+            # q <= q_max bounds the cost, so the MSE tail is light here
+            for per_run, exact, rel in ((report.run_final_mse, exact_mse, 0.01),
+                                        (report.run_final_aoi, exact_aoi, 0.002)):
+                se = per_run.std(ddof=1) / np.sqrt(len(per_run))
+                assert abs(per_run.mean() - exact) <= 5 * se + rel * exact, seed
 
     def test_delivery_past_cost_table_rejected(self, system):
         always_retransmit = PolicyGrid(Q_MAX, np.ones((Q_MAX + 1, Q_MAX + 1)))
@@ -163,6 +187,11 @@ class TestChainSim:
             with pytest.raises(ValueError, match="cost table"):
                 simulate_chain(always_retransmit, HarqModel(0.9, 1.0, r_cap=2),
                                _short_table(system), cfg)
+
+    def test_initial_q_past_q_max_rejected(self, sk, channel):
+        cfg = SimConfig(horizon=5, runs=3, seed=9, initial_q=Q_MAX + 1)
+        with pytest.raises(ValueError, match="initial_q"):
+            simulate_chain(arq_baseline_policy(Q_MAX), channel, sk, cfg)
 
     def test_custom_initial_q(self, sk, channel):
         cfg = SimConfig(horizon=5, runs=3, seed=9, initial_q=4)
@@ -234,6 +263,15 @@ class TestTrajectorySim:
         se_ana = report.run_final_analytic_mse.std(ddof=1) / np.sqrt(report.runs)
         se = np.hypot(se_emp, se_ana)
         assert abs(report.final_avg_mse - report.final_analytic_mse) <= 3 * se
+
+    def test_q_saturates_at_q_max(self, system):
+        sk_short = riccati_steady_state(system, q_max=2)
+        cfg = SimConfig(horizon=40, runs=50, seed=3, mode="trajectory")
+        with pytest.warns(RuntimeWarning, match="saturated"):
+            report = simulate_trajectory(arq_baseline_policy(2), system, HarqModel(0.1, 1.0, r_cap=2),
+                                         sk_short, cfg)
+        assert report.analytic_avg_mse_vs_k.max() <= sk_short.cost_table[2]
+        assert report.saturation_events > 0
 
     def test_empirical_covariance_shape_and_trace(self, system, sk, channel):
         cfg = SimConfig(horizon=30, runs=400, seed=4, mode="trajectory")
