@@ -9,8 +9,7 @@ policy's Poisson equation) and by Monte-Carlo simulation.
 
 from .config import ConfigError, ExperimentConfig, default_config, load_config
 from .harq import HarqModel, StabilityReport
-from .linalg import Mat, mat_mul, spd_inverse, spectral_radius_sq, trace
-from .lti import LtiSystem, RiccatiError, SteadyKalman, cost_of_q, f_apply, riccati_steady_state
+from .lti import LtiSystem, RiccatiError, SteadyKalman, f_apply, riccati_steady_state, spectral_radius_sq
 from .mdp import (
     MdpSolution,
     SolverError,

@@ -54,13 +54,18 @@ def _stability(cfg: ExperimentConfig):
     return system, channel, channel.stability_check(system.rho_sq)
 
 
-def _solve_pipeline(cfg: ExperimentConfig, cost_kind: str):
+def _filter(cfg: ExperimentConfig):
+    """The process, the channel and the sensor's steady-state filter."""
     system = cfg.make_system()
     channel = cfg.make_channel()
     sk = riccati_steady_state(system, tol=cfg.tol, max_iter=cfg.max_iter, q_max=cfg.q_max)
+    return system, channel, sk
+
+
+def _solve_pipeline(cfg: ExperimentConfig, cost_kind: str) -> mdp.MdpSolution:
+    _, channel, sk = _filter(cfg)
     model = mdp.build_mdp(sk if cost_kind == "mse" else None, channel, cfg.q_max, cost_kind)
-    solution = mdp.solve(model, tol=cfg.tol, max_iter=cfg.max_iter)
-    return system, channel, sk, model, solution
+    return mdp.solve(model, tol=cfg.tol, max_iter=cfg.max_iter)
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:
@@ -95,7 +100,7 @@ class _StabilityGateError(RuntimeError):
 def cmd_solve(args) -> int:
     cfg = _apply_overrides(_load(args), args)
     _gate_stability(cfg, args.force)
-    *_, solution = _solve_pipeline(cfg, args.cost)
+    solution = _solve_pipeline(cfg, args.cost)
     out = _outdir(cfg)
     policy_path = out / f"policy_{args.cost}.csv"
     bias_path = out / f"bias_{args.cost}.csv"
@@ -117,12 +122,9 @@ def _resolve_policy(cfg: ExperimentConfig, source: str):
     """Build or load the requested policy grid."""
     if source in ("optimal", "delay"):
         cost_kind = "mse" if source == "optimal" else "delay"
-        *_, solution = _solve_pipeline(cfg, cost_kind)
-        return solution.policy.relabeled(source)
+        return _solve_pipeline(cfg, cost_kind).policy.relabeled(source)
     if source == "myopic":
-        system = cfg.make_system()
-        channel = cfg.make_channel()
-        sk = riccati_steady_state(system, tol=cfg.tol, max_iter=cfg.max_iter, q_max=cfg.q_max)
+        _, channel, sk = _filter(cfg)
         return policies.myopic_policy(sk, channel, cfg.q_max)
     if source == "arq":
         return policies.arq_baseline_policy(cfg.q_max)
@@ -140,9 +142,7 @@ def _resolve_policy(cfg: ExperimentConfig, source: str):
 
 
 def _simulate_policy(cfg: ExperimentConfig, grid: policies.PolicyGrid):
-    system = cfg.make_system()
-    channel = cfg.make_channel()
-    sk = riccati_steady_state(system, tol=cfg.tol, max_iter=cfg.max_iter, q_max=cfg.q_max)
+    system, channel, sk = _filter(cfg)
     sim_cfg = cfg.make_sim_config()
     if sim_cfg.mode == "trajectory":
         return simulate.simulate_trajectory(grid, system, channel, sk, sim_cfg)
@@ -171,9 +171,7 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _apply_overrides(_load(args), args)
     _gate_stability(cfg, args.force)
-    system = cfg.make_system()
-    channel = cfg.make_channel()
-    sk = riccati_steady_state(system, tol=cfg.tol, max_iter=cfg.max_iter, q_max=cfg.q_max)
+    _, channel, sk = _filter(cfg)
     mse_model = mdp.build_mdp(sk, channel, cfg.q_max, "mse")
     delay_model = mdp.build_mdp(None, channel, cfg.q_max, "delay")
 

@@ -95,9 +95,3 @@ class HarqModel:
         lp = self.lambda_prime()
         margin = (1.0 - lp) * rho_sq
         return StabilityReport(stable=margin < 1.0, margin=margin, lambda_prime=lp, rho_sq=rho_sq)
-
-    def sample_detection(self, r: int, rng: np.random.Generator) -> bool:
-        """One Bernoulli detection draw for a transmission with count r."""
-        if r < 0 or r > self.r_cap:
-            raise ValueError(f"r={r} outside modeled range 0..{self.r_cap}")
-        return bool(rng.random() >= self._g[r])

@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
-
 
 class RiccatiError(RuntimeError):
     """Riccati iteration failed to converge; carries the last iterate."""
@@ -18,6 +16,29 @@ class RiccatiError(RuntimeError):
     def __init__(self, message, last_covariance):
         super().__init__(message)
         self.last_covariance = last_covariance
+
+
+def _as_matrix(name, data) -> np.ndarray:
+    """Validated read-only 2-D float copy of data; ragged input raises ValueError."""
+    arr = np.array(data, dtype=float)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"{name} must be 2-D and non-empty, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} entries must be finite (no NaN/Inf)")
+    arr.flags.writeable = False
+    return arr
+
+
+def spectral_radius_sq(a) -> float:
+    """Square of the largest eigenvalue magnitude of a square matrix.
+
+    Complex eigenvalues count by their modulus, so a rotating process with
+    a complex dominant pair is covered.
+    """
+    aa = np.asarray(a, dtype=float)
+    if aa.ndim != 2 or aa.shape[0] != aa.shape[1]:
+        raise ValueError(f"spectral radius requires a square matrix, got {aa.shape}")
+    return float(np.abs(np.linalg.eigvals(aa)).max() ** 2)
 
 
 def _check_psd(name, m, require_pd=False):
@@ -41,10 +62,10 @@ class LtiSystem:
     """
 
     def __init__(self, A, C, Q, R):
-        self.A = linalg.as_array(A)
-        self.C = linalg.as_array(C)
-        self.Q = linalg.as_array(Q)
-        self.R = linalg.as_array(R)
+        self.A = _as_matrix("A", A)
+        self.C = _as_matrix("C", C)
+        self.Q = _as_matrix("Q", Q)
+        self.R = _as_matrix("R", R)
         n = self.A.shape[0]
         m = self.C.shape[0]
         if self.A.shape != (n, n):
@@ -59,7 +80,7 @@ class LtiSystem:
         _check_psd("R", self.R, require_pd=True)
         self.n = n
         self.m = m
-        self.rho_sq = linalg.spectral_radius_sq(self.A)
+        self.rho_sq = spectral_radius_sq(self.A)
         if self.rho_sq <= 1.0:
             warnings.warn(
                 f"rho^2(A) = {self.rho_sq:.6g} <= 1: process is not expansive, "
@@ -114,31 +135,36 @@ def riccati_steady_state(
     one-step-lookahead policies and the saturating boundary of the
     truncated decision model stay inside it.
 
-    Raises RiccatiError (carrying the last iterate) when the recursion does
-    not settle within max_iter, which signals an undetectable or otherwise
-    unstabilizable configuration.
+    Raises RiccatiError (carrying the last iterate) when the recursion
+    diverges to non-finite values or does not settle within max_iter,
+    which signals an undetectable or otherwise unstabilizable configuration.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     ident = np.eye(sys.n)
     P = sys.Q.copy()
     gain = None
-    for _ in range(max_iter):
-        P_pred = sys.A @ P @ sys.A.T + sys.Q
-        innov = sys.C @ P_pred @ sys.C.T + sys.R
-        gain = P_pred @ sys.C.T @ linalg.spd_inverse(innov).array
-        P_new = (ident - gain @ sys.C) @ P_pred
-        P_new = 0.5 * (P_new + P_new.T)
-        if not np.all(np.isfinite(P_new)):
-            raise RiccatiError("Riccati iteration diverged to non-finite values", P)
-        if float(np.abs(P_new - P).max()) < tol:
+    # a diverging iterate overflows on its way to the non-finite check,
+    # which reports it as a RiccatiError; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            P_pred = sys.A @ P @ sys.A.T + sys.Q
+            innov = sys.C @ P_pred @ sys.C.T + sys.R
+            # K = P_pred C^T S^-1, solved as S^T K^T = (P_pred C^T)^T; S = innov
+            # is SPD because R is PD
+            gain = np.linalg.solve(innov.T, (P_pred @ sys.C.T).T).T
+            P_new = (ident - gain @ sys.C) @ P_pred
+            P_new = 0.5 * (P_new + P_new.T)
+            if not np.all(np.isfinite(P_new)):
+                raise RiccatiError("Riccati iteration diverged to non-finite values", P)
+            if float(np.abs(P_new - P).max()) < tol:
+                P = P_new
+                break
             P = P_new
-            break
-        P = P_new
-    else:
-        raise RiccatiError(
-            f"Riccati iteration did not converge within {max_iter} iterations", P
-        )
+        else:
+            raise RiccatiError(
+                f"Riccati iteration did not converge within {max_iter} iterations", P
+            )
 
     n_entries = q_max + 5
     table = np.empty(n_entries)
@@ -163,9 +189,3 @@ def riccati_steady_state(
     gain.flags.writeable = False
     return SteadyKalman(p_bar0=P, gain=gain, cost_table=table, cost_cap=cost_cap, saturated=saturated)
 
-
-def cost_of_q(sk: SteadyKalman, q: int) -> float:
-    """Expected estimation MSE when the newest delivered estimate is q+1 steps old."""
-    if q < 0 or q > sk.n_max:
-        raise ValueError(f"q={q} outside cost table range 0..{sk.n_max}")
-    return float(sk.cost_table[q])

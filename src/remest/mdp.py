@@ -46,16 +46,6 @@ class TruncatedMdp:
     def n_states(self) -> int:
         return len(self.states)
 
-    def transitions(self, state, action):
-        """Outcome distribution {next_state: probability} for one (state, action)."""
-        i = self.index[tuple(state)]
-        out = {}
-        pf = float(self.fail_prob[action, i])
-        for idx, prob in ((self.succ_idx[action, i], 1.0 - pf), (self.fail_idx[action, i], pf)):
-            key = self.states[idx]
-            out[key] = out.get(key, 0.0) + prob
-        return out
-
 
 @dataclass(frozen=True)
 class MdpSolution:

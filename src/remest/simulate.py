@@ -265,7 +265,7 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
 
     With an expansive process the raw state grows geometrically, so long
     horizons overflow float64 (and lose precision well before); the run
-    aborts with RuntimeError naming the step once any state magnitude
+    aborts with ValueError naming the step once any state magnitude
     exceeds state_cap. Keep horizon * log(rho(A)) comfortably under
     log(state_cap).
     """
@@ -319,9 +319,9 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
         w = zw[:, k - 1] @ lq.T
         x = x @ sys.A.T + w
         if float(np.abs(x).max()) > state_cap:
-            raise RuntimeError(
+            raise ValueError(
                 f"state magnitude exceeded {state_cap:g} at step {k}; "
-                "shorten the horizon or raise state_cap"
+                f"shorten the horizon (sim.K in a config) to under {k} steps"
             )
         v = zv[:, k - 1] @ lr.T
         y = x @ sys.C.T + v

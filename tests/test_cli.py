@@ -92,6 +92,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict(bad)
 
+    def test_non_finite_matrix_is_a_config_error(self, tmp_path, capsys):
+        # Python's json reads NaN, so the matrix check must catch it
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["system"]["A"] = [[1.8, float("nan")], [0.2, 0.8]]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("stability", "--config", str(path)) == 1
+        assert "finite" in capsys.readouterr().err
+
 
 class TestStabilityCommand:
     def test_default_passes(self, capsys):
@@ -151,6 +160,17 @@ class TestSolveCommand:
         assert run_cli("solve", "--config", str(path)) == 0
         grid = load_policy_csv(tmp_path / "o" / "policy_mse.csv")
         assert len(grid.states()) == 3
+
+    def test_diverging_riccati_is_a_solver_error(self, tmp_path, capsys):
+        # the unstable mode 3 is invisible through C, so the filter diverges
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["system"] = {"A": [[3.0, 0.0], [0.0, 0.5]], "C": [[0.0, 1.0]],
+                         "Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]]}
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("solve", "--config", str(path), "--force") == 3
+        assert "solver error:" in capsys.readouterr().err
 
     def test_table_channel_solves(self, tmp_path):
         # value iteration ran out of sweeps on this stable model (exit 3)
@@ -220,6 +240,18 @@ class TestSimulateCommand:
         summary = json.loads((tmp_path / "o" / "report_arq.json").read_text())
         assert summary["mode"] == "trajectory"
         assert "final_analytic_mse" in summary
+
+    def test_trajectory_blowup_is_a_config_error(self, tmp_path, capsys):
+        # the default process overflows the state cap well before step 200
+        cfg = default_config().to_dict()
+        cfg["sim"] = {"K": 200, "runs": 4, "seed": 3, "mode": "trajectory", "initial_q": 0}
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(path), "--policy", "arq") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sim.K" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("mode, initial_q", [("analytic", 9), ("trajectory", 1)])
     def test_bad_initial_q_is_a_config_error(self, tmp_path, capsys, mode, initial_q):

@@ -114,24 +114,3 @@ class TestStabilityCheck:
         with pytest.raises(ValueError):
             HarqModel(0.8, 0.5).stability_check(0.0)
 
-
-class TestSampleDetection:
-    def test_always_success(self):
-        m = HarqModel(1.0, 0.5)
-        rng = np.random.default_rng(0)
-        assert all(m.sample_detection(0, rng) for _ in range(1000))
-
-    def test_law_of_large_numbers(self):
-        m = HarqModel(0.8, 0.5)
-        rng = np.random.Generator(np.random.Philox(123))
-        n = 10**6
-        hits = sum(m.sample_detection(0, rng) for _ in range(n))
-        assert hits / n == pytest.approx(0.8, abs=0.002)
-
-    def test_bit_reproducible(self):
-        m = HarqModel(0.6, 0.7)
-        rng_a = np.random.Generator(np.random.Philox(99))
-        rng_b = np.random.Generator(np.random.Philox(99))
-        seq_a = [m.sample_detection(r % 3, rng_a) for r in range(500)]
-        seq_b = [m.sample_detection(r % 3, rng_b) for r in range(500)]
-        assert seq_a == seq_b

@@ -3,7 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from remest import LtiSystem, RiccatiError, cost_of_q, f_apply, riccati_steady_state
+from remest import LtiSystem, RiccatiError, f_apply, riccati_steady_state
+
+A = [[1.8, 0.2], [0.2, 0.8]]
 
 
 def scalar_riccati_brute_force(a, c, q, r, iters=10000):
@@ -38,6 +40,32 @@ class TestLtiSystem:
     def test_rho_sq(self, system):
         assert system.rho_sq == pytest.approx(1.8385**2, abs=1e-3)
 
+    def test_rejects_nan_inf(self):
+        with pytest.raises(ValueError, match="finite"):
+            LtiSystem([[1.0, float("nan")], [0.0, 1.0]], [[1.0, 1.0]], np.eye(2), [[1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            LtiSystem([[2.0]], [[1.0]], [[1.0]], [[float("inf")]])
+
+    def test_rejects_ragged(self):
+        with pytest.raises(ValueError):
+            LtiSystem([[1.0, 2.0], [3.0]], [[1.0, 1.0]], np.eye(2), [[1.0]])
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            LtiSystem([[]], [[1.0]], [[1.0]], [[1.0]])
+        with pytest.raises(ValueError, match="2-D"):
+            LtiSystem([2.0], [[1.0]], [[1.0]], [[1.0]])
+
+    def test_stored_arrays_are_read_only_copies(self):
+        a = np.array(A)
+        system = LtiSystem(a, [[1.0, 1.0]], np.eye(2), [[1.0]])
+        a[0, 0] = 5.0
+        assert system.A[0, 0] == 1.8
+        for m in (system.A, system.C, system.Q, system.R):
+            assert m.dtype == float
+            with pytest.raises(ValueError):
+                m[0, 0] = 2.0
+
     def test_rotating_process_rho_sq(self):
         # the dominant eigenvalues are the complex pair +-1.2i
         system = LtiSystem([[0.0, -1.2, 0.0], [1.2, 0.0, 0.0], [0.0, 0.0, 0.5]],
@@ -70,6 +98,16 @@ class TestRiccati:
         gain = p_pred @ system.C.T @ np.linalg.inv(innov)
         p_next = (np.eye(2) - gain @ system.C) @ p_pred
         assert np.abs(p_next - sk.p_bar0).max() < 1e-9
+
+    @pytest.mark.parametrize("a", [3.0, 5.0, 7.0, 20.0])
+    def test_diverging_undetectable_mode_errors(self, a):
+        # the unstable mode a is invisible through C, so the covariance
+        # overflows; the iterate turns non-finite rather than converging
+        sys4 = LtiSystem(np.diag([a, 0.5]), [[0.0, 1.0]], np.eye(2), [[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow is reported once, as the error
+            with pytest.raises(RiccatiError, match="non-finite"):
+                riccati_steady_state(sys4, q_max=2)
 
     def test_undetectable_system_errors(self):
         # the second, unstable mode is invisible through C
@@ -111,15 +149,9 @@ class TestFApply:
 
 class TestCostTable:
     def test_benchmark_values(self, sk):
-        assert cost_of_q(sk, 0) == pytest.approx(9.2, abs=0.02)
-        assert cost_of_q(sk, 1) == pytest.approx(26.79, abs=0.05)
-        assert cost_of_q(sk, 2) == pytest.approx(86.05, abs=0.2)
-
-    def test_out_of_range(self, sk):
-        with pytest.raises(ValueError):
-            cost_of_q(sk, sk.n_max + 1)
-        with pytest.raises(ValueError):
-            cost_of_q(sk, -1)
+        assert sk.cost_table[0] == pytest.approx(9.2, abs=0.02)
+        assert sk.cost_table[1] == pytest.approx(26.79, abs=0.05)
+        assert sk.cost_table[2] == pytest.approx(86.05, abs=0.2)
 
     def test_table_length_covers_lookahead(self, sk):
         # one-step-lookahead policies index q_max + 1

@@ -62,6 +62,18 @@ def gth_gain(model, policy):
     return float(pi @ model.cost / pi.sum())
 
 
+def outcomes(model, state, action):
+    """{next_state: probability} for one (state, action), read off the
+    model's succ_idx, fail_idx and fail_prob arrays."""
+    i = model.index[state]
+    pf = float(model.fail_prob[action, i])
+    out = {}
+    for idx, prob in ((model.succ_idx[action, i], 1.0 - pf), (model.fail_idx[action, i], pf)):
+        key = model.states[idx]
+        out[key] = out.get(key, 0.0) + prob
+    return out
+
+
 class TestBuild:
     def test_state_enumeration(self):
         states = enumerate_states(3)
@@ -69,34 +81,34 @@ class TestBuild:
                           (0, 3), (1, 3), (2, 3), (3, 3))
 
     def test_fresh_transition_from_origin(self, mse_mdp):
-        assert mse_mdp.transitions((0, 0), 0) == {(0, 0): pytest.approx(0.8), (0, 1): pytest.approx(0.2)}
+        assert outcomes(mse_mdp, (0, 0), 0) == {(0, 0): pytest.approx(0.8), (0, 1): pytest.approx(0.2)}
 
     def test_retransmit_transition(self, mse_mdp):
         # g(2) = 0.2 * 0.25 = 0.05
-        out = mse_mdp.transitions((1, 3), 1)
+        out = outcomes(mse_mdp, (1, 3), 1)
         assert out == {(2, 2): pytest.approx(0.95), (2, 4): pytest.approx(0.05)}
 
     def test_r_passes_the_channel_r_cap(self, sk):
         # r counts on to q_max as in the simulators; only g saturates at r_cap = 3
         model = build_mdp(sk, HarqModel.from_table([0.2, 0.1, 0.05, 0.025]), Q_MAX, "mse")
-        assert model.transitions((5, 7), 1) == {(6, 6): pytest.approx(0.975),
-                                                 (6, 8): pytest.approx(0.025)}
-        assert model.transitions((Q_MAX, Q_MAX), 1) == {(Q_MAX, Q_MAX): pytest.approx(1.0)}
+        assert outcomes(model, (5, 7), 1) == {(6, 6): pytest.approx(0.975),
+                                              (6, 8): pytest.approx(0.025)}
+        assert outcomes(model, (Q_MAX, Q_MAX), 1) == {(Q_MAX, Q_MAX): pytest.approx(1.0)}
 
     def test_boundary_saturation(self, mse_mdp):
-        out = mse_mdp.transitions((0, Q_MAX), 0)
+        out = outcomes(mse_mdp, (0, Q_MAX), 0)
         assert set(out) == {(0, 0), (0, Q_MAX)}
-        out = mse_mdp.transitions((Q_MAX, Q_MAX), 1)
+        out = outcomes(mse_mdp, (Q_MAX, Q_MAX), 1)
         assert all(r <= q <= Q_MAX for (r, q) in out)
 
     def test_merged_outcomes_still_sum_to_one(self, mse_mdp):
         # both branches of retransmitting at (0, 0) land on (1, 1)
-        assert mse_mdp.transitions((0, 0), 1) == {(1, 1): pytest.approx(1.0)}
+        assert outcomes(mse_mdp, (0, 0), 1) == {(1, 1): pytest.approx(1.0)}
 
     def test_all_probabilities_sum_to_one(self, mse_mdp):
         for state in mse_mdp.states:
             for action in (0, 1):
-                total = sum(mse_mdp.transitions(state, action).values())
+                total = sum(outcomes(mse_mdp, state, action).values())
                 assert abs(total - 1.0) < 1e-12
 
     def test_costs(self, sk, channel, mse_mdp):

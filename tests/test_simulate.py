@@ -284,7 +284,7 @@ class TestTrajectorySim:
 
     def test_blowup_guard_names_step(self, system, sk, channel):
         cfg = SimConfig(horizon=2000, runs=4, seed=6, mode="trajectory")
-        with pytest.raises(RuntimeError, match="at step"):
+        with pytest.raises(ValueError, match="at step"):
             simulate_trajectory(arq_baseline_policy(Q_MAX), system, channel, sk, cfg)
 
     def test_determinism(self, system, sk, channel):
