@@ -21,7 +21,6 @@ from .mdp import (
 from .policies import (
     PolicyGrid,
     arq_baseline_policy,
-    delay_optimal_policy,
     load_policy_csv,
     myopic_policy,
     psi_policy,

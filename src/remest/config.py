@@ -1,9 +1,11 @@
 """Experiment configuration: a single JSON document with strict keys.
 
 Matrices are nested arrays; "lambda" is the fresh-transmission success
-probability. Loading re-validates every invariant through the constructed
-objects (LtiSystem, HarqModel, SimConfig), and unknown keys are rejected
-at every level so typos cannot silently fall back to defaults.
+probability. Every construction of an ExperimentConfig, loaded or
+overridden with dataclasses.replace, validates every invariant through
+the constructed objects (LtiSystem, HarqModel, SimConfig), and unknown
+keys are rejected at every level so typos cannot silently fall back to
+defaults.
 """
 
 from __future__ import annotations
@@ -86,20 +88,12 @@ class ExperimentConfig:
         outputs = _take(top["outputs"], "outputs", {
             "directory": (False, "out"), "formats": (False, list(_FORMATS)),
         })
-        if channel["h"] is None and channel["g_table"] is None:
-            raise ConfigError("channel needs either 'h' or an explicit 'g_table'")
-        if channel["h"] is not None and channel["g_table"] is not None:
-            raise ConfigError("channel takes 'h' or 'g_table', not both")
-        formats = tuple(outputs["formats"])
-        bad = set(formats) - set(_FORMATS)
-        if bad:
-            raise ConfigError(f"unknown output formats: {sorted(bad)}")
 
         def freeze(mat):
             return tuple(tuple(float(v) for v in row) for row in mat)
 
         try:
-            cfg = cls(
+            fields = dict(
                 A=freeze(system["A"]), C=freeze(system["C"]),
                 Q=freeze(system["Q"]), R=freeze(system["R"]),
                 lam=float(channel["lambda"]),
@@ -108,24 +102,35 @@ class ExperimentConfig:
                 q_max=int(mdp["q_max"]), tol=float(mdp["tol"]), max_iter=int(mdp["max_iter"]),
                 horizon=int(sim["K"]), runs=int(sim["runs"]), seed=int(sim["seed"]),
                 mode=str(sim["mode"]), initial_q=int(sim["initial_q"]),
-                out_dir=str(outputs["directory"]), formats=formats,
+                out_dir=str(outputs["directory"]), formats=tuple(outputs["formats"]),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
-        # construct everything once so invariants are enforced at load time
-        cfg.make_system()
-        cfg.make_channel()
-        cfg.make_sim_config()
-        if cfg.q_max < 1:
+        return cls(**fields)
+
+    def __post_init__(self):
+        """Check every invariant, so loaded and replaced configs are validated alike."""
+        if self.h is None and self.g_table is None:
+            raise ConfigError("channel needs either 'h' or an explicit 'g_table'")
+        if self.h is not None and self.g_table is not None:
+            raise ConfigError("channel takes 'h' or 'g_table', not both")
+        bad = set(self.formats) - set(_FORMATS)
+        if bad:
+            raise ConfigError(f"unknown output formats: {sorted(bad)}")
+        self.make_system()
+        self.make_channel()
+        self.make_sim_config()
+        if self.q_max < 1:
             raise ConfigError("mdp.q_max must be at least 1")
-        if cfg.tol <= 0:
+        if self.tol <= 0:
             raise ConfigError("mdp.tol must be positive")
-        if cfg.initial_q > cfg.q_max:
-            raise ConfigError(f"sim.initial_q={cfg.initial_q} exceeds mdp.q_max={cfg.q_max}")
-        if cfg.mode == "trajectory" and cfg.initial_q != 0:
+        if self.max_iter < 1:
+            raise ConfigError(f"mdp.max_iter must be at least 1, got {self.max_iter}")
+        if self.initial_q > self.q_max:
+            raise ConfigError(f"sim.initial_q={self.initial_q} exceeds mdp.q_max={self.q_max}")
+        if self.mode == "trajectory" and self.initial_q != 0:
             raise ConfigError("sim.mode 'trajectory' starts from a just-delivered estimate; "
                               "sim.initial_q must be 0")
-        return cfg
 
     def to_dict(self) -> dict:
         channel = {"lambda": self.lam, "h": self.h, "g_table": None}
@@ -161,18 +166,6 @@ class ExperimentConfig:
     def make_sim_config(self) -> SimConfig:
         return SimConfig(horizon=self.horizon, runs=self.runs, seed=self.seed,
                          initial_q=self.initial_q, mode=self.mode)
-
-    def replace(self, **kwargs) -> "ExperimentConfig":
-        d = self.to_dict()
-        remap = {"horizon": ("sim", "K"), "runs": ("sim", "runs"), "seed": ("sim", "seed"),
-                 "mode": ("sim", "mode"), "initial_q": ("sim", "initial_q"),
-                 "q_max": ("mdp", "q_max"), "tol": ("mdp", "tol"), "max_iter": ("mdp", "max_iter"),
-                 "lam": ("channel", "lambda"), "h": ("channel", "h"),
-                 "out_dir": ("outputs", "directory")}
-        for key, value in kwargs.items():
-            section, name = remap[key]
-            d[section][name] = value
-        return ExperimentConfig.from_dict(d)
 
 
 def load_config(path) -> ExperimentConfig:

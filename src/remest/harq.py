@@ -15,6 +15,7 @@ class StabilityReport:
     margin: float
     lambda_prime: float
     rho_sq: float
+    unseen_modes: tuple  # unstable eigenvalues of A that C cannot see
 
     def __bool__(self):
         return self.stable
@@ -79,19 +80,17 @@ class HarqModel:
         """g(min(r, r_cap)); retransmission counts beyond r_cap saturate."""
         return float(self._g[min(r, self.r_cap)])
 
-    def g_table(self) -> np.ndarray:
-        """Read-only failure-probability table indexed by r = 0..r_cap."""
-        return self._g
-
     def lambda_prime(self) -> float:
         """Effective success floor of retransmissions: 1 - max_{r>0} g(r)."""
         return 1.0 - float(self._g[1:].max())
 
-    def stability_check(self, rho_sq: float) -> StabilityReport:
+    def stability_check(self, rho_sq: float, unseen_modes=()) -> StabilityReport:
         """Whether (1 - lambda') * rho^2 < 1, i.e. retransmission reliability
-        outruns the process expansion so the long-term MSE stays bounded."""
+        outruns the process expansion so the long-term MSE stays bounded,
+        and LtiSystem.unseen_modes() found no unstable mode hidden from C."""
         if rho_sq <= 0:
             raise ValueError("rho_sq must be positive")
         lp = self.lambda_prime()
         margin = (1.0 - lp) * rho_sq
-        return StabilityReport(stable=margin < 1.0, margin=margin, lambda_prime=lp, rho_sq=rho_sq)
+        return StabilityReport(stable=margin < 1.0 and not unseen_modes, margin=margin,
+                               lambda_prime=lp, rho_sq=rho_sq, unseen_modes=tuple(unseen_modes))

@@ -89,6 +89,21 @@ class LtiSystem:
                 stacklevel=2,
             )
 
+    def unseen_modes(self) -> tuple:
+        """Eigenvalues mu of A with |mu| >= 1 that C cannot see, by the PBH
+        (Hautus) test rank [A - mu I; C] < n, with a rank tolerance loose enough
+        for a repeated eigenvalue computed a few ulps off. Any unseen mode
+        leaves the sensor filter without a steady state."""
+        scale = max(1.0, float(np.abs(self.A).max()), float(np.abs(self.C).max()))
+        unseen = []
+        for mu in np.linalg.eigvals(self.A):
+            if abs(mu) < 1.0:
+                continue
+            pbh = np.vstack([self.A - mu * np.eye(self.n), self.C])
+            if np.linalg.svd(pbh, compute_uv=False).min() <= 1e-8 * scale:
+                unseen.append(float(mu.real) if mu.imag == 0 else complex(mu))
+        return tuple(unseen)
+
 
 @dataclass(frozen=True)
 class SteadyKalman:

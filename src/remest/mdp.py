@@ -232,17 +232,13 @@ def save_bias_csv(solution: MdpSolution, path):
             writer.writerow([r, q, f"{value:.17g}"])
 
 
-def solution_summary(solution: MdpSolution) -> dict:
-    return {
-        "gain": solution.gain,
-        "iterations": solution.iterations,
-        "span_residual": solution.span_residual,
-        "q_max": solution.q_max,
-        "cost_kind": solution.cost_kind,
-    }
-
-
 def save_solution_json(solution: MdpSolution, path):
     with open(path, "w") as fh:
-        json.dump(solution_summary(solution), fh, indent=2)
+        json.dump({
+            "gain": solution.gain,
+            "iterations": solution.iterations,
+            "span_residual": solution.span_residual,
+            "q_max": solution.q_max,
+            "cost_kind": solution.cost_kind,
+        }, fh, indent=2)
         fh.write("\n")

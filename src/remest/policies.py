@@ -64,10 +64,6 @@ class PolicyGrid:
         """All (r, q) states in lexicographic (q, r) order."""
         return enumerate_states(self.q_max)
 
-    def zero_states(self):
-        """Set of states where a fresh transmission is chosen."""
-        return {(r, q) for (r, q) in self.states() if self.actions[r, q] == 0}
-
     def relabeled(self, label: str) -> "PolicyGrid":
         return PolicyGrid(self.q_max, self.actions, label)
 
@@ -108,13 +104,6 @@ def myopic_policy(sk: SteadyKalman, m: HarqModel, q_max: int) -> PolicyGrid:
             if ct[q + 1] > threshold:
                 actions[r, q] = 1
     return PolicyGrid(q_max, actions, label="myopic")
-
-
-def delay_optimal_policy(m: HarqModel, q_max: int) -> PolicyGrid:
-    """Policy minimizing the long-run average information age instead of MSE."""
-    from . import mdp as _mdp
-
-    return _mdp.solve(_mdp.build_mdp(None, m, q_max, cost_kind="delay")).policy.relabeled("delay")
 
 
 def arq_baseline_policy(q_max: int) -> PolicyGrid:

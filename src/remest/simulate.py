@@ -45,6 +45,8 @@ class SimConfig:
             raise ValueError("horizon must be at least 1")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.initial_q < 0:
             raise ValueError("initial_q must be non-negative")
         if self.mode not in ("analytic", "trajectory"):
@@ -380,7 +382,7 @@ def write_report_csv(report: SimReport, path):
             writer.writerow([k + 1, f"{report.avg_mse_vs_k[k]:.6g}", f"{report.avg_aoi_vs_k[k]:.6g}"])
 
 
-def report_summary(report: SimReport) -> dict:
+def write_report_json(report: SimReport, path):
     out = {
         "label": report.label,
         "mode": report.mode,
@@ -395,10 +397,6 @@ def report_summary(report: SimReport) -> dict:
     }
     if isinstance(report, TrajectoryReport):
         out["final_analytic_mse"] = report.final_analytic_mse
-    return out
-
-
-def write_report_json(report: SimReport, path):
     with open(path, "w") as fh:
-        json.dump(report_summary(report), fh, indent=2)
+        json.dump(out, fh, indent=2)
         fh.write("\n")

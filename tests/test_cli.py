@@ -61,6 +61,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(bad)
 
+    def test_bad_formats_rejected(self):
+        # a non-list used to escape as a TypeError traceback
+        for formats in (5, ["csv", "xml"]):
+            bad = json.loads(json.dumps(SMALL_CONFIG))
+            bad["outputs"]["formats"] = formats
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict(bad)
+
     def test_channel_needs_h_or_table(self):
         bad = json.loads(json.dumps(SMALL_CONFIG))
         del bad["channel"]["h"]
@@ -92,6 +100,33 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict(bad)
 
+    def test_max_iter_below_one_is_a_config_error(self, tmp_path, capsys):
+        # it used to reach the Riccati step and exit 3
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["mdp"]["max_iter"] = 0
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("solve", "--config", str(path)) == 1
+        assert "mdp.max_iter" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, where):
+        # rejected before any model is solved or any file is written
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        argv = ["compare", "--config", str(tmp_path / "s.json")]
+        if where == "config":
+            cfg["sim"]["seed"] = -1
+        else:
+            argv += ["--seed", "-1"]
+        (tmp_path / "s.json").write_text(json.dumps(cfg))
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err and "-1" in err
+        assert not (tmp_path / "o").exists()
+
     def test_non_finite_matrix_is_a_config_error(self, tmp_path, capsys):
         # Python's json reads NaN, so the matrix check must catch it
         cfg = json.loads(json.dumps(SMALL_CONFIG))
@@ -108,6 +143,7 @@ class TestStabilityCommand:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "0.338014" in out
+        assert len(out.splitlines()) == 4
 
     def test_bad_channel_fails(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(SMALL_CONFIG))
@@ -116,6 +152,38 @@ class TestStabilityCommand:
         path.write_text(json.dumps(cfg))
         assert run_cli("stability", "--config", str(path)) == 2
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("a, c, name", [
+        ([[3.0, 0.0], [0.0, 0.5]], [[0.0, 1.0]], "3"),
+        ([[1.5, 0.0], [0.0, 1.5]], [[1.0, 0.0]], "1.5"),  # repeated eigenvalue
+    ], ids=["diag3", "repeated"])
+    def test_undetectable_mode_fails_the_gate(self, tmp_path, capsys, a, c, name):
+        # (1-lambda')*rho^2 < 1 here, but C cannot see an unstable mode
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["system"].update(A=a, C=c)
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("stability", "--config", str(path)) == 2
+        out = capsys.readouterr().out
+        assert "stability     : FAIL" in out
+        assert f"eigenvalue(s) {name} of A" in out
+        for command in ("solve", "compare"):
+            assert run_cli(command, "--config", str(path)) == 2
+            err = capsys.readouterr().err
+            assert f"eigenvalue(s) {name} of A" in err and "--force" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_rotating_process_passes(self, tmp_path, capsys):
+        # the dominant modes are the complex pair +-1.2i, both seen by C
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["system"] = {"A": [[0.0, -1.2, 0.0], [1.2, 0.0, 0.0], [0.0, 0.0, 0.5]],
+                         "C": [[1.0, 1.0, 1.0]], "Q": np.eye(3).tolist(), "R": [[1.0]]}
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("stability", "--config", str(path)) == 0
+        out = capsys.readouterr().out
+        assert "stability     : PASS" in out and "detectability" not in out
 
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -149,7 +217,8 @@ class TestSolveCommand:
         mse_grid = load_policy_csv(out / "policy_mse.csv")
         delay_grid = load_policy_csv(out / "policy_delay.csv")
         assert mse_grid != delay_grid
-        assert len(delay_grid.zero_states()) > len(mse_grid.zero_states())
+        fresh = [sum(g.action(*s) == 0 for s in g.states()) for g in (delay_grid, mse_grid)]
+        assert fresh[0] > fresh[1]
 
     def test_minimal_grid(self, tmp_path):
         cfg = json.loads(json.dumps(SMALL_CONFIG))
@@ -277,6 +346,9 @@ class TestCompareCommand:
         assert best["policy"] == "optimal"
         assert rows["optimal"]["switching"] is True
         assert rows["optimal"]["exact_avg_mse"] <= rows["myopic"]["exact_avg_mse"] + 1e-6
+        # the solver's gain is the exact evaluation of its own policy, bit for bit
+        assert table["gain_mse_optimal"] == rows["optimal"]["exact_avg_mse"]
+        assert table["gain_delay_optimal"] == rows["delay"]["exact_avg_aoi"]
         # per-policy report files back the comparison table
         for name in rows:
             assert (out / f"report_{name}.csv").exists()

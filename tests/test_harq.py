@@ -110,6 +110,12 @@ class TestStabilityCheck:
             # decreasing h (reversed scan) never flips stable -> unstable
             assert flags[::-1] == sorted(flags[::-1])
 
+    def test_unseen_mode_fails(self):
+        report = HarqModel(0.8, 0.5).stability_check(9.0, (3.0,))
+        assert report.margin == pytest.approx(0.9)
+        assert report.unseen_modes == (3.0,)
+        assert not report.stable
+
     def test_rho_validation(self):
         with pytest.raises(ValueError):
             HarqModel(0.8, 0.5).stability_check(0.0)

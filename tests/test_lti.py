@@ -6,6 +6,7 @@ import pytest
 from remest import LtiSystem, RiccatiError, f_apply, riccati_steady_state
 
 A = [[1.8, 0.2], [0.2, 0.8]]
+ROTATING = [[0.0, -1.2, 0.0], [1.2, 0.0, 0.0], [0.0, 0.0, 0.5]]
 
 
 def scalar_riccati_brute_force(a, c, q, r, iters=10000):
@@ -68,9 +69,24 @@ class TestLtiSystem:
 
     def test_rotating_process_rho_sq(self):
         # the dominant eigenvalues are the complex pair +-1.2i
-        system = LtiSystem([[0.0, -1.2, 0.0], [1.2, 0.0, 0.0], [0.0, 0.0, 0.5]],
-                           [[1.0, 1.0, 1.0]], np.eye(3), [[1.0]])
+        system = LtiSystem(ROTATING, [[1.0, 1.0, 1.0]], np.eye(3), [[1.0]])
         assert system.rho_sq == pytest.approx(1.44, rel=1e-12)
+
+    @pytest.mark.parametrize("a, c, unseen", [
+        (np.diag([3.0, 0.5]), [[0.0, 1.0]], (3.0,)),
+        (np.diag([1.5, 1.5]), [[1.0, 0.0]], (1.5, 1.5)),  # repeated eigenvalue
+        ([[1.5, 1.0], [0.0, 1.5]], [[0.0, 1.0]], (1.5, 1.5)),  # Jordan block, tail seen only
+        (np.diag([2.0, 1.0]), [[1.0, 0.0]], (1.0,)),  # |mu| = 1 counts as unstable
+        ([[1.5, 1.0], [0.0, 1.5]], [[1.0, 0.0]], ()),
+        (np.diag([2.0, 0.5]), [[1.0, 0.0]], ()),  # a hidden stable mode is harmless
+        (A, [[1.0, 1.0]], ()),
+        (ROTATING, [[1.0, 1.0, 1.0]], ()),  # complex dominant pair +-1.2i
+        (ROTATING, [[0.0, 0.0, 1.0]], (1.2j, -1.2j)),
+    ], ids=["diag3", "repeated", "jordan-hidden", "marginal", "jordan-seen", "stable-hidden",
+            "default", "rotating", "rotating-hidden"])
+    def test_unseen_modes_pbh(self, a, c, unseen):
+        system = LtiSystem(a, c, np.eye(len(a)), [[1.0]])
+        assert system.unseen_modes() == pytest.approx(unseen, rel=1e-12)
 
 
 class TestRiccati:

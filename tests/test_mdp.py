@@ -10,7 +10,6 @@ from remest import (
     SolverError,
     arq_baseline_policy,
     build_mdp,
-    delay_optimal_policy,
     evaluate_policy,
     myopic_policy,
     psi_policy,
@@ -235,7 +234,8 @@ class TestEvaluatePolicy:
     def test_matches_gth_on_the_zoo(self, sk, channel, mse_solution, kind):
         model = build_mdp(sk if kind == "mse" else None, channel, Q_MAX, kind)
         zoo = [mse_solution.policy, myopic_policy(sk, channel, Q_MAX),
-               delay_optimal_policy(channel, Q_MAX), arq_baseline_policy(Q_MAX), psi_policy(Q_MAX)]
+               solve(build_mdp(None, channel, Q_MAX, "delay")).policy,
+               arq_baseline_policy(Q_MAX), psi_policy(Q_MAX)]
         for grid in zoo:
             assert evaluate_policy(model, grid) == pytest.approx(gth_gain(model, grid), rel=1e-12)
 
@@ -255,7 +255,7 @@ class TestEvaluatePolicy:
     def test_optimal_dominates_the_zoo(self, sk, channel, mse_mdp, mse_solution):
         competitors = [
             myopic_policy(sk, channel, Q_MAX),
-            delay_optimal_policy(channel, Q_MAX),
+            solve(build_mdp(None, channel, Q_MAX, "delay")).policy,
             arq_baseline_policy(Q_MAX),
             psi_policy(Q_MAX),
         ]
@@ -296,7 +296,7 @@ class TestEvaluatePolicy:
 
 class TestExports:
     def test_bias_csv_and_summary(self, tmp_path, mse_solution):
-        from remest.mdp import save_bias_csv, save_solution_json, solution_summary
+        from remest.mdp import save_bias_csv, save_solution_json
 
         bias_path = tmp_path / "bias.csv"
         save_bias_csv(mse_solution, bias_path)
@@ -304,14 +304,12 @@ class TestExports:
         assert lines[0] == "r,q,bias"
         assert len(lines) == 1 + len(mse_solution.states)
 
-        summary = solution_summary(mse_solution)
-        assert summary["q_max"] == Q_MAX
-        assert summary["cost_kind"] == "mse"
-        assert summary["span_residual"] < 1e-3
-
         json_path = tmp_path / "solve.json"
         save_solution_json(mse_solution, json_path)
         import json
 
-        loaded = json.loads(json_path.read_text())
-        assert loaded["gain"] == mse_solution.gain
+        summary = json.loads(json_path.read_text())
+        assert summary["q_max"] == Q_MAX
+        assert summary["cost_kind"] == "mse"
+        assert summary["span_residual"] < 1e-3
+        assert summary["gain"] == mse_solution.gain

@@ -6,7 +6,6 @@ from remest import (
     PolicyGrid,
     arq_baseline_policy,
     build_mdp,
-    delay_optimal_policy,
     load_policy_csv,
     myopic_policy,
     psi_policy,
@@ -92,19 +91,27 @@ class TestMyopic:
             myopic_policy(sk, channel, sk.n_max)
 
 
+def fresh_states(grid):
+    return {s for s in grid.states() if grid.action(*s) == 0}
+
+
+def delay_optimal(channel):
+    return solve(build_mdp(None, channel, Q_MAX, "delay")).policy
+
+
 class TestDelayOptimal:
     def test_perfect_channel(self, sk):
-        grid = delay_optimal_policy(HarqModel(1.0, 0.5, r_cap=Q_MAX), Q_MAX)
+        grid = delay_optimal(HarqModel(1.0, 0.5, r_cap=Q_MAX))
         assert grid == arq_baseline_policy(Q_MAX)
 
     def test_arq_degeneration(self):
-        grid = delay_optimal_policy(HarqModel(0.8, 1.0, r_cap=Q_MAX), Q_MAX)
+        grid = delay_optimal(HarqModel(0.8, 1.0, r_cap=Q_MAX))
         assert grid == arq_baseline_policy(Q_MAX)
 
     def test_more_fresh_states_than_mse_optimal(self, sk, channel):
         mse_grid = solve(build_mdp(sk, channel, Q_MAX, "mse")).policy
-        delay_grid = delay_optimal_policy(channel, Q_MAX)
-        assert len(delay_grid.zero_states()) > len(mse_grid.zero_states())
+        delay_grid = delay_optimal(channel)
+        assert len(fresh_states(delay_grid)) > len(fresh_states(mse_grid))
 
 
 class TestFixedPolicies:
@@ -161,7 +168,7 @@ class TestVerifySwitching:
         assert verify_switching(grid_h05).ok
         assert verify_switching(grid_h09).ok
         # worse combining: the fresh region can only grow
-        assert grid_h05.zero_states() <= grid_h09.zero_states()
+        assert fresh_states(grid_h05) <= fresh_states(grid_h09)
 
 
 class TestCsvRoundTrip:

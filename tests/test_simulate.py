@@ -1,3 +1,4 @@
+import json
 import warnings
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from remest import (
     simulate_trajectory,
     solve,
 )
-from remest.simulate import CHUNK_RUNS, TIME_BLOCK, _ChainTables, report_summary, write_report_csv
+from remest.simulate import CHUNK_RUNS, TIME_BLOCK, _ChainTables, write_report_csv, write_report_json
 
 Q_MAX = 20
 
@@ -109,6 +110,8 @@ class TestSimConfig:
             SimConfig(horizon=1, runs=1, seed=0, mode="magic")
         with pytest.raises(ValueError):
             SimConfig(horizon=1, runs=1, seed=0, initial_q=-1)
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(horizon=1, runs=1, seed=-1)
 
 
 class TestChainSim:
@@ -315,10 +318,12 @@ class TestReportOutputs:
         assert len(lines) == 13
         assert lines[1].startswith("1,")
 
-    def test_summary_fields(self, sk, channel):
+    def test_summary_fields(self, tmp_path, sk, channel):
         cfg = SimConfig(horizon=12, runs=3, seed=0)
         report = simulate_chain(arq_baseline_policy(Q_MAX), channel, sk, cfg)
-        summary = report_summary(report)
+        path = tmp_path / "report.json"
+        write_report_json(report, path)
+        summary = json.loads(path.read_text())
         assert summary["runs"] == 3
         assert summary["seed"] == 0
         assert "mse_ci95_halfwidth" in summary
