@@ -32,6 +32,7 @@ from .simulate import (
     SimReport,
     TrajectoryReport,
     simulate_chain,
+    simulate_chains,
     simulate_trajectory,
     write_report_csv,
     write_report_json,

@@ -181,18 +181,20 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _apply_overrides(_load(args), args)
+    if cfg.mode != "analytic":
+        raise ConfigError(f"sim.mode is {cfg.mode!r}, but compare walks the analytic chain; "
+                          "set sim.mode to 'analytic'")
     _gate_stability(cfg, args.force)
     filt = _filter(cfg)
     _, channel, sk = filt
     zoo = [_resolve_policy(cfg, source, filt) for source in POLICY_SOURCES]
     mse_model = mdp.build_mdp(sk, channel, cfg.q_max, "mse")
     delay_model = mdp.build_mdp(None, channel, cfg.q_max, "delay")
-    sim_cfg = cfg.make_sim_config()
+    reports = simulate.simulate_chains(zoo, channel, sk, cfg.make_sim_config())
     out = _outdir(cfg)
 
     rows = []
-    for grid in zoo:
-        report = simulate.simulate_chain(grid, channel, sk, sim_cfg)
+    for grid, report in zip(zoo, reports):
         if "csv" in cfg.formats:
             simulate.write_report_csv(report, out / f"report_{grid.label}.csv")
         rows.append({

@@ -9,8 +9,10 @@ staleness. Both walk the chain of the truncated decision model
 (build_mdp), so r and q saturate at the grid's q_max exactly as in the
 exact evaluation. Runs use independent counter-based streams split from
 the master seed, so results are reproducible. The chain mode walks all
-runs of a fixed-size chunk together in numpy, one step at a time, and
-sums in the order of a per-run scalar loop, so it reproduces such a loop
+runs of a fixed-size chunk under every requested policy together in
+numpy, one step at a time: the policies' chains are stacked into one
+edge table and read the same uniforms, drawn once. It sums in the order
+of a per-run scalar loop, so each policy's report reproduces such a loop
 bit for bit.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +32,7 @@ from .mdp import TruncatedMdp, _state_rq, build_mdp
 from .policies import PolicyGrid
 
 CHUNK_RUNS = 128  # runs walked together; chunk sums are added in chunk order
-TIME_BLOCK = 64  # steps recorded per block of the chain walk; longer blocks cost memory
+TIME_BLOCK = 64  # steps per block of a one-policy chain walk; P stacked policies take 1/P as many
 
 
 @dataclass(frozen=True)
@@ -95,19 +98,26 @@ def _ci95(per_run: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class _ChainTables:
-    """Per-edge tables of the decision model's chain under a policy.
+    """Per-edge tables of the decision model's chain under a stack of policies.
 
-    States are the model's state indices, and every transition is read
-    from its succ_idx, fail_idx and fail_prob arrays. Each step's uniform
-    u maps to a level, the number of distinct failure probabilities at or
-    below u, so the detection draw u < p fails exactly when the level is
-    at most the index of p among them. An edge e = s * n_levels + level
-    fixes the whole step: next_base[e] is the next state times n_levels,
-    and cost[e], age[e] (q + 1) and saturated[e] (a failure at q = q_max)
-    are what the step accrues.
+    Policy p's copy of model state s is the stacked state p * n_states + s,
+    and every transition is read from the model's succ_idx, fail_idx and
+    fail_prob arrays, so no edge leaves its policy's copy. Each step's
+    uniform u maps to a level, the number of distinct failure
+    probabilities at or below u, so the detection draw u < p fails exactly
+    when the level is at most the index of p among them. The levels range
+    over the union of all the policies' failure probabilities; that union
+    refines each policy's own levels, so one level lookup serves every
+    policy and every edge stays what that policy's own table would make
+    it. An edge e = state * n_levels + level fixes the whole step:
+    next_base[e] is the next stacked state times n_levels, and cost[e],
+    age[e] (q + 1) and saturated[e] (a failure at q = q_max) are what the
+    step accrues.
     """
 
-    g_values: np.ndarray   # distinct failure probabilities, ascending
+    n_policies: int
+    n_states: int  # states of one policy's copy of the model
+    g_values: np.ndarray   # distinct failure probabilities of all the policies, ascending
     next_base: np.ndarray
     cost: np.ndarray
     age: np.ndarray
@@ -115,20 +125,24 @@ class _ChainTables:
 
     @classmethod
     def build(cls, mdp: TruncatedMdp, actions: np.ndarray):
-        """Tables of the chain that takes action actions[s] in model state s."""
-        rows = np.arange(mdp.n_states)
+        """Tables of the chains that take action actions[p, s] in model state s, one per row p."""
+        n_policies, n_states = actions.shape
+        rows = np.arange(n_states)
         pf = mdp.fail_prob[actions, rows]
-        g_values = np.array(sorted(set(pf.tolist())))  # np.unique would import numpy.ma
+        g_values = np.array(sorted(set(pf.ravel().tolist())))  # np.unique would import numpy.ma
         n_levels = len(g_values) + 1
-        failed = np.arange(n_levels) <= np.searchsorted(g_values, pf)[:, None]
-        next_state = np.where(failed, mdp.fail_idx[actions, rows][:, None],
-                              mdp.succ_idx[actions, rows][:, None])
+        failed = np.arange(n_levels) <= np.searchsorted(g_values, pf)[..., None]
+        next_state = np.where(failed, mdp.fail_idx[actions, rows][..., None],
+                              mdp.succ_idx[actions, rows][..., None])
+        next_state += (np.arange(n_policies) * n_states)[:, None, None]
         q = _state_rq(mdp)[1]
         return cls(
+            n_policies=n_policies,
+            n_states=n_states,
             g_values=g_values,
             next_base=(next_state * n_levels).astype(np.intp).ravel(),
-            cost=np.repeat(mdp.cost, n_levels),
-            age=np.repeat(q + 1, n_levels),
+            cost=np.tile(np.repeat(mdp.cost, n_levels), n_policies),
+            age=np.tile(np.repeat(q + 1, n_levels), n_policies),
             saturated=(failed & (q == mdp.q_max)[:, None]).ravel(),
         )
 
@@ -136,59 +150,80 @@ class _ChainTables:
         return np.searchsorted(self.g_values, uniforms, side="right")
 
     def walk(self, uniforms, start, step_mse, step_aoi, run_mse, run_aoi):
-        """Advance every run of a chunk together from state start, one step at a time.
+        """Advance every run of a chunk under every policy together from model state start.
 
-        Per step: accrue the cost and age of the current state, then move
-        along the edge the step's uniform selects. Writes the per-step sums
-        over runs into step_mse/step_aoi and the per-run horizon averages
-        into run_mse/run_aoi, and returns the number of steps at which q
-        saturated at q_max. States are recorded in blocks of TIME_BLOCK
-        steps and reduced per block; float sums run over runs in order and
-        over time in order, exactly as a per-run scalar loop adds them.
+        All policies read the same row of uniforms per run. Per step:
+        accrue the cost and age of the current state, then move along the
+        edge the step's uniform selects. Writes each policy's per-step sums
+        over runs into its row of step_mse/step_aoi (n_policies x horizon)
+        and its per-run horizon averages into its row of run_mse/run_aoi
+        (n_policies x runs), and returns each policy's number of steps at
+        which q saturated at q_max. States are recorded in blocks of
+        TIME_BLOCK // n_policies steps, so a block holds as many elements
+        as a one-policy block, and reduced per block; float sums run over
+        a policy's runs in order and over time in order, exactly as a
+        per-run scalar loop adds them, whatever the block length.
         """
         n_runs, horizon = uniforms.shape
+        n_policies = self.n_policies
         n_levels = len(self.g_values) + 1
-        base = np.full(n_runs, start * n_levels, dtype=np.intp)
-        total_cost = np.zeros(n_runs)
-        total_age = np.zeros(n_runs, dtype=np.int64)
-        saturated = 0
-        for k0 in range(0, horizon, TIME_BLOCK):
-            k1 = min(k0 + TIME_BLOCK, horizon)
-            levels = self.levels(uniforms[:, k0:k1])
-            edges = np.empty((k1 - k0, n_runs), dtype=np.intp)
-            for t in range(k1 - k0):
-                np.add(base, levels[:, t], out=edges[t])
-                self.next_base.take(edges[t], out=base)
+        block = max(1, TIME_BLOCK // n_policies)
+        # run i of policy p sits at p * n_runs + i
+        base = np.repeat((np.arange(n_policies) * self.n_states + start) * n_levels, n_runs)
+        total_cost = np.zeros(n_policies * n_runs)
+        total_age = np.zeros(n_policies * n_runs, dtype=np.int64)
+        saturated = np.zeros(n_policies, dtype=np.int64)
+        for k0 in range(0, horizon, block):
+            k1 = min(k0 + block, horizon)
+            levels = self.levels(uniforms[:, k0:k1].T)
+            if n_policies > 1:
+                levels = np.tile(levels, n_policies)
+            edges = np.empty((k1 - k0, n_policies * n_runs), dtype=np.intp)
+            for level, edge in zip(levels, edges):
+                np.add(base, level, out=edge)
+                # edges are always in range; mode="raise" would buffer out
+                self.next_base.take(edge, out=base, mode="wrap")
+            by_policy = (k1 - k0, n_policies, n_runs)
             cost = self.cost[edges]
             # accumulate is sequential; sum() would pair terms up on some shapes
-            step_mse[k0:k1] = np.add.accumulate(cost, axis=1)[:, -1]
+            step_mse[:, k0:k1] = np.add.accumulate(cost.reshape(by_policy), axis=2)[..., -1].T
             cost[0] += total_cost
             total_cost = np.add.accumulate(cost, axis=0)[-1]
             age = self.age[edges]
-            step_aoi[k0:k1] = age.sum(axis=1)
+            step_aoi[:, k0:k1] = age.reshape(by_policy).sum(axis=2).T
             total_age += age.sum(axis=0)
-            saturated += int(np.count_nonzero(self.saturated[edges]))
-        run_mse[:] = total_cost / horizon
-        run_aoi[:] = total_age / horizon
+            saturated += np.count_nonzero(self.saturated[edges].reshape(by_policy), axis=(0, 2))
+        run_mse[:] = (total_cost / horizon).reshape(n_policies, n_runs)
+        run_aoi[:] = (total_age / horizon).reshape(n_policies, n_runs)
         return saturated
 
 
-def _policy_chain(policy: PolicyGrid, m: HarqModel, sk: SteadyKalman, initial_q: int):
-    """The MSE decision model's chain under a policy, and its start state (0, initial_q)."""
-    if initial_q > policy.q_max:
-        raise ValueError(f"initial_q={initial_q} outside the grid's q range 0..{policy.q_max}")
-    mdp = build_mdp(sk, m, policy.q_max, "mse")
-    return _ChainTables.build(mdp, policy.actions[_state_rq(mdp)]), mdp.index[(0, initial_q)]
+def _policy_chains(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalman, initial_q: int):
+    """The MSE decision model's chains under a stack of policies, and the start state (0, initial_q)."""
+    if not policies:
+        raise ValueError("no policies to simulate")
+    q_max = policies[0].q_max
+    if any(policy.q_max != q_max for policy in policies):
+        raise ValueError("the policies' grids have different q_max: "
+                         f"{[policy.q_max for policy in policies]}")
+    if initial_q > q_max:
+        raise ValueError(f"initial_q={initial_q} outside the grid's q range 0..{q_max}")
+    mdp = build_mdp(sk, m, q_max, "mse")
+    rq = _state_rq(mdp)
+    actions = np.stack([policy.actions[rq] for policy in policies])
+    return _ChainTables.build(mdp, actions), mdp.index[(0, initial_q)]
 
 
-def _warn_saturation(saturation: int, q_max: int):
-    if saturation:
-        warnings.warn(
-            f"q reached the grid's q_max={q_max} and saturated there in {saturation} steps, "
-            "as in the truncated decision model",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+def _warn_saturation(reports, q_max: int):
+    """One warning per report whose q saturated; stacklevel names the public function's caller."""
+    for report in reports:
+        if report.saturation_events:
+            warnings.warn(
+                f"policy {report.label!r}: q reached the grid's q_max={q_max} and saturated there "
+                f"in {report.saturation_events} steps, as in the truncated decision model",
+                RuntimeWarning,
+                stacklevel=3,
+            )
 
 
 def _uniforms(children, horizon: int) -> np.ndarray:
@@ -199,50 +234,72 @@ def _uniforms(children, horizon: int) -> np.ndarray:
     return out
 
 
-def simulate_chain(policy: PolicyGrid, m: HarqModel, sk: SteadyKalman, cfg: SimConfig) -> SimReport:
-    """Analytic-mode Monte Carlo of the (r, q) chain under a policy.
-
-    The chain is the MSE decision model's (build_mdp at the grid's q_max):
-    per step the accrued MSE is the cost-table entry for the current q
-    and the accrued age is q+1; then the policy acts, detection is drawn
-    with probability 1 - g(r), and the state advances. q saturates at the
-    grid's q_max as in the model, with a warning that counts the failed
-    steps taken there. A cost table shorter than q_max, or an initial_q
-    above it, raises ValueError. Identical seed and config give
-    bit-identical reports.
-    """
+def _chain_reports(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalman,
+                   cfg: SimConfig) -> list[SimReport]:
+    """simulate_chains without the saturation warnings."""
     if cfg.mode != "analytic":
-        raise ValueError("simulate_chain requires mode='analytic'")
-    tables, initial_state = _policy_chain(policy, m, sk, cfg.initial_q)
+        raise ValueError("the chain simulation requires mode='analytic'")
+    tables, initial_state = _policy_chains(policies, m, sk, cfg.initial_q)
 
-    horizon, runs = cfg.horizon, cfg.runs
+    horizon, runs, n_policies = cfg.horizon, cfg.runs, len(policies)
     children = np.random.SeedSequence(cfg.seed).spawn(runs)
-    run_mse = np.zeros(runs)
-    run_aoi = np.zeros(runs)
-    step_mse = np.zeros(horizon)
-    step_aoi = np.zeros(horizon)
-    part_mse = np.empty(horizon)
-    part_aoi = np.empty(horizon)
-    saturation = 0
+    run_mse = np.zeros((n_policies, runs))
+    run_aoi = np.zeros((n_policies, runs))
+    step_mse = np.zeros((n_policies, horizon))
+    step_aoi = np.zeros((n_policies, horizon))
+    part_mse = np.empty((n_policies, horizon))
+    part_aoi = np.empty((n_policies, horizon))
+    saturation = np.zeros(n_policies, dtype=np.int64)
     for start in range(0, runs, CHUNK_RUNS):
         stop = min(start + CHUNK_RUNS, runs)
         # the chunk's uniforms are a temporary, freed before the next chunk draws
         saturation += tables.walk(_uniforms(children[start:stop], horizon), initial_state,
-                                  part_mse, part_aoi, run_mse[start:stop], run_aoi[start:stop])
+                                  part_mse, part_aoi, run_mse[:, start:stop], run_aoi[:, start:stop])
         step_mse += part_mse  # per-chunk sums, added in chunk order
         step_aoi += part_aoi
-    _warn_saturation(saturation, policy.q_max)
     steps = np.arange(1, horizon + 1)
-    avg_mse = np.cumsum(step_mse / runs) / steps
-    avg_aoi = np.cumsum(step_aoi / runs) / steps
-    return SimReport(
-        label=policy.label, mode="analytic", horizon=horizon, runs=runs, seed=cfg.seed,
-        avg_mse_vs_k=avg_mse, avg_aoi_vs_k=avg_aoi,
-        final_avg_mse=float(avg_mse[-1]), final_avg_aoi=float(avg_aoi[-1]),
-        run_final_mse=run_mse, run_final_aoi=run_aoi,
-        mse_ci95=_ci95(run_mse), aoi_ci95=_ci95(run_aoi),
-        saturation_events=int(saturation),
-    )
+    reports = []
+    for p, policy in enumerate(policies):
+        avg_mse = np.cumsum(step_mse[p] / runs) / steps
+        avg_aoi = np.cumsum(step_aoi[p] / runs) / steps
+        reports.append(SimReport(
+            label=policy.label, mode="analytic", horizon=horizon, runs=runs, seed=cfg.seed,
+            avg_mse_vs_k=avg_mse, avg_aoi_vs_k=avg_aoi,
+            final_avg_mse=float(avg_mse[-1]), final_avg_aoi=float(avg_aoi[-1]),
+            run_final_mse=run_mse[p], run_final_aoi=run_aoi[p],
+            mse_ci95=_ci95(run_mse[p]), aoi_ci95=_ci95(run_aoi[p]),
+            saturation_events=int(saturation[p]),
+        ))
+    return reports
+
+
+def simulate_chains(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalman,
+                    cfg: SimConfig) -> list[SimReport]:
+    """Analytic-mode Monte Carlo of the (r, q) chain under each of several policies.
+
+    The chain is the MSE decision model's (build_mdp at the grids' common
+    q_max): per step the accrued MSE is the cost-table entry for the
+    current q and the accrued age is q+1; then the policy acts, detection
+    is drawn with probability 1 - g(r), and the state advances. q
+    saturates at q_max as in the model, with one warning per policy that
+    counts the failed steps taken there. Every policy walks the same
+    uniforms (common random numbers), drawn once, so each report is
+    bit-identical to a one-policy call and the differences between
+    policies are paired run by run. Returns one SimReport per grid, in
+    order. An empty sequence, grids with different q_max, a cost table
+    shorter than q_max or an initial_q above it raise ValueError.
+    Identical seed and config give bit-identical reports.
+    """
+    reports = _chain_reports(policies, m, sk, cfg)
+    _warn_saturation(reports, policies[0].q_max)
+    return reports
+
+
+def simulate_chain(policy: PolicyGrid, m: HarqModel, sk: SteadyKalman, cfg: SimConfig) -> SimReport:
+    """simulate_chains for one policy."""
+    report, = _chain_reports([policy], m, sk, cfg)
+    _warn_saturation([report], policy.q_max)
+    return report
 
 
 def _psd_factor(m: np.ndarray) -> np.ndarray:
@@ -277,7 +334,7 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
         raise ValueError("trajectory mode starts from a just-delivered estimate (initial_q=0)")
     horizon, runs = cfg.horizon, cfg.runs
     n, m_dim = sys.n, sys.m
-    tables, initial_state = _policy_chain(policy, m, sk, cfg.initial_q)
+    tables, initial_state = _policy_chains([policy], m, sk, cfg.initial_q)
 
     children = np.random.SeedSequence(cfg.seed).spawn(runs)
     z0 = np.empty((runs, n))
@@ -351,7 +408,6 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
         hist[:, k % depth] = xs
         tables.next_base.take(edge, out=base)
 
-    _warn_saturation(saturation, policy.q_max)
     steps = np.arange(1, horizon + 1)
     avg_emp = np.cumsum(step_emp / runs) / steps
     avg_ana = np.cumsum(step_ana / runs) / steps
@@ -359,7 +415,7 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     run_emp /= horizon
     run_ana /= horizon
     run_aoi /= horizon
-    return TrajectoryReport(
+    report = TrajectoryReport(
         label=policy.label, mode="trajectory", horizon=horizon, runs=runs, seed=cfg.seed,
         avg_mse_vs_k=avg_emp, avg_aoi_vs_k=avg_aoi,
         final_avg_mse=float(avg_emp[-1]), final_avg_aoi=float(avg_aoi[-1]),
@@ -371,6 +427,8 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
         run_final_analytic_mse=run_ana,
         empirical_error_cov=err_cov / (runs * horizon),
     )
+    _warn_saturation([report], policy.q_max)
+    return report
 
 
 def write_report_csv(report: SimReport, path):

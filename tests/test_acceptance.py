@@ -22,6 +22,7 @@ from remest import (
     psi_policy,
     riccati_steady_state,
     simulate_chain,
+    simulate_chains,
     simulate_trajectory,
     solve,
     verify_switching,
@@ -70,11 +71,10 @@ def big_sims(cfg, sk, channel, solutions, zoo):
     sim_cfg = SimConfig(horizon=cfg.horizon, runs=cfg.runs, seed=cfg.seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        reports = {name: simulate_chain(grid, channel, sk, sim_cfg) for name, grid in zoo.items()}
-        channel85 = solutions["channel85"]
-        reports["optimal85"] = simulate_chain(
-            solutions["mse85"].policy.relabeled("optimal"), channel85, sk, sim_cfg)
-        reports["arq85"] = simulate_chain(zoo["arq"], channel85, sk, sim_cfg)
+        reports = dict(zip(zoo, simulate_chains(list(zoo.values()), channel, sk, sim_cfg)))
+        pair85 = [solutions["mse85"].policy.relabeled("optimal"), zoo["arq"]]
+        reports["optimal85"], reports["arq85"] = simulate_chains(
+            pair85, solutions["channel85"], sk, sim_cfg)
     return reports
 
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from remest import load_policy_csv, verify_switching
+from remest import load_policy_csv, mdp, verify_switching
 from remest.cli import main
 from remest.config import ConfigError, ExperimentConfig, default_config, load_config
 
@@ -367,6 +367,24 @@ class TestCompareCommand:
         table = json.loads((tmp_path / "o" / "compare.json").read_text())
         values = [row["sim_final_mse"] for row in table["policies"]]
         assert np.ptp(values) < 1e-9
+
+    def test_trajectory_mode_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # compare walks the analytic chain only; the mode is rejected before any solve
+        cfg = default_config().to_dict()
+        cfg["sim"] = {"K": 40, "runs": 20, "seed": 3, "mode": "trajectory", "initial_q": 0}
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(cfg))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("compare solved a model before rejecting sim.mode")
+
+        monkeypatch.setattr(mdp, "solve", no_solve)
+        assert run_cli("compare", "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sim.mode" in err and "analytic chain" in err
+        assert "simulate_chain" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestVerifyPolicyCommand:

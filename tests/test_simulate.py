@@ -16,6 +16,7 @@ from remest import (
     psi_policy,
     riccati_steady_state,
     simulate_chain,
+    simulate_chains,
     simulate_trajectory,
     solve,
 )
@@ -100,6 +101,39 @@ EXACT_CASES = {
 }
 
 
+def _table_stack(sk, q_max=Q_MAX, model=None):
+    """ARQ, psi and the solved optimal policy; ARQ's failure levels are a strict subset of psi's."""
+    model = model or HarqModel.from_table([0.2, 0.1, 0.05, 0.025])
+    optimal = solve(build_mdp(sk, model, q_max, "mse")).policy.relabeled("optimal")
+    return [arq_baseline_policy(q_max), psi_policy(q_max), optimal], model
+
+
+# name -> (stack, channel, cost table, config), the EXACT_CASES shapes walked as one stack
+STACK_CASES = {
+    "table_channel": lambda system, sk: (
+        *_table_stack(sk), sk, SimConfig(horizon=400, runs=9, seed=21)),
+    "runs_past_chunk": lambda system, sk: (
+        *_table_stack(sk), sk, SimConfig(horizon=40, runs=300, seed=11)),
+    # the stacked block is TIME_BLOCK // 3 steps long, and this horizon ends mid-block
+    "partial_time_block": lambda system, sk: (
+        *_table_stack(sk), sk, SimConfig(horizon=2 * TIME_BLOCK + 1, runs=9, seed=13)),
+    "initial_q": lambda system, sk: (
+        *_table_stack(sk), sk, SimConfig(horizon=70, runs=11, seed=14, initial_q=6)),
+    "q_at_q_max": lambda system, sk: (
+        *_table_stack(_short_table(system), 2, HarqModel(0.1, 1.0, r_cap=2)), _short_table(system),
+        SimConfig(horizon=150, runs=10, seed=16)),
+}
+
+
+def _same_report(a, b):
+    return (a.label == b.label
+            and np.array_equal(a.avg_mse_vs_k, b.avg_mse_vs_k)
+            and np.array_equal(a.avg_aoi_vs_k, b.avg_aoi_vs_k)
+            and np.array_equal(a.run_final_mse, b.run_final_mse)
+            and np.array_equal(a.run_final_aoi, b.run_final_aoi)
+            and a.saturation_events == b.saturation_events)
+
+
 class TestSimConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -141,26 +175,26 @@ class TestChainSim:
         rng = np.random.default_rng(0)
         runs, horizon, q_max = 9, 64, 6
         mdp = build_mdp(sk, HarqModel(0.6, 0.7, r_cap=q_max), q_max)
-        actions = np.zeros(mdp.n_states, dtype=np.intp)
+        actions = np.zeros((1, mdp.n_states), dtype=np.intp)
         start = mdp.index[(0, 0)]
         uniforms = rng.random((runs, horizon))
-        step_mse = np.zeros(horizon)
-        step_aoi = np.zeros(horizon)
-        run_mse = np.zeros(runs)
-        run_aoi = np.zeros(runs)
+        step_mse = np.zeros((1, horizon))
+        step_aoi = np.zeros((1, horizon))
+        run_mse = np.zeros((1, runs))
+        run_aoi = np.zeros((1, runs))
         # g = 0 everywhere: every transmission lands, q tracks r
         never = replace(mdp, fail_prob=np.zeros_like(mdp.fail_prob))
         sat = _ChainTables.build(never, actions).walk(uniforms, start, step_mse, step_aoi,
                                                       run_mse, run_aoi)
-        assert sat == 0
-        np.testing.assert_allclose(run_mse, sk.cost_table[0], rtol=1e-12)
+        assert sat.tolist() == [0]
+        np.testing.assert_allclose(run_mse[0], sk.cost_table[0], rtol=1e-12)
         # g = 1 everywhere: every transmission fails, q climbs and saturates at q_max
         always = replace(mdp, fail_prob=np.ones_like(mdp.fail_prob))
         sat = _ChainTables.build(always, actions).walk(uniforms, start, step_mse, step_aoi,
                                                        run_mse, run_aoi)
-        assert sat == runs * (horizon - q_max)
+        assert sat.tolist() == [runs * (horizon - q_max)]
         expected_first = [sk.cost_table[min(k, q_max)] for k in range(horizon)]
-        np.testing.assert_allclose(step_mse / runs, expected_first)
+        np.testing.assert_allclose(step_mse[0] / runs, expected_first)
 
     @pytest.mark.parametrize("make_policy", [arq_baseline_policy, psi_policy], ids=["arq", "psi"])
     def test_agrees_with_exact_when_q_saturates(self, system, make_policy):
@@ -236,6 +270,76 @@ class TestChainSim:
         report = simulate_chain(arq_baseline_policy(Q_MAX), channel, sk, cfg)
         expected = 1.96 * report.run_final_mse.std(ddof=1) / np.sqrt(200)
         assert report.mse_ci95 == pytest.approx(expected)
+
+
+class TestStackedChains:
+    @pytest.mark.parametrize("case", list(STACK_CASES))
+    def test_every_policy_matches_reference_simulator_exactly(self, case, system, sk):
+        stack, model, table, cfg = STACK_CASES[case](system, sk)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            reports = simulate_chains(stack, model, table, cfg)
+        assert [r.label for r in reports] == [g.label for g in stack]
+        for grid, report in zip(stack, reports):
+            ref_mse, ref_aoi, ref_run_mse, ref_run_aoi, ref_sat = reference_chain(grid, model, table, cfg)
+            assert np.array_equal(report.avg_mse_vs_k, ref_mse), grid.label
+            assert np.array_equal(report.avg_aoi_vs_k, ref_aoi), grid.label
+            assert np.array_equal(report.run_final_mse, ref_run_mse), grid.label
+            assert np.array_equal(report.run_final_aoi, ref_run_aoi), grid.label
+            assert report.saturation_events == ref_sat, grid.label
+
+    def test_stack_levels_differ(self, sk):
+        # the stack only tests the level union if its policies' own levels differ
+        stack, model = _table_stack(sk)
+        mdp = build_mdp(sk, model, Q_MAX)
+        rq = tuple(np.array(mdp.states).T)
+        own = [set(_ChainTables.build(mdp, g.actions[rq][None]).g_values) for g in stack]
+        union = set(_ChainTables.build(mdp, np.stack([g.actions[rq] for g in stack])).g_values)
+        assert union == set.union(*own) and any(levels != union for levels in own)
+
+    def test_one_policy_stack_is_simulate_chain(self, sk):
+        stack, model = _table_stack(sk)
+        cfg = SimConfig(horizon=90, runs=5, seed=3)
+        for grid in stack:
+            assert _same_report(simulate_chains([grid], model, sk, cfg)[0],
+                                simulate_chain(grid, model, sk, cfg))
+
+    def test_order_and_labels_kept(self, sk):
+        stack, model = _table_stack(sk)
+        stack.append(psi_policy(Q_MAX).relabeled("psi again"))
+        cfg = SimConfig(horizon=60, runs=4, seed=8)
+        forward = simulate_chains(stack, model, sk, cfg)
+        backward = simulate_chains(stack[::-1], model, sk, cfg)
+        assert [r.label for r in forward] == ["arq", "psi", "optimal", "psi again"]
+        assert all(_same_report(a, b) for a, b in zip(forward, backward[::-1]))
+        assert np.array_equal(forward[1].run_final_mse, forward[3].run_final_mse)
+
+    def test_empty_stack_rejected(self, sk, channel):
+        with pytest.raises(ValueError, match="no policies"):
+            simulate_chains([], channel, sk, SimConfig(horizon=5, runs=2, seed=0))
+
+    def test_different_q_max_rejected(self, sk, channel):
+        with pytest.raises(ValueError, match="q_max"):
+            simulate_chains([psi_policy(Q_MAX), arq_baseline_policy(Q_MAX - 1)], channel, sk,
+                            SimConfig(horizon=5, runs=2, seed=0))
+
+    def test_saturation_warns_per_policy(self, system):
+        sk_small = riccati_steady_state(system, q_max=2)
+        channel = HarqModel(0.1, 1.0, r_cap=2)
+        cfg = SimConfig(horizon=300, runs=10, seed=1)
+        stack = [psi_policy(2), arq_baseline_policy(2)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = simulate_chains(stack, channel, sk_small, cfg)
+            single = simulate_chain(stack[1], channel, sk_small, cfg)
+        assert [r.saturation_events > 0 for r in reports] == [True, True]
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 3 and all(w.category is RuntimeWarning for w in caught)
+        for message, report in zip(messages, reports + [single]):
+            assert f"policy {report.label!r}" in message
+            assert f"in {report.saturation_events} steps" in message
+        # each warning points at the line that called the public function
+        assert {w.filename for w in caught} == {__file__}
 
 
 class TestTrajectorySim:
