@@ -115,19 +115,20 @@ def cmd_solve(args) -> int:
     _gate_stability(cfg, args.force)
     solution = _solve_pipeline(cfg, args.cost, _filter(cfg))
     out = _outdir(cfg)
-    policy_path = out / f"policy_{args.cost}.csv"
-    bias_path = out / f"bias_{args.cost}.csv"
-    summary_path = out / f"solve_{args.cost}.json"
+    written = []
     if "csv" in cfg.formats:
+        policy_path, bias_path = out / f"policy_{args.cost}.csv", out / f"bias_{args.cost}.csv"
         policies.save_policy_csv(solution.policy, policy_path)
         mdp.save_bias_csv(solution, bias_path)
+        written += [policy_path, bias_path]
     if "json" in cfg.formats:
+        summary_path = out / f"solve_{args.cost}.json"
         mdp.save_solution_json(solution, summary_path)
+        written.append(summary_path)
     print(f"gain = {_fmt(solution.gain)}  ({solution.iterations} policy-iteration rounds, "
           f"span residual {solution.span_residual:.3e})")
-    for path in (policy_path, bias_path, summary_path):
-        if path.exists():
-            print(f"wrote {path}")
+    for path in written:
+        print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ prediction operator that propagates the receiver's error covariance.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,15 +111,12 @@ class SteadyKalman:
 
     cost_table[n] is the trace of the receiver error covariance after the
     newest delivered estimate is n+1 steps old, i.e. trace of the (n+1)-fold
-    prediction of p_bar0. Entries are clamped at cost_cap (saturated is True
-    when clamping occurred).
+    prediction of p_bar0, exact to float64.
     """
 
     p_bar0: np.ndarray
     gain: np.ndarray
     cost_table: np.ndarray
-    cost_cap: float
-    saturated: bool = field(default=False)
 
     @property
     def n_max(self) -> int:
@@ -140,7 +137,6 @@ def riccati_steady_state(
     tol: float = 1e-9,
     max_iter: int = 100000,
     q_max: int = 20,
-    cost_cap: float = 1e12,
 ) -> SteadyKalman:
     """Iterate the filter recursion to its steady state.
 
@@ -153,6 +149,8 @@ def riccati_steady_state(
     Raises RiccatiError (carrying the last iterate) when the recursion
     diverges to non-finite values or does not settle within max_iter,
     which signals an undetectable or otherwise unstabilizable configuration.
+    Raises ValueError naming the first q whose staleness cost overflows
+    float64; a smaller q_max keeps the table finite.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -183,24 +181,20 @@ def riccati_steady_state(
 
     n_entries = q_max + 5
     table = np.empty(n_entries)
-    saturated = False
     X = P
-    for n in range(n_entries):
-        X = f_apply(sys, X)
-        value = float(np.trace(X))
-        if value > cost_cap:
-            value = cost_cap
-            saturated = True
-        table[n] = value
-    if saturated:
-        warnings.warn(
-            f"staleness cost table saturated at cost_cap={cost_cap:g}; "
-            "deep-staleness costs are clamped",
-            RuntimeWarning,
-            stacklevel=2,
+    # an overflowing prediction is reported below; numpy's warning would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_entries):
+            X = f_apply(sys, X)
+            table[n] = np.trace(X)
+    overflow = np.flatnonzero(~np.isfinite(table))
+    if overflow.size:
+        raise ValueError(
+            f"staleness cost at q = {overflow[0]} overflows float64; the table holds "
+            f"q_max + 5 entries, so lower mdp.q_max (now {q_max}) to {overflow[0] - 5} or less"
         )
     table.flags.writeable = False
     P.flags.writeable = False
     gain.flags.writeable = False
-    return SteadyKalman(p_bar0=P, gain=gain, cost_table=table, cost_cap=cost_cap, saturated=saturated)
+    return SteadyKalman(p_bar0=P, gain=gain, cost_table=table)
 

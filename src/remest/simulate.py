@@ -33,6 +33,7 @@ from .policies import PolicyGrid
 
 CHUNK_RUNS = 128  # runs walked together; chunk sums are added in chunk order
 TIME_BLOCK = 64  # steps per block of a one-policy chain walk; P stacked policies take 1/P as many
+STATE_CAP = 1e14  # trajectory-mode bound on any state magnitude, well inside float64
 
 
 @dataclass(frozen=True)
@@ -311,7 +312,7 @@ def _psd_factor(m: np.ndarray) -> np.ndarray:
 
 
 def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: SteadyKalman,
-                        cfg: SimConfig, state_cap: float = 1e14) -> TrajectoryReport:
+                        cfg: SimConfig) -> TrajectoryReport:
     """Trajectory-mode Monte Carlo: draw the physical process and compare
     empirical receiver error against the analytic staleness cost.
 
@@ -325,8 +326,8 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     With an expansive process the raw state grows geometrically, so long
     horizons overflow float64 (and lose precision well before); the run
     aborts with ValueError naming the step once any state magnitude
-    exceeds state_cap. Keep horizon * log(rho(A)) comfortably under
-    log(state_cap).
+    exceeds STATE_CAP. Keep horizon * log(rho(A)) comfortably under
+    log(STATE_CAP).
     """
     if cfg.mode != "trajectory":
         raise ValueError("simulate_trajectory requires mode='trajectory'")
@@ -377,9 +378,9 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     for k in range(1, horizon + 1):
         w = zw[:, k - 1] @ lq.T
         x = x @ sys.A.T + w
-        if float(np.abs(x).max()) > state_cap:
+        if float(np.abs(x).max()) > STATE_CAP:
             raise ValueError(
-                f"state magnitude exceeded {state_cap:g} at step {k}; "
+                f"state magnitude exceeded {STATE_CAP:g} at step {k}; "
                 f"shorten the horizon (sim.K in a config) to under {k} steps"
             )
         v = zv[:, k - 1] @ lr.T

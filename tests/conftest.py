@@ -1,6 +1,3 @@
-import warnings
-
-import numpy as np
 import pytest
 
 from remest import HarqModel, LtiSystem, riccati_steady_state
@@ -20,14 +17,7 @@ def system():
 
 @pytest.fixture(scope="session")
 def sk(system):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return riccati_steady_state(system, q_max=Q_MAX)
-
-
-@pytest.fixture(scope="session")
-def sk_uncapped(system):
-    return riccati_steady_state(system, q_max=Q_MAX, cost_cap=np.inf)
+    return riccati_steady_state(system, q_max=Q_MAX)
 
 
 @pytest.fixture(scope="session")

@@ -80,9 +80,7 @@ def big_sims(cfg, sk, channel, solutions, zoo):
 
 def test_criterion_1_riccati_reproduction(system):
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        out = riccati_steady_state(system, q_max=Q_MAX)
+    out = riccati_steady_state(system, q_max=Q_MAX)
     elapsed = time.perf_counter() - t0
     expected = np.array([[2.3579, -1.5419], [-1.5419, 1.5987]])
     np.testing.assert_allclose(out.p_bar0, expected, atol=1e-3)

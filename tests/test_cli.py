@@ -252,6 +252,33 @@ class TestSolveCommand:
         assert run_cli("solve", "--config", str(path)) == 0
         assert verify_switching(load_policy_csv(tmp_path / "o" / "policy_mse.csv")).ok
 
+    def test_reports_only_the_files_it_wrote(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "o"
+        cfg["outputs"] = {"directory": str(out), "formats": ["json"]}
+        path = tmp_path / "j.json"
+        path.write_text(json.dumps(cfg))
+        out.mkdir()
+        for stale in ("policy_mse.csv", "bias_mse.csv"):
+            (out / stale).write_text("")
+        assert run_cli("solve", "--config", str(path)) == 0
+        wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote")]
+        assert wrote == [f"wrote {out / 'solve_mse.json'}"]
+
+    def test_overflowing_cost_table_is_a_config_error(self, tmp_path, capsys):
+        # Tr f^(q+1)(p_bar0) ~ 1e6^(q+1) overflows at q = 51, inside the q_max + 5 table
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["system"] = {"A": [[1000.0]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]]}
+        cfg["mdp"]["q_max"] = 60
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(path), "--force"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: staleness cost at q = 51 overflows")
+        assert "gain" not in captured.out
+        assert not (tmp_path / "o").exists()
+
     def test_stability_gate_and_force(self, tmp_path):
         cfg = json.loads(json.dumps(SMALL_CONFIG))
         cfg["channel"] = {"lambda": 0.1, "h": 1.0}

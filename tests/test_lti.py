@@ -173,17 +173,31 @@ class TestCostTable:
         # one-step-lookahead policies index q_max + 1
         assert sk.n_max >= 20 + 2
 
-    def test_strictly_increasing(self, sk_uncapped):
-        diffs = np.diff(sk_uncapped.cost_table)
+    def test_strictly_increasing(self, sk):
+        diffs = np.diff(sk.cost_table)
         assert (diffs > 0).all()
 
-    def test_asymptotic_growth_matches_rho_sq(self, system, sk_uncapped):
-        ct = sk_uncapped.cost_table
+    def test_asymptotic_growth_matches_rho_sq(self, system, sk):
+        ct = sk.cost_table
         ratio = ct[-1] / ct[-2]
         assert ratio == pytest.approx(system.rho_sq, rel=0.05)
 
-    def test_cap_saturates_with_warning(self, system):
-        with pytest.warns(RuntimeWarning, match="saturated"):
-            out = riccati_steady_state(system, q_max=20, cost_cap=1e6)
-        assert out.saturated
-        assert out.cost_table.max() == 1e6
+    def test_builds_without_warnings(self, system):
+        # the deepest entries pass 1e12 and are kept exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = riccati_steady_state(system, q_max=20)
+        assert out.cost_table[-1] > 1e12
+        X = out.p_bar0
+        for value in out.cost_table:
+            X = system.A @ X @ system.A.T + system.Q
+            assert value == pytest.approx(np.trace(X), rel=1e-12)
+
+    def test_overflow_names_the_first_q(self):
+        # Tr f^(q+1)(p_bar0) ~ 1e6^(q+1) first passes float64's range at q = 51
+        sys1 = LtiSystem([[1000.0]], [[1.0]], [[1.0]], [[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow is reported once, as the error
+            with pytest.raises(ValueError, match=r"q = 51 overflows.*mdp\.q_max \(now 60\) to 46 or less"):
+                riccati_steady_state(sys1, q_max=60)
+        assert np.isfinite(riccati_steady_state(sys1, q_max=46).cost_table).all()

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -169,9 +167,9 @@ class TestRvi:
             if (r, q + 1) in bias:
                 assert bias[(r, q + 1)] >= value - 1e-6
 
-    def test_truncation_insensitivity(self, system, channel, sk_uncapped):
-        sol20 = solve(build_mdp(sk_uncapped, channel, 20, "mse"))
-        sk30 = riccati_steady_state(system, q_max=30, cost_cap=np.inf)
+    def test_truncation_insensitivity(self, system, channel, sk):
+        sol20 = solve(build_mdp(sk, channel, 20, "mse"))
+        sk30 = riccati_steady_state(system, q_max=30)
         channel30 = HarqModel(0.8, 0.5, r_cap=30)
         sol30 = solve(build_mdp(sk30, channel30, 30, "mse"))
         assert abs(sol30.gain - sol20.gain) / sol20.gain < 0.005
@@ -200,9 +198,7 @@ class TestRvi:
             channel = HarqModel(0.8, 0.3, r_cap=q_max)
         sk_q = None
         if kind == "mse":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # cost_cap clamps q near 40
-                sk_q = riccati_steady_state(system, q_max=q_max)
+            sk_q = riccati_steady_state(system, q_max=q_max)
         model = build_mdp(sk_q, channel, q_max, kind)
         solution = solve(model)
         assert solution.gain == evaluate_policy(model, solution.policy)
@@ -225,10 +221,22 @@ class TestEvaluatePolicy:
     def test_geometric_oracle_with_uncapped_costs(self, system):
         # stationary weights reach 0.2^30 against costs of 7e15; a stationary
         # LU solve was 1.5e-3 off here
-        sk30 = riccati_steady_state(system, q_max=30, cost_cap=np.inf)
+        sk30 = riccati_steady_state(system, q_max=30)
         model = build_mdp(sk30, HarqModel(0.8, 0.5, r_cap=30), 30, "mse")
         gain = evaluate_policy(model, arq_baseline_policy(30))
         assert gain == pytest.approx(arq_stationary_oracle(0.8, sk30.cost_table, 30), rel=1e-9)
+
+    def test_arq_gain_approaches_the_untruncated_limit(self, system):
+        # the untruncated always-fresh cost is sum_n lam (1-lam)^n c_n; past
+        # n = 150 the terms shrink like (0.2 rho^2)^n ~ 0.68^n below 1e-25
+        sk150 = riccati_steady_state(system, q_max=150)
+        limit = sum(0.8 * 0.2**n * sk150.cost_table[n] for n in range(150))
+        assert limit == pytest.approx(20.0459246302, rel=1e-10)
+        sk40 = riccati_steady_state(system, q_max=40)
+        model = build_mdp(sk40, HarqModel(0.8, 0.5, r_cap=40), 40, "mse")
+        assert evaluate_policy(model, arq_baseline_policy(40)) == pytest.approx(limit, rel=1e-6)
+        # the solved optimum sits on shallow states, so deep costs leave it unmoved
+        assert solve(model).gain == pytest.approx(17.3087546064, rel=1e-9)
 
     @pytest.mark.parametrize("kind", ["mse", "delay"])
     def test_matches_gth_on_the_zoo(self, sk, channel, mse_solution, kind):
