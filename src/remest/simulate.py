@@ -7,13 +7,15 @@ state, applies the receiver's prediction estimator, and reports the
 empirical squared error next to the analytic value for the same realized
 staleness. Both walk the chain of the truncated decision model
 (build_mdp), so r and q saturate at the grid's q_max exactly as in the
-exact evaluation. Runs use independent counter-based streams split from
-the master seed, so results are reproducible. The chain mode walks all
-runs of a fixed-size chunk under every requested policy together in
-numpy, one step at a time: the policies' chains are stacked into one
-edge table and read the same uniforms, drawn once. It sums in the order
-of a per-run scalar loop, so each policy's report reproduces such a loop
-bit for bit.
+exact evaluation. Both draw from counter-based Philox streams split from
+the master seed, so results are reproducible, and a run's draws never
+depend on the number of runs: the chain mode gives every run its own
+stream, and the trajectory mode gives every CHUNK_RUNS-run chunk one
+stream (_chunk_streams). The chain mode walks all runs of a fixed-size
+chunk under every requested policy together in numpy, one step at a
+time: the policies' chains are stacked into one edge table and read the
+same uniforms, drawn once. It sums in the order of a per-run scalar
+loop, so each policy's report reproduces such a loop bit for bit.
 """
 
 from __future__ import annotations
@@ -235,6 +237,26 @@ def _uniforms(children, horizon: int) -> np.ndarray:
     return out
 
 
+def _chunk_streams(seed: int, runs: int, parts: int):
+    """One counter-based Philox stream per CHUNK_RUNS-run chunk, split from seed.
+
+    Chunk c holds runs c * CHUNK_RUNS up to CHUNK_RUNS more, and its
+    stream is keyed by the c-th child of SeedSequence(seed), whatever runs
+    is. The stream's counter space is cut into parts segments, segment j
+    starting at counter j * 2**128 (Philox.jumped(j)). The caller fills one
+    array per segment, run by run in run order, so run i's draws are rows
+    i % CHUNK_RUNS of its chunk's arrays and depend only on the seed, i and
+    the row shapes, never on runs. Yields (start, stop, generators), one
+    generator per segment.
+    """
+    children = np.random.SeedSequence(seed).spawn(-(-runs // CHUNK_RUNS))
+    for c, child in enumerate(children):
+        stream = np.random.Philox(child)
+        start = c * CHUNK_RUNS
+        yield (start, min(start + CHUNK_RUNS, runs),
+               [np.random.Generator(stream.jumped(j)) for j in range(parts)])
+
+
 def _chain_reports(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalman,
                    cfg: SimConfig) -> list[SimReport]:
     """simulate_chains without the saturation warnings."""
@@ -337,17 +359,15 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     n, m_dim = sys.n, sys.m
     tables, initial_state = _policy_chains([policy], m, sk, cfg.initial_q)
 
-    children = np.random.SeedSequence(cfg.seed).spawn(runs)
     z0 = np.empty((runs, n))
     zw = np.empty((runs, horizon, n))
     zv = np.empty((runs, horizon, m_dim))
     uniforms = np.empty((runs, horizon))
-    for i, child in enumerate(children):
-        rng = np.random.Generator(np.random.Philox(child))
-        z0[i] = rng.standard_normal(n)
-        zw[i] = rng.standard_normal((horizon, n))
-        zv[i] = rng.standard_normal((horizon, m_dim))
-        uniforms[i] = rng.random(horizon)
+    for start, stop, (g0, gw, gv, gu) in _chunk_streams(cfg.seed, runs, 4):
+        g0.standard_normal(out=z0[start:stop])
+        gw.standard_normal(out=zw[start:stop])
+        gv.standard_normal(out=zv[start:stop])
+        gu.random(out=uniforms[start:stop])
 
     l0 = _psd_factor(sk.p_bar0)
     lq = _psd_factor(sys.Q)

@@ -20,7 +20,14 @@ from remest import (
     simulate_trajectory,
     solve,
 )
-from remest.simulate import CHUNK_RUNS, TIME_BLOCK, _ChainTables, write_report_csv, write_report_json
+from remest.simulate import (
+    CHUNK_RUNS,
+    TIME_BLOCK,
+    _ChainTables,
+    _psd_factor,
+    write_report_csv,
+    write_report_json,
+)
 
 Q_MAX = 20
 
@@ -75,6 +82,93 @@ def reference_chain(policy, model, sk, cfg):
             np.cumsum(step_aoi / cfg.runs) / steps, run_mse, run_aoi, saturated)
 
 
+def _trajectory_draws(seed, run, horizon, n, m_dim):
+    """Run `run`'s trajectory-mode draws, rebuilt from its chunk's stream at the documented offsets.
+
+    Chunk c = run // CHUNK_RUNS is keyed by the c-th child of
+    SeedSequence(seed). z0, zw, zv and the uniforms fill segments 0 to 3
+    of its counter space, segment j from counter j * 2**128, run by run
+    in run order, so the run's rows are the last of the first
+    run % CHUNK_RUNS + 1 rows of each segment.
+    """
+    c, row = divmod(run, CHUNK_RUNS)
+    key = np.random.SeedSequence(seed).spawn(c + 1)[c].generate_state(2, np.uint64)
+
+    def segment(j):
+        return np.random.Generator(np.random.Philox(key=key, counter=j << 128))
+
+    return (segment(0).standard_normal((row + 1, n))[row],
+            segment(1).standard_normal((row + 1, horizon, n))[row],
+            segment(2).standard_normal((row + 1, horizon, m_dim))[row],
+            segment(3).random((row + 1, horizon))[row])
+
+
+def reference_trajectory(policy, system, model, sk, cfg):
+    """Slow per-run reference for simulate_trajectory, used as an exact oracle.
+
+    Steps one run at a time on its rebuilt draws: the process, the
+    converged-gain sensor filter, the receiver's prediction from the
+    estimate generated q + 1 steps ago, and the (r, q) chain with the
+    rules of reference_chain. Per-step values over runs are summed with
+    numpy's sum in run order, as the simulator sums them, and per-run
+    totals over time in order. Returns the report's fields by name.
+    """
+    table = list(sk.cost_table)
+    q_max = policy.q_max
+    a, c, gain = system.A, system.C, sk.gain
+    l0, lq, lr = (_psd_factor(cov) for cov in (sk.p_bar0, system.Q, system.R))
+    horizon, runs = cfg.horizon, cfg.runs
+    step_emp = np.zeros((horizon, runs))
+    step_ana = np.zeros((horizon, runs))
+    step_aoi = np.zeros((horizon, runs), dtype=np.int64)
+    run_emp, run_ana, run_aoi = np.zeros(runs), np.zeros(runs), np.zeros(runs)
+    err_cov = np.zeros((system.n, system.n))
+    saturated = 0
+    for i in range(runs):
+        z0, zw, zv, u = _trajectory_draws(cfg.seed, i, horizon, system.n, system.m)
+        x = l0 @ z0
+        estimates = [np.zeros(system.n)]  # the sensor's estimate after each step
+        r, q = 0, 0
+        totals = [0.0, 0.0, 0.0]
+        for k in range(1, horizon + 1):
+            x = a @ x + lq @ zw[k - 1]
+            y = c @ x + lr @ zv[k - 1]
+            pred = a @ estimates[-1]
+            estimates.append(pred + gain @ (y - c @ pred))
+            age = q + 1
+            xhat = estimates[k - age]
+            for _ in range(age):
+                xhat = a @ xhat
+            err = x - xhat
+            err_cov += np.outer(err, err)
+            step_emp[k - 1, i], step_ana[k - 1, i], step_aoi[k - 1, i] = err @ err, table[q], age
+            totals[0] += step_emp[k - 1, i]
+            totals[1] += table[q]
+            totals[2] += age
+            r = 0 if policy.actions[r, q] == 0 else min(r + 1, q_max)
+            if u[k - 1] < model.failure_prob_clamped(r):
+                saturated += q == q_max
+                q = min(q + 1, q_max)
+            else:
+                q = r
+        run_emp[i], run_ana[i], run_aoi[i] = (total / horizon for total in totals)
+    steps = np.arange(1, horizon + 1)
+
+    def running_mean(per_step):
+        return np.cumsum(np.array([row.sum() for row in per_step]) / runs) / steps
+
+    return {
+        "avg_mse_vs_k": running_mean(step_emp),
+        "analytic_avg_mse_vs_k": running_mean(step_ana),
+        "avg_aoi_vs_k": running_mean(step_aoi),
+        "run_final_mse": run_emp,
+        "run_final_analytic_mse": run_ana,
+        "run_final_aoi": run_aoi,
+        "empirical_error_cov": err_cov / (runs * horizon),
+        "saturation_events": saturated,
+    }
+
+
 def _short_table(system):
     return riccati_steady_state(system, q_max=2)
 
@@ -98,6 +192,26 @@ EXACT_CASES = {
     "q_at_q_max": lambda system, sk, channel: (
         psi_policy(2), HarqModel(0.1, 1.0, r_cap=2), _short_table(system),
         SimConfig(horizon=150, runs=10, seed=16)),
+}
+
+
+# name -> (policy, channel, cost table, config) for the trajectory oracle. Ten steps keep
+# the raw state of this expansive process near 1e3, where the receiver error x - xhat holds
+# ~1e-14 relative precision; at 40 steps the state nears 1e10 and that falls to ~1e-6, so
+# two orders of the same arithmetic could no longer agree to 1e-12.
+TRAJECTORY_CASES = {
+    "single_run": lambda system, sk, channel: (
+        psi_policy(Q_MAX), channel, sk, SimConfig(horizon=10, runs=1, seed=31, mode="trajectory")),
+    "chunk_boundary": lambda system, sk, channel: (
+        psi_policy(Q_MAX), channel, sk,
+        SimConfig(horizon=10, runs=CHUNK_RUNS + 1, seed=32, mode="trajectory")),
+    "runs_past_chunk": lambda system, sk, channel: (
+        arq_baseline_policy(Q_MAX), channel, sk,
+        SimConfig(horizon=10, runs=300, seed=33, mode="trajectory")),
+    # the estimate ring buffer holds q_max + 2 = 4 entries and wraps twice
+    "q_at_q_max": lambda system, sk, channel: (
+        arq_baseline_policy(2), HarqModel(0.1, 1.0, r_cap=2), _short_table(system),
+        SimConfig(horizon=10, runs=50, seed=34, mode="trajectory")),
 }
 
 
@@ -170,6 +284,14 @@ class TestChainSim:
         assert np.array_equal(report.run_final_mse, ref_run_mse)
         assert np.array_equal(report.run_final_aoi, ref_run_aoi)
         assert report.saturation_events == ref_sat
+
+    def test_run_count_invariance(self, sk, channel):
+        # 300 runs end in a partial chunk; run i reads its own stream whatever runs is
+        grid = psi_policy(Q_MAX)
+        few, more = (simulate_chain(grid, channel, sk, SimConfig(horizon=400, runs=runs, seed=23))
+                     for runs in (200, 300))
+        for name in ("run_final_mse", "run_final_aoi"):
+            assert np.array_equal(getattr(few, name), getattr(more, name)[:200]), name
 
     def test_edge_probabilities(self, sk):
         rng = np.random.default_rng(0)
@@ -351,6 +473,29 @@ class TestTrajectorySim:
         se = report.run_final_mse.std(ddof=1) / np.sqrt(report.runs)
         assert abs(report.final_avg_mse - base) <= 3 * se
         assert np.abs(report.analytic_avg_mse_vs_k - base).max() < 1e-9
+
+    @pytest.mark.parametrize("case", list(TRAJECTORY_CASES))
+    def test_matches_reference_simulator(self, case, system, sk, channel):
+        grid, model, table, cfg = TRAJECTORY_CASES[case](system, sk, channel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = simulate_trajectory(grid, system, model, table, cfg)
+        ref = reference_trajectory(grid, system, model, table, cfg)
+        for name in ("analytic_avg_mse_vs_k", "run_final_analytic_mse", "avg_aoi_vs_k",
+                     "run_final_aoi", "saturation_events"):
+            assert np.array_equal(getattr(report, name), ref[name]), name
+        assert (ref["saturation_events"] > 0) == (case == "q_at_q_max")
+        for name in ("avg_mse_vs_k", "run_final_mse", "empirical_error_cov"):
+            np.testing.assert_allclose(getattr(report, name), ref[name], rtol=1e-12, err_msg=name)
+
+    def test_run_count_invariance(self, system, sk, channel):
+        # 300 runs end in a partial chunk; run i's draws depend on its chunk's stream only
+        grid = psi_policy(Q_MAX)
+        few, more = (simulate_trajectory(grid, system, channel, sk,
+                                         SimConfig(horizon=40, runs=runs, seed=23, mode="trajectory"))
+                     for runs in (200, 300))
+        for name in ("run_final_mse", "run_final_aoi", "run_final_analytic_mse"):
+            assert np.array_equal(getattr(few, name), getattr(more, name)[:200]), name
 
     def test_noiseless_observable_system_has_zero_error(self):
         with warnings.catch_warnings():
