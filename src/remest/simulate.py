@@ -12,10 +12,15 @@ the master seed, so results are reproducible, and a run's draws never
 depend on the number of runs: the chain mode gives every run its own
 stream, and the trajectory mode gives every CHUNK_RUNS-run chunk one
 stream (_chunk_streams). The chain mode walks all runs of a fixed-size
-chunk under every requested policy together in numpy, one step at a
-time: the policies' chains are stacked into one edge table and read the
-same uniforms, drawn once. It sums in the order of a per-run scalar
-loop, so each policy's report reproduces such a loop bit for bit.
+chunk under every requested policy together in numpy: the policies'
+chains are stacked into one edge table and read the same uniforms, drawn
+once. A jump table composed from that edge table moves every run k steps
+per numpy call, with k as large as a table of JUMP_ENTRIES entries
+allows, and each step's own edge is then rebuilt over a block of
+TIME_BLOCK * CHUNK_RUNS elements at once. The uniforms are drawn in
+windows of at most WINDOW per chunk, so memory does not grow with the
+horizon. The walk sums in the order of a per-run scalar loop, so each
+policy's report reproduces such a loop bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import json
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +40,9 @@ from .mdp import TruncatedMdp, _state_rq, build_mdp
 from .policies import PolicyGrid
 
 CHUNK_RUNS = 128  # runs walked together; chunk sums are added in chunk order
-TIME_BLOCK = 64  # steps per block of a one-policy chain walk; P stacked policies take 1/P as many
+TIME_BLOCK = 64  # a chain-walk block holds TIME_BLOCK * CHUNK_RUNS elements (steps x policies x runs)
+JUMP_ENTRIES = 2 ** 17  # most entries of a chain-walk jump table (1 MB of intp)
+WINDOW = 2 ** 17  # most uniforms a chunk of the chain walk holds at once (1 MB)
 STATE_CAP = 1e14  # trajectory-mode bound on any state magnitude, well inside float64
 
 
@@ -115,7 +123,9 @@ class _ChainTables:
     it. An edge e = state * n_levels + level fixes the whole step:
     next_base[e] is the next stacked state times n_levels, and cost[e],
     age[e] (q + 1) and saturated[e] (a failure at q = q_max) are what the
-    step accrues.
+    step accrues. The chain walk also reads jump_base, the same map over
+    jump_steps steps at once; it is built on the walk's first use, so the
+    trajectory mode, which steps one at a time, never builds it.
     """
 
     n_policies: int
@@ -149,53 +159,125 @@ class _ChainTables:
             saturated=(failed & (q == mdp.q_max)[:, None]).ravel(),
         )
 
+    @property
+    def n_levels(self) -> int:
+        return len(self.g_values) + 1
+
     def levels(self, uniforms: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.g_values, uniforms, side="right")
 
-    def walk(self, uniforms, start, step_mse, step_aoi, run_mse, run_aoi):
+    @cached_property
+    def jump_steps(self) -> int:
+        """k, the most steps whose jump table has at most JUMP_ENTRIES entries; at least 1."""
+        k, entries = 1, len(self.next_base) * self.n_levels
+        while entries <= JUMP_ENTRIES:
+            k, entries = k + 1, entries * self.n_levels
+        return k
+
+    @cached_property
+    def jump_base(self) -> np.ndarray:
+        """The stacked state k = jump_steps steps on, times n_levels**k, per k-step edge.
+
+        A k-step edge is state * n_levels**k + c, where the k steps'
+        levels are the base-n_levels digits of c, the first step's the
+        most significant. With k = 1 this is next_base.
+        """
+        n_levels, k = self.n_levels, self.jump_steps
+        after = self.next_base.reshape(-1, n_levels)
+        for _ in range(k - 1):
+            after = self.next_base[after[..., None] + np.arange(n_levels)].reshape(len(after), -1)
+        return after.ravel() * n_levels ** (k - 1)
+
+    def block_steps(self, n_runs: int) -> int:
+        """Steps per block of a walk of n_runs runs: TIME_BLOCK * CHUNK_RUNS elements, a multiple of k."""
+        k = self.jump_steps
+        return max(1, TIME_BLOCK * CHUNK_RUNS // (self.n_policies * n_runs) // k) * k
+
+    def window_steps(self, n_runs: int) -> int:
+        """Steps per window of drawn uniforms: as many whole blocks as WINDOW uniforms hold."""
+        block = self.block_steps(n_runs)
+        return max(1, WINDOW // (n_runs * block)) * block
+
+    def _block_edges(self, levels, base):
+        """Each step's edge over a block of levels (steps x runs), moving base on past the block.
+
+        base holds every policy's runs' states times n_levels**k. The runs
+        move k steps per numpy call along jump_base, on k-step edges whose
+        digits are the levels of k steps; each step's edge is then rebuilt
+        for the whole block, the first of a group from its k-step edge and
+        the next from next_base. A last partial group is padded with level
+        0; its padded steps are dropped from the edges, but base moves past
+        them.
+        """
+        n_levels, k, jump_base, steps = self.n_levels, self.jump_steps, self.jump_base, len(levels)
+        if steps % k:
+            levels = np.concatenate([levels, np.zeros((-steps % k, levels.shape[1]), levels.dtype)])
+        if self.n_policies > 1:
+            levels = np.tile(levels, self.n_policies)
+        combos = levels[::k]
+        for j in range(1, k):
+            combos = combos * n_levels + levels[j::k]
+        kedges = np.empty(combos.shape, dtype=np.intp)
+        for combo, kedge in zip(combos, kedges):
+            np.add(base, combo, out=kedge)
+            # edges are always in range; mode="raise" would buffer out
+            jump_base.take(kedge, out=base, mode="wrap")
+        if k == 1:
+            return kedges
+        edges = np.empty(levels.shape, dtype=np.intp)
+        np.floor_divide(kedges, n_levels ** (k - 1), out=edges[::k])
+        for j in range(1, k):
+            np.add(self.next_base[edges[j - 1::k]], levels[j::k], out=edges[j::k])
+        return edges[:steps]
+
+    def walk(self, generators, start, step_mse, step_aoi, run_mse, run_aoi):
         """Advance every run of a chunk under every policy together from model state start.
 
-        All policies read the same row of uniforms per run. Per step:
-        accrue the cost and age of the current state, then move along the
-        edge the step's uniform selects. Writes each policy's per-step sums
-        over runs into its row of step_mse/step_aoi (n_policies x horizon)
-        and its per-run horizon averages into its row of run_mse/run_aoi
-        (n_policies x runs), and returns each policy's number of steps at
-        which q saturated at q_max. States are recorded in blocks of
-        TIME_BLOCK // n_policies steps, so a block holds as many elements
-        as a one-policy block, and reduced per block; float sums run over
-        a policy's runs in order and over time in order, exactly as a
-        per-run scalar loop adds them, whatever the block length.
+        Run i draws its uniforms from generators[i], and all policies read
+        the same uniforms per run. Per step: accrue the cost and age of
+        the current state, then move along the edge the step's uniform
+        selects. Writes each policy's per-step sums over runs into its row
+        of step_mse/step_aoi (n_policies x horizon) and its per-run horizon
+        averages into its row of run_mse/run_aoi (n_policies x runs), and
+        returns each policy's number of steps at which q saturated at
+        q_max.
+
+        The uniforms are drawn window by window (window_steps) into one
+        reused buffer, each window is walked block by block (block_steps),
+        k = jump_steps steps per numpy call (_block_edges), and each
+        block's edges are reduced. Windows and blocks hold whole groups of
+        k steps, so only the horizon's last group can be partial. Float
+        sums run over a policy's runs in order and over time in order,
+        exactly as a per-run scalar loop adds them, whatever k and the
+        block and window lengths.
         """
-        n_runs, horizon = uniforms.shape
+        n_runs, horizon = len(generators), step_mse.shape[1]
         n_policies = self.n_policies
-        n_levels = len(self.g_values) + 1
-        block = max(1, TIME_BLOCK // n_policies)
+        block, window = self.block_steps(n_runs), self.window_steps(n_runs)
+        uniforms = np.empty((n_runs, min(window, horizon)))
         # run i of policy p sits at p * n_runs + i
-        base = np.repeat((np.arange(n_policies) * self.n_states + start) * n_levels, n_runs)
+        base = np.repeat((np.arange(n_policies) * self.n_states + start)
+                         * self.n_levels ** self.jump_steps, n_runs)
         total_cost = np.zeros(n_policies * n_runs)
         total_age = np.zeros(n_policies * n_runs, dtype=np.int64)
         saturated = np.zeros(n_policies, dtype=np.int64)
-        for k0 in range(0, horizon, block):
-            k1 = min(k0 + block, horizon)
-            levels = self.levels(uniforms[:, k0:k1].T)
-            if n_policies > 1:
-                levels = np.tile(levels, n_policies)
-            edges = np.empty((k1 - k0, n_policies * n_runs), dtype=np.intp)
-            for level, edge in zip(levels, edges):
-                np.add(base, level, out=edge)
-                # edges are always in range; mode="raise" would buffer out
-                self.next_base.take(edge, out=base, mode="wrap")
-            by_policy = (k1 - k0, n_policies, n_runs)
-            cost = self.cost[edges]
-            # accumulate is sequential; sum() would pair terms up on some shapes
-            step_mse[:, k0:k1] = np.add.accumulate(cost.reshape(by_policy), axis=2)[..., -1].T
-            cost[0] += total_cost
-            total_cost = np.add.accumulate(cost, axis=0)[-1]
-            age = self.age[edges]
-            step_aoi[:, k0:k1] = age.reshape(by_policy).sum(axis=2).T
-            total_age += age.sum(axis=0)
-            saturated += np.count_nonzero(self.saturated[edges].reshape(by_policy), axis=(0, 2))
+        for w0 in range(0, horizon, window):
+            drawn = uniforms[:, :min(window, horizon - w0)]
+            for row, generator in zip(drawn, generators):
+                generator.random(out=row)
+            for b0 in range(0, drawn.shape[1], block):
+                edges = self._block_edges(self.levels(drawn[:, b0:b0 + block].T), base)
+                k0, k1 = w0 + b0, w0 + b0 + len(edges)
+                by_policy = (k1 - k0, n_policies, n_runs)
+                cost = self.cost[edges]
+                # accumulate is sequential; sum() would pair terms up on some shapes
+                step_mse[:, k0:k1] = np.add.accumulate(cost.reshape(by_policy), axis=2)[..., -1].T
+                cost[0] += total_cost
+                total_cost = np.add.accumulate(cost, axis=0)[-1]
+                age = self.age[edges]
+                step_aoi[:, k0:k1] = age.reshape(by_policy).sum(axis=2).T
+                total_age += age.sum(axis=0)
+                saturated += np.count_nonzero(self.saturated[edges].reshape(by_policy), axis=(0, 2))
         run_mse[:] = (total_cost / horizon).reshape(n_policies, n_runs)
         run_aoi[:] = (total_age / horizon).reshape(n_policies, n_runs)
         return saturated
@@ -227,14 +309,6 @@ def _warn_saturation(reports, q_max: int):
                 RuntimeWarning,
                 stacklevel=3,
             )
-
-
-def _uniforms(children, horizon: int) -> np.ndarray:
-    """One row of horizon uniforms per run, each from the run's own Philox stream."""
-    out = np.empty((len(children), horizon))
-    for row, child in zip(out, children):
-        row[:] = np.random.Generator(np.random.Philox(child)).random(horizon)
-    return out
 
 
 def _chunk_streams(seed: int, runs: int, parts: int):
@@ -275,8 +349,9 @@ def _chain_reports(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalma
     saturation = np.zeros(n_policies, dtype=np.int64)
     for start in range(0, runs, CHUNK_RUNS):
         stop = min(start + CHUNK_RUNS, runs)
-        # the chunk's uniforms are a temporary, freed before the next chunk draws
-        saturation += tables.walk(_uniforms(children[start:stop], horizon), initial_state,
+        # one Philox stream per run; the walk draws from it window by window
+        generators = [np.random.Generator(np.random.Philox(child)) for child in children[start:stop]]
+        saturation += tables.walk(generators, initial_state,
                                   part_mse, part_aoi, run_mse[:, start:stop], run_aoi[:, start:stop])
         step_mse += part_mse  # per-chunk sums, added in chunk order
         step_aoi += part_aoi
@@ -382,8 +457,7 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     hist = np.zeros((runs, depth, n))  # ring buffer of sensor estimates
     xs = np.zeros((runs, n))
     hist[:, 0] = xs
-    n_levels = len(tables.g_values) + 1
-    base = np.full(runs, initial_state * n_levels, dtype=np.intp)
+    base = np.full(runs, initial_state * tables.n_levels, dtype=np.intp)
 
     step_emp = np.zeros(horizon)
     step_ana = np.zeros(horizon)

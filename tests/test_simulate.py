@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -22,8 +23,9 @@ from remest import (
 )
 from remest.simulate import (
     CHUNK_RUNS,
-    TIME_BLOCK,
+    JUMP_ENTRIES,
     _ChainTables,
+    _policy_chains,
     _psd_factor,
     write_report_csv,
     write_report_json,
@@ -173,6 +175,18 @@ def _short_table(system):
     return riccati_steady_state(system, q_max=2)
 
 
+def _tables(stack, model, sk):
+    """The chain walk's tables for a stack of grids, which fix its k, block and window lengths."""
+    return _policy_chains(stack, model, sk, 0)[0]
+
+
+def _table_channel_case(sk):
+    """psi on the table channel, whose five levels give k = 3, over two blocks and a padded group."""
+    model = HarqModel.from_table([0.2, 0.1, 0.05, 0.025])
+    horizon = 2 * _tables([psi_policy(Q_MAX)], model, sk).block_steps(5) + 1
+    return psi_policy(Q_MAX), model, sk, SimConfig(horizon=horizon, runs=5, seed=43)
+
+
 # name -> (policy, channel, cost table, config) built from the session fixtures
 EXACT_CASES = {
     "baseline": lambda system, sk, channel: (
@@ -181,8 +195,11 @@ EXACT_CASES = {
         psi_policy(Q_MAX), channel, sk, SimConfig(horizon=40, runs=300, seed=11)),
     "single_run": lambda system, sk, channel: (
         arq_baseline_policy(Q_MAX), channel, sk, SimConfig(horizon=90, runs=1, seed=12)),
+    # crosses two block boundaries and ends mid-block, in a padded group of k = 2 steps
     "partial_time_block": lambda system, sk, channel: (
-        psi_policy(Q_MAX), channel, sk, SimConfig(horizon=2 * TIME_BLOCK + 1, runs=9, seed=13)),
+        psi_policy(Q_MAX), channel, sk,
+        SimConfig(horizon=2 * _tables([psi_policy(Q_MAX)], channel, sk).block_steps(9) + 1,
+                  runs=9, seed=13)),
     "initial_q": lambda system, sk, channel: (
         psi_policy(Q_MAX), channel, sk, SimConfig(horizon=70, runs=11, seed=14, initial_q=6)),
     # r passes the table's r_cap = 3 at four steps of this seed
@@ -192,6 +209,20 @@ EXACT_CASES = {
     "q_at_q_max": lambda system, sk, channel: (
         psi_policy(2), HarqModel(0.1, 1.0, r_cap=2), _short_table(system),
         SimConfig(horizon=150, runs=10, seed=16)),
+    # ARQ's two levels give k = 9: past one block, and not a whole number of 9-step groups
+    "arq_past_block": lambda system, sk, channel: (
+        arq_baseline_policy(Q_MAX), channel, sk,
+        SimConfig(horizon=_tables([arq_baseline_policy(Q_MAX)], channel, sk).block_steps(3) + 13,
+                  runs=3, seed=41)),
+    # one group of 9 steps, 8 of them padding
+    "horizon_1": lambda system, sk, channel: (
+        arq_baseline_policy(Q_MAX), channel, sk, SimConfig(horizon=1, runs=4, seed=42)),
+    "table_channel": lambda system, sk, channel: _table_channel_case(sk),
+    # a full chunk whose second window of uniforms starts mid-run
+    "window_boundary": lambda system, sk, channel: (
+        arq_baseline_policy(Q_MAX), channel, sk,
+        SimConfig(horizon=_tables([arq_baseline_policy(Q_MAX)], channel, sk).window_steps(CHUNK_RUNS)
+                  + 100, runs=CHUNK_RUNS, seed=44)),
 }
 
 
@@ -228,9 +259,10 @@ STACK_CASES = {
         *_table_stack(sk), sk, SimConfig(horizon=400, runs=9, seed=21)),
     "runs_past_chunk": lambda system, sk: (
         *_table_stack(sk), sk, SimConfig(horizon=40, runs=300, seed=11)),
-    # the stacked block is TIME_BLOCK // 3 steps long, and this horizon ends mid-block
+    # crosses two block boundaries and ends mid-block, in a padded group of k = 3 steps
     "partial_time_block": lambda system, sk: (
-        *_table_stack(sk), sk, SimConfig(horizon=2 * TIME_BLOCK + 1, runs=9, seed=13)),
+        *_table_stack(sk), sk,
+        SimConfig(horizon=2 * _tables(*_table_stack(sk), sk).block_steps(9) + 1, runs=9, seed=13)),
     "initial_q": lambda system, sk: (
         *_table_stack(sk), sk, SimConfig(horizon=70, runs=11, seed=14, initial_q=6)),
     "q_at_q_max": lambda system, sk: (
@@ -294,29 +326,63 @@ class TestChainSim:
             assert np.array_equal(getattr(few, name), getattr(more, name)[:200]), name
 
     def test_edge_probabilities(self, sk):
-        rng = np.random.default_rng(0)
         runs, horizon, q_max = 9, 64, 6
         mdp = build_mdp(sk, HarqModel(0.6, 0.7, r_cap=q_max), q_max)
         actions = np.zeros((1, mdp.n_states), dtype=np.intp)
         start = mdp.index[(0, 0)]
-        uniforms = rng.random((runs, horizon))
         step_mse = np.zeros((1, horizon))
         step_aoi = np.zeros((1, horizon))
         run_mse = np.zeros((1, runs))
         run_aoi = np.zeros((1, runs))
+
+        def draws():  # fresh per-run streams for each walk
+            return [np.random.default_rng([0, i]) for i in range(runs)]
+
         # g = 0 everywhere: every transmission lands, q tracks r
         never = replace(mdp, fail_prob=np.zeros_like(mdp.fail_prob))
-        sat = _ChainTables.build(never, actions).walk(uniforms, start, step_mse, step_aoi,
+        sat = _ChainTables.build(never, actions).walk(draws(), start, step_mse, step_aoi,
                                                       run_mse, run_aoi)
         assert sat.tolist() == [0]
         np.testing.assert_allclose(run_mse[0], sk.cost_table[0], rtol=1e-12)
         # g = 1 everywhere: every transmission fails, q climbs and saturates at q_max
         always = replace(mdp, fail_prob=np.ones_like(mdp.fail_prob))
-        sat = _ChainTables.build(always, actions).walk(uniforms, start, step_mse, step_aoi,
+        sat = _ChainTables.build(always, actions).walk(draws(), start, step_mse, step_aoi,
                                                        run_mse, run_aoi)
         assert sat.tolist() == [runs * (horizon - q_max)]
         expected_first = [sk.cost_table[min(k, q_max)] for k in range(horizon)]
         np.testing.assert_allclose(step_mse[0] / runs, expected_first)
+
+    def test_jump_table_composes_next_base(self, system):
+        # jump_base[s * L**k + c] is k next_base steps from s along the base-L digits of c
+        q_max = 3
+        stack, model = _table_stack(riccati_steady_state(system, q_max=q_max), q_max)
+        mdp = build_mdp(None, model, q_max, "delay")
+        tables = _ChainTables.build(mdp, np.stack([g.actions[tuple(np.array(mdp.states).T)]
+                                                   for g in stack]))
+        k, n_levels = tables.jump_steps, tables.n_levels
+        n_states = tables.n_policies * tables.n_states
+        assert k > 1
+        assert n_states * n_levels ** k == len(tables.jump_base) <= JUMP_ENTRIES
+        assert len(tables.jump_base) * n_levels > JUMP_ENTRIES  # k is the largest that fits
+        combos = np.arange(n_levels ** k)
+        for state in range(n_states):
+            base = np.full(len(combos), state * n_levels)
+            for j in range(k):
+                base = tables.next_base[base + combos // n_levels ** (k - 1 - j) % n_levels]
+            assert np.array_equal(tables.jump_base[state * n_levels ** k + combos],
+                                  base * n_levels ** (k - 1)), state
+
+    def test_uniforms_drawn_in_windows(self, sk, channel):
+        # the chunk's uniforms would take runs * horizon * 8 bytes if drawn at once
+        runs, horizon = CHUNK_RUNS, 30_000
+        cfg = SimConfig(horizon=horizon, runs=runs, seed=7)
+        tracemalloc.start()
+        try:
+            simulate_chain(psi_policy(Q_MAX), channel, sk, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < runs * horizon * 8 / 4
 
     @pytest.mark.parametrize("make_policy", [arq_baseline_policy, psi_policy], ids=["arq", "psi"])
     def test_agrees_with_exact_when_q_saturates(self, system, make_policy):
