@@ -14,10 +14,11 @@ stream, and the trajectory mode gives every CHUNK_RUNS-run chunk one
 stream (_chunk_streams). The chain mode walks all runs of a fixed-size
 chunk under every requested policy together in numpy: the policies'
 chains are stacked into one edge table and read the same uniforms, drawn
-once. A jump table composed from that edge table moves every run k steps
-per numpy call, with k as large as a table of JUMP_ENTRIES entries
-allows, and each step's own edge is then rebuilt over a block of
-TIME_BLOCK * CHUNK_RUNS elements at once. The uniforms are drawn in
+once. A walk of at most JUMP_LANES runs across its policies moves k
+steps per numpy call along a jump table composed from that edge table,
+with k as large as a table of JUMP_ENTRIES entries allows; a wider walk
+moves one step per call. Each step's own edge is then rebuilt over a
+block of BLOCK_ELEMENTS elements at once. The uniforms are drawn in
 windows of at most WINDOW per chunk, so memory does not grow with the
 horizon. The walk sums in the order of a per-run scalar loop, so each
 policy's report reproduces such a loop bit for bit.
@@ -40,8 +41,9 @@ from .mdp import TruncatedMdp, _state_rq, build_mdp
 from .policies import PolicyGrid
 
 CHUNK_RUNS = 128  # runs walked together; chunk sums are added in chunk order
-TIME_BLOCK = 64  # a chain-walk block holds TIME_BLOCK * CHUNK_RUNS elements (steps x policies x runs)
+BLOCK_ELEMENTS = 2 ** 13  # steps x policies x runs per chain-walk block
 JUMP_ENTRIES = 2 ** 17  # most entries of a chain-walk jump table (1 MB of intp)
+JUMP_LANES = 64  # widest chain walk (policies x runs) that jumps; a full chunk gains nothing
 WINDOW = 2 ** 17  # most uniforms a chunk of the chain walk holds at once (1 MB)
 STATE_CAP = 1e14  # trajectory-mode bound on any state magnitude, well inside float64
 
@@ -123,9 +125,10 @@ class _ChainTables:
     it. An edge e = state * n_levels + level fixes the whole step:
     next_base[e] is the next stacked state times n_levels, and cost[e],
     age[e] (q + 1) and saturated[e] (a failure at q = q_max) are what the
-    step accrues. The chain walk also reads jump_base, the same map over
-    jump_steps steps at once; it is built on the walk's first use, so the
-    trajectory mode, which steps one at a time, never builds it.
+    step accrues. A narrow chain walk also reads jump_base, the same map
+    over jump_steps steps at once; it is built on such a walk's first use,
+    so the trajectory mode, which steps one at a time, and wide walks never
+    build it.
     """
 
     n_policies: int
@@ -188,28 +191,38 @@ class _ChainTables:
             after = self.next_base[after[..., None] + np.arange(n_levels)].reshape(len(after), -1)
         return after.ravel() * n_levels ** (k - 1)
 
+    def walk_steps(self, n_runs: int) -> int:
+        """Steps per numpy call of a walk of n_runs runs: jump_steps up to JUMP_LANES lanes, else 1.
+
+        Per-call overhead bounds a narrow walk, so jumping pays there; on a
+        full chunk the extra passes that rebuild each step's edge cost as
+        much as the calls they save.
+        """
+        return self.jump_steps if self.n_policies * n_runs <= JUMP_LANES else 1
+
     def block_steps(self, n_runs: int) -> int:
-        """Steps per block of a walk of n_runs runs: TIME_BLOCK * CHUNK_RUNS elements, a multiple of k."""
-        k = self.jump_steps
-        return max(1, TIME_BLOCK * CHUNK_RUNS // (self.n_policies * n_runs) // k) * k
+        """Steps per block of a walk of n_runs runs: BLOCK_ELEMENTS elements, a multiple of walk_steps."""
+        k = self.walk_steps(n_runs)
+        return max(1, BLOCK_ELEMENTS // (self.n_policies * n_runs) // k) * k
 
     def window_steps(self, n_runs: int) -> int:
         """Steps per window of drawn uniforms: as many whole blocks as WINDOW uniforms hold."""
         block = self.block_steps(n_runs)
         return max(1, WINDOW // (n_runs * block)) * block
 
-    def _block_edges(self, levels, base):
+    def _block_edges(self, levels, base, k):
         """Each step's edge over a block of levels (steps x runs), moving base on past the block.
 
         base holds every policy's runs' states times n_levels**k. The runs
-        move k steps per numpy call along jump_base, on k-step edges whose
-        digits are the levels of k steps; each step's edge is then rebuilt
-        for the whole block, the first of a group from its k-step edge and
-        the next from next_base. A last partial group is padded with level
-        0; its padded steps are dropped from the edges, but base moves past
-        them.
+        move k steps per numpy call along jump_base (next_base if k = 1),
+        on k-step edges whose digits are the levels of k steps; each step's
+        edge is then rebuilt for the whole block, the first of a group from
+        its k-step edge and the next from next_base. A last partial group
+        is padded with level 0; its padded steps are dropped from the
+        edges, but base moves past them.
         """
-        n_levels, k, jump_base, steps = self.n_levels, self.jump_steps, self.jump_base, len(levels)
+        n_levels, steps = self.n_levels, len(levels)
+        jump_base = self.jump_base if k > 1 else self.next_base
         if steps % k:
             levels = np.concatenate([levels, np.zeros((-steps % k, levels.shape[1]), levels.dtype)])
         if self.n_policies > 1:
@@ -244,7 +257,7 @@ class _ChainTables:
 
         The uniforms are drawn window by window (window_steps) into one
         reused buffer, each window is walked block by block (block_steps),
-        k = jump_steps steps per numpy call (_block_edges), and each
+        k = walk_steps steps per numpy call (_block_edges), and each
         block's edges are reduced. Windows and blocks hold whole groups of
         k steps, so only the horizon's last group can be partial. Float
         sums run over a policy's runs in order and over time in order,
@@ -253,11 +266,10 @@ class _ChainTables:
         """
         n_runs, horizon = len(generators), step_mse.shape[1]
         n_policies = self.n_policies
-        block, window = self.block_steps(n_runs), self.window_steps(n_runs)
+        k, block, window = self.walk_steps(n_runs), self.block_steps(n_runs), self.window_steps(n_runs)
         uniforms = np.empty((n_runs, min(window, horizon)))
         # run i of policy p sits at p * n_runs + i
-        base = np.repeat((np.arange(n_policies) * self.n_states + start)
-                         * self.n_levels ** self.jump_steps, n_runs)
+        base = np.repeat((np.arange(n_policies) * self.n_states + start) * self.n_levels ** k, n_runs)
         total_cost = np.zeros(n_policies * n_runs)
         total_age = np.zeros(n_policies * n_runs, dtype=np.int64)
         saturated = np.zeros(n_policies, dtype=np.int64)
@@ -266,7 +278,7 @@ class _ChainTables:
             for row, generator in zip(drawn, generators):
                 generator.random(out=row)
             for b0 in range(0, drawn.shape[1], block):
-                edges = self._block_edges(self.levels(drawn[:, b0:b0 + block].T), base)
+                edges = self._block_edges(self.levels(drawn[:, b0:b0 + block].T), base, k)
                 k0, k1 = w0 + b0, w0 + b0 + len(edges)
                 by_policy = (k1 - k0, n_policies, n_runs)
                 cost = self.cost[edges]

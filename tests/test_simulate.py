@@ -14,6 +14,7 @@ from remest import (
     arq_baseline_policy,
     build_mdp,
     evaluate_policy,
+    myopic_policy,
     psi_policy,
     riccati_steady_state,
     simulate_chain,
@@ -24,6 +25,7 @@ from remest import (
 from remest.simulate import (
     CHUNK_RUNS,
     JUMP_ENTRIES,
+    JUMP_LANES,
     _ChainTables,
     _policy_chains,
     _psd_factor,
@@ -218,11 +220,16 @@ EXACT_CASES = {
     "horizon_1": lambda system, sk, channel: (
         arq_baseline_policy(Q_MAX), channel, sk, SimConfig(horizon=1, runs=4, seed=42)),
     "table_channel": lambda system, sk, channel: _table_channel_case(sk),
-    # a full chunk whose second window of uniforms starts mid-run
+    # a full chunk, which steps singly, whose second window of uniforms starts mid-run
     "window_boundary": lambda system, sk, channel: (
         arq_baseline_policy(Q_MAX), channel, sk,
         SimConfig(horizon=_tables([arq_baseline_policy(Q_MAX)], channel, sk).window_steps(CHUNK_RUNS)
                   + 100, runs=CHUNK_RUNS, seed=44)),
+    # the widest walk that jumps (k = 9), whose second window starts mid-run
+    "window_boundary_jump": lambda system, sk, channel: (
+        arq_baseline_policy(Q_MAX), channel, sk,
+        SimConfig(horizon=_tables([arq_baseline_policy(Q_MAX)], channel, sk).window_steps(JUMP_LANES)
+                  + 100, runs=JUMP_LANES, seed=45)),
 }
 
 
@@ -253,21 +260,32 @@ def _table_stack(sk, q_max=Q_MAX, model=None):
     return [arq_baseline_policy(q_max), psi_policy(q_max), optimal], model
 
 
+def _compare_zoo(sk, channel):
+    """The five policies `remest compare` stacks, in its order; their 1155 states keep k = 1."""
+    optimal, delay = (solve(build_mdp(sk, channel, Q_MAX, cost)).policy.relabeled(label)
+                      for cost, label in (("mse", "optimal"), ("delay", "delay")))
+    return [optimal, myopic_policy(sk, channel, Q_MAX), delay,
+            arq_baseline_policy(Q_MAX), psi_policy(Q_MAX)], channel
+
+
 # name -> (stack, channel, cost table, config), the EXACT_CASES shapes walked as one stack
 STACK_CASES = {
-    "table_channel": lambda system, sk: (
+    "table_channel": lambda system, sk, channel: (
         *_table_stack(sk), sk, SimConfig(horizon=400, runs=9, seed=21)),
-    "runs_past_chunk": lambda system, sk: (
+    "runs_past_chunk": lambda system, sk, channel: (
         *_table_stack(sk), sk, SimConfig(horizon=40, runs=300, seed=11)),
     # crosses two block boundaries and ends mid-block, in a padded group of k = 3 steps
-    "partial_time_block": lambda system, sk: (
+    "partial_time_block": lambda system, sk, channel: (
         *_table_stack(sk), sk,
         SimConfig(horizon=2 * _tables(*_table_stack(sk), sk).block_steps(9) + 1, runs=9, seed=13)),
-    "initial_q": lambda system, sk: (
+    "initial_q": lambda system, sk, channel: (
         *_table_stack(sk), sk, SimConfig(horizon=70, runs=11, seed=14, initial_q=6)),
-    "q_at_q_max": lambda system, sk: (
+    "q_at_q_max": lambda system, sk, channel: (
         *_table_stack(_short_table(system), 2, HarqModel(0.1, 1.0, r_cap=2)), _short_table(system),
         SimConfig(horizon=150, runs=10, seed=16)),
+    # compare's walk: one step per call in 12-step blocks, past a chunk, ending mid-block
+    "compare_zoo": lambda system, sk, channel: (
+        *_compare_zoo(sk, channel), sk, SimConfig(horizon=30, runs=CHUNK_RUNS + 2, seed=17)),
 }
 
 
@@ -372,6 +390,21 @@ class TestChainSim:
             assert np.array_equal(tables.jump_base[state * n_levels ** k + combos],
                                   base * n_levels ** (k - 1)), state
 
+    def test_walk_sizes(self, sk, channel):
+        # pinned here because the block and window cases above read their horizons from these
+        psi, arq = (_tables([grid(Q_MAX)], channel, sk) for grid in (psi_policy, arq_baseline_policy))
+        table = _tables([psi_policy(Q_MAX)], HarqModel.from_table([0.2, 0.1, 0.05, 0.025]), sk)
+        zoo = _tables(*_compare_zoo(sk, channel), sk)
+        assert (psi.jump_steps, arq.jump_steps, table.jump_steps, zoo.jump_steps) == (2, 9, 3, 1)
+        # k steps per call up to JUMP_LANES lanes, one step on a full chunk
+        assert [arq.walk_steps(runs) for runs in (3, JUMP_LANES, JUMP_LANES + 1, CHUNK_RUNS)] == [9, 9, 1, 1]
+        assert psi.block_steps(9) == 910 and psi.block_steps(32) == 256 and table.block_steps(5) == 1638
+        assert arq.block_steps(3) == 2727 and arq.window_steps(JUMP_LANES) == 2016
+        # full chunks keep 64-step blocks for one policy and 12-step blocks for the zoo
+        assert arq.block_steps(CHUNK_RUNS) == psi.block_steps(CHUNK_RUNS) == 64
+        assert arq.window_steps(CHUNK_RUNS) == 1024
+        assert zoo.walk_steps(CHUNK_RUNS) == zoo.walk_steps(1) == 1 and zoo.block_steps(CHUNK_RUNS) == 12
+
     def test_uniforms_drawn_in_windows(self, sk, channel):
         # the chunk's uniforms would take runs * horizon * 8 bytes if drawn at once
         runs, horizon = CHUNK_RUNS, 30_000
@@ -462,8 +495,8 @@ class TestChainSim:
 
 class TestStackedChains:
     @pytest.mark.parametrize("case", list(STACK_CASES))
-    def test_every_policy_matches_reference_simulator_exactly(self, case, system, sk):
-        stack, model, table, cfg = STACK_CASES[case](system, sk)
+    def test_every_policy_matches_reference_simulator_exactly(self, case, system, sk, channel):
+        stack, model, table, cfg = STACK_CASES[case](system, sk, channel)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             reports = simulate_chains(stack, model, table, cfg)
