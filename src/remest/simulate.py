@@ -1,11 +1,13 @@
 """Monte-Carlo evaluation of decision policies.
 
-Two modes: the analytic chain mode walks the (r, q) state only and accrues
-the exact per-step MSE from the staleness cost table; the trajectory mode
-also draws the physical process, runs the sensor filter at its steady
-state, applies the receiver's prediction estimator, and reports the
-empirical squared error next to the analytic value for the same realized
-staleness. Both walk the chain of the truncated decision model
+Two modes: the analytic chain mode walks the (r, q) state only and
+accrues the exact per-step MSE from the staleness cost table; the
+trajectory mode also draws the process and measurement noise, runs the
+sensor filter at its steady state and the receiver's prediction
+estimator, and reports the empirical squared error next to the analytic
+value for the same realized staleness. It steps the estimation errors,
+never the state, so an expansive process loses no precision at any
+horizon. Both walk the chain of the truncated decision model
 (build_mdp), so r and q saturate at the grid's q_max exactly as in the
 exact evaluation. Both draw from counter-based Philox streams split from
 the master seed, so results are reproducible, and a run's draws never
@@ -38,14 +40,13 @@ import numpy as np
 from .harq import HarqModel
 from .lti import LtiSystem, SteadyKalman
 from .mdp import TruncatedMdp, _state_rq, build_mdp
-from .policies import PolicyGrid
+from .policies import PolicyGrid, enumerate_states
 
 CHUNK_RUNS = 128  # runs walked together; chunk sums are added in chunk order
 BLOCK_ELEMENTS = 2 ** 13  # steps x policies x runs per chain-walk block
 JUMP_ENTRIES = 2 ** 17  # most entries of a chain-walk jump table (1 MB of intp)
 JUMP_LANES = 64  # widest chain walk (policies x runs) that jumps; a full chunk gains nothing
 WINDOW = 2 ** 17  # most uniforms a chunk of the chain walk holds at once (1 MB)
-STATE_CAP = 1e14  # trajectory-mode bound on any state magnitude, well inside float64
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,7 @@ class _ChainTables:
     age[e] (q + 1) and saturated[e] (a failure at q = q_max) are what the
     step accrues. A narrow chain walk also reads jump_base, the same map
     over jump_steps steps at once; it is built on such a walk's first use,
-    so the trajectory mode, which steps one at a time, and wide walks never
-    build it.
+    so wide walks never build it.
     """
 
     n_policies: int
@@ -329,18 +329,19 @@ def _chunk_streams(seed: int, runs: int, parts: int):
     Chunk c holds runs c * CHUNK_RUNS up to CHUNK_RUNS more, and its
     stream is keyed by the c-th child of SeedSequence(seed), whatever runs
     is. The stream's counter space is cut into parts segments, segment j
-    starting at counter j * 2**128 (Philox.jumped(j)). The caller fills one
-    array per segment, run by run in run order, so run i's draws are rows
+    starting at counter j * 2**128 (the draws of Philox(child).jumped(j),
+    built directly from the child's key). The caller fills one array per
+    segment, run by run in run order, so run i's draws are rows
     i % CHUNK_RUNS of its chunk's arrays and depend only on the seed, i and
     the row shapes, never on runs. Yields (start, stop, generators), one
     generator per segment.
     """
     children = np.random.SeedSequence(seed).spawn(-(-runs // CHUNK_RUNS))
     for c, child in enumerate(children):
-        stream = np.random.Philox(child)
+        key = child.generate_state(2, np.uint64)
         start = c * CHUNK_RUNS
         yield (start, min(start + CHUNK_RUNS, runs),
-               [np.random.Generator(stream.jumped(j)) for j in range(parts)])
+               [np.random.Generator(np.random.Philox(key=key, counter=j << 128)) for j in range(parts)])
 
 
 def _chain_reports(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalman,
@@ -425,52 +426,67 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     """Trajectory-mode Monte Carlo: draw the physical process and compare
     empirical receiver error against the analytic staleness cost.
 
-    Per run: x0 ~ N(0, p_bar0) with the sensor estimate starting at zero
-    (so the sensor error starts in steady state), process/measurement
-    noise drawn each step, the sensor running the converged-gain filter,
-    and the receiver predicting from the newest delivered estimate, which
-    is q+1 steps old. The (r, q) chain is the decision model's, walked
-    exactly as simulate_chain walks it.
+    Per run: the sensor error starts at x0 ~ N(0, p_bar0) (the sensor
+    estimate starts at zero, so in steady state), process and measurement
+    noise are drawn each step, the sensor runs the converged-gain filter,
+    and the receiver predicts from the newest delivered estimate, which is
+    q+1 steps old. The (r, q) chain is the decision model's, and its edges
+    come from the chain walk's own _block_edges.
 
-    With an expansive process the raw state grows geometrically, so long
-    horizons overflow float64 (and lose precision well before); the run
-    aborts with ValueError naming the step once any state magnitude
-    exceeds STATE_CAP. Keep horizon * log(rho(A)) comfortably under
-    log(STATE_CAP).
+    The simulation runs in error coordinates, so it never forms the state,
+    which an expansive process grows without bound, and any horizon keeps
+    full precision. Write E(k, a) = x_k - A^a xs_(k-a) for the error at
+    step k of the sensor estimate generated a steps earlier, predicted
+    forward. The receiver's error is E(k, q+1) and the in-flight packet's
+    E(k, r+1), so at q = r the receiver's error is the packet's. With es
+    the sensor error and w_k the process noise, E(k, 1) = A es_(k-1) + w_k,
+    and an error whose age grew by one is A E(k-1, a-1) + w_k. At the
+    saturated age q_max + 1 the chain can hold r or q, so the age need not
+    have grown; that error is formed afresh as A^(q_max+1) es_(k-q_max-1)
+    plus the noise since, from a ring of the last q_max + 1 sensor errors,
+    at q_max + 1 products for each run at that age. (A recursion for it,
+    with A as its homogeneous part, would grow its own rounding like the
+    state and lose all precision within 60 steps of an expansive process.)
+    Every per-run quantity is stored component-major, (n, runs).
     """
     if cfg.mode != "trajectory":
         raise ValueError("simulate_trajectory requires mode='trajectory'")
     if cfg.initial_q != 0:
         raise ValueError("trajectory mode starts from a just-delivered estimate (initial_q=0)")
-    horizon, runs = cfg.horizon, cfg.runs
-    n, m_dim = sys.n, sys.m
+    horizon, runs, n = cfg.horizon, cfg.runs, sys.n
     tables, initial_state = _policy_chains([policy], m, sk, cfg.initial_q)
+    oldest = policy.q_max + 1  # the saturated age
 
-    z0 = np.empty((runs, n))
-    zw = np.empty((runs, horizon, n))
-    zv = np.empty((runs, horizon, m_dim))
-    uniforms = np.empty((runs, horizon))
+    a = sys.A
+    l0, lq, lr = (_psd_factor(cov) for cov in (sk.p_bar0, sys.Q, sys.R))
+    # es_k = (I - KC) E(k, 1) - K v_k, one product with E(k, 1) stacked on zv_k
+    filter_step = np.hstack([np.eye(n) - sk.gain @ sys.C, -sk.gain @ lr])
+    # the draws, component-major: step k's standard normals are zw[k - 1] and zv[k - 1]
+    es_ring = np.empty((oldest, n, runs))  # sensor error es_j in slot j % oldest; es_0 = x_0
+    zw = np.empty((horizon, n, runs))
+    zv = np.empty((horizon, sys.m, runs))
+    uniforms = np.empty((horizon, runs))
     for start, stop, (g0, gw, gv, gu) in _chunk_streams(cfg.seed, runs, 4):
-        g0.standard_normal(out=z0[start:stop])
-        gw.standard_normal(out=zw[start:stop])
-        gv.standard_normal(out=zv[start:stop])
-        gu.random(out=uniforms[start:stop])
+        rows = stop - start
+        es_ring[0, :, start:stop] = l0 @ g0.standard_normal((rows, n)).T
+        zw[..., start:stop] = gw.standard_normal((rows, horizon, n)).transpose(1, 2, 0)
+        zv[..., start:stop] = gv.standard_normal((rows, horizon, sys.m)).transpose(1, 2, 0)
+        uniforms[:, start:stop] = gu.random((rows, horizon)).T
 
-    l0 = _psd_factor(sk.p_bar0)
-    lq = _psd_factor(sys.Q)
-    lr = _psd_factor(sys.R)
-    depth = policy.q_max + 2  # ages run from 1 to q_max + 1
-    a_pows = np.empty((depth, n, n))
-    a_pows[0] = np.eye(n)
-    for p in range(1, depth):
-        a_pows[p] = sys.A @ a_pows[p - 1]
+    # what the state of each edge tells the errors: r = 0 restarts the packet's
+    # error, q = r hands it to the receiver, and q_max saturates either age (r <= q)
+    r, q = np.array(enumerate_states(policy.q_max)).T
+    restarts, delivered, r_oldest, q_oldest = (
+        np.repeat(flags, tables.n_levels)
+        for flags in (r == 0, q == r, r == policy.q_max, q == policy.q_max))
 
-    x = z0 @ l0.T               # true state; sensor estimate starts at 0
-    hist = np.zeros((runs, depth, n))  # ring buffer of sensor estimates
-    xs = np.zeros((runs, n))
-    hist[:, 0] = xs
-    base = np.full(runs, initial_state * tables.n_levels, dtype=np.intp)
-
+    noise = np.empty((n, runs))  # w_k
+    filter_in = np.empty((n + sys.m, runs))
+    fresh = filter_in[:n]  # E(k, 1)
+    packet = np.zeros((n, runs))  # both become E(1, 1) at step 1: the start state has r = q = 0
+    error = np.zeros((n, runs))  # the receiver's
+    aged = np.empty((n, runs))
+    sq = np.empty(runs)
     step_emp = np.zeros(horizon)
     step_ana = np.zeros(horizon)
     step_aoi = np.zeros(horizon)
@@ -479,41 +495,44 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     run_aoi = np.zeros(runs)
     err_cov = np.zeros((n, n))
     saturation = 0
-    run_idx = np.arange(runs)
 
-    for k in range(1, horizon + 1):
-        w = zw[:, k - 1] @ lq.T
-        x = x @ sys.A.T + w
-        if float(np.abs(x).max()) > STATE_CAP:
-            raise ValueError(
-                f"state magnitude exceeded {STATE_CAP:g} at step {k}; "
-                f"shorten the horizon (sim.K in a config) to under {k} steps"
-            )
-        v = zv[:, k - 1] @ lr.T
-        y = x @ sys.C.T + v
-        pred = xs @ sys.A.T
-        xs = pred + (y - pred @ sys.C.T) @ sk.gain.T
+    k_walk, block = tables.walk_steps(runs), tables.block_steps(runs)
+    base = np.full(runs, initial_state * tables.n_levels ** k_walk, dtype=np.intp)
+    for b0 in range(0, horizon, block):
+        edges = tables._block_edges(tables.levels(uniforms[b0:b0 + block]), base, k_walk)
+        for k, edge in enumerate(edges, b0 + 1):
+            np.matmul(lq, zw[k - 1], out=noise)
+            np.matmul(a, es_ring[(k - 1) % oldest], out=fresh)
+            fresh += noise
+            np.matmul(a, packet, out=aged)
+            np.add(aged, noise, out=packet)
+            np.copyto(packet, fresh, where=restarts[edge])
+            np.matmul(a, error, out=aged)
+            np.add(aged, noise, out=error)
+            np.copyto(error, packet, where=delivered[edge])
+            cols = np.flatnonzero(q_oldest[edge])
+            if len(cols):
+                # E(k, oldest) from es_(k - oldest), before slot k % oldest is overwritten
+                lagged = es_ring[k % oldest][:, cols]
+                for j in range(k - oldest, k):
+                    lagged = a @ lagged + lq @ zw[j][:, cols]
+                error[:, cols] = lagged
+                # else a packet held at r = q_max would grow like the state
+                np.copyto(packet, error, where=r_oldest[edge])
+            filter_in[n:] = zv[k - 1]
+            np.matmul(filter_step, filter_in, out=es_ring[k % oldest])
 
-        edge = base + tables.levels(uniforms[:, k - 1])
-        # receiver predicts from the estimate generated q+1 steps ago
-        aoi = tables.age[edge]
-        src = hist[run_idx, (k - aoi) % depth]
-        xhat = np.einsum("rij,rj->ri", a_pows[aoi], src)
-        err = x - xhat
-        sq = np.einsum("ri,ri->r", err, err)
-        err_cov += err.T @ err
-        ana = tables.cost[edge]
-
-        step_emp[k - 1] = sq.sum()
-        step_ana[k - 1] = ana.sum()
-        step_aoi[k - 1] = aoi.sum()
-        run_emp += sq
-        run_ana += ana
-        run_aoi += aoi
-        saturation += int(np.count_nonzero(tables.saturated[edge]))
-
-        hist[:, k % depth] = xs
-        tables.next_base.take(edge, out=base)
+            np.einsum("ir,ir->r", error, error, out=sq)
+            err_cov += error @ error.T
+            ana = tables.cost[edge]
+            aoi = tables.age[edge]
+            step_emp[k - 1] = sq.sum()
+            step_ana[k - 1] = ana.sum()
+            step_aoi[k - 1] = aoi.sum()
+            run_emp += sq
+            run_ana += ana
+            run_aoi += aoi
+            saturation += int(np.count_nonzero(tables.saturated[edge]))
 
     steps = np.arange(1, horizon + 1)
     avg_emp = np.cumsum(step_emp / runs) / steps

@@ -107,19 +107,29 @@ def _trajectory_draws(seed, run, horizon, n, m_dim):
             segment(3).random((row + 1, horizon))[row])
 
 
-def reference_trajectory(policy, system, model, sk, cfg):
+def reference_trajectory(policy, system, model, sk, cfg, coordinates="state"):
     """Slow per-run reference for simulate_trajectory, used as an exact oracle.
 
-    Steps one run at a time on its rebuilt draws: the process, the
-    converged-gain sensor filter, the receiver's prediction from the
-    estimate generated q + 1 steps ago, and the (r, q) chain with the
-    rules of reference_chain. Per-step values over runs are summed with
-    numpy's sum in run order, as the simulator sums them, and per-run
-    totals over time in order. Returns the report's fields by name.
+    Steps one run at a time on its rebuilt draws: the converged-gain
+    sensor filter, the receiver's prediction from the estimate generated
+    q + 1 steps ago, and the (r, q) chain with the rules of
+    reference_chain. Per-step values over runs are summed with numpy's sum
+    in run order, as the simulator sums them, and per-run totals over time
+    in order. Returns the report's fields by name, and the number of steps
+    taken at r = q_max.
+
+    coordinates="state" steps the process x and the sensor's estimates xs
+    and forms the receiver's error as x_k - A^d xs_(k-d), with d = q + 1.
+    As x grows with an expansive process, that difference loses precision
+    (about 1e-14 relative at 10 steps of the test process, 1e-6 at 40).
+    coordinates="error" steps only the sensor error es and forms the
+    receiver's error as A^d es_(k-d) + sum_(j<d) A^j w_(k-j), one vector
+    per lag, which keeps full precision at any horizon.
     """
     table = list(sk.cost_table)
     q_max = policy.q_max
     a, c, gain = system.A, system.C, sk.gain
+    a_pow = [np.linalg.matrix_power(a, d) for d in range(q_max + 2)]
     l0, lq, lr = (_psd_factor(cov) for cov in (sk.p_bar0, system.Q, system.R))
     horizon, runs = cfg.horizon, cfg.runs
     step_emp = np.zeros((horizon, runs))
@@ -127,28 +137,39 @@ def reference_trajectory(policy, system, model, sk, cfg):
     step_aoi = np.zeros((horizon, runs), dtype=np.int64)
     run_emp, run_ana, run_aoi = np.zeros(runs), np.zeros(runs), np.zeros(runs)
     err_cov = np.zeros((system.n, system.n))
-    saturated = 0
+    saturated = r_at_q_max = 0
     for i in range(runs):
         z0, zw, zv, u = _trajectory_draws(cfg.seed, i, horizon, system.n, system.m)
         x = l0 @ z0
         estimates = [np.zeros(system.n)]  # the sensor's estimate after each step
+        sensor_errors = [x]  # es_0 = x_0, as the estimate starts at zero
+        noise = [None]  # w_k at index k
         r, q = 0, 0
         totals = [0.0, 0.0, 0.0]
         for k in range(1, horizon + 1):
-            x = a @ x + lq @ zw[k - 1]
-            y = c @ x + lr @ zv[k - 1]
-            pred = a @ estimates[-1]
-            estimates.append(pred + gain @ (y - c @ pred))
             age = q + 1
-            xhat = estimates[k - age]
-            for _ in range(age):
-                xhat = a @ xhat
-            err = x - xhat
+            if coordinates == "state":
+                x = a @ x + lq @ zw[k - 1]
+                y = c @ x + lr @ zv[k - 1]
+                pred = a @ estimates[-1]
+                estimates.append(pred + gain @ (y - c @ pred))
+                xhat = estimates[k - age]
+                for _ in range(age):
+                    xhat = a @ xhat
+                err = x - xhat
+            else:
+                noise.append(lq @ zw[k - 1])
+                predicted = a @ sensor_errors[-1] + noise[k]
+                sensor_errors.append(predicted - gain @ (c @ predicted + lr @ zv[k - 1]))
+                err = a_pow[age] @ sensor_errors[k - age]
+                for j in range(age):
+                    err = err + a_pow[j] @ noise[k - j]
             err_cov += np.outer(err, err)
             step_emp[k - 1, i], step_ana[k - 1, i], step_aoi[k - 1, i] = err @ err, table[q], age
             totals[0] += step_emp[k - 1, i]
             totals[1] += table[q]
             totals[2] += age
+            r_at_q_max += r == q_max
             r = 0 if policy.actions[r, q] == 0 else min(r + 1, q_max)
             if u[k - 1] < model.failure_prob_clamped(r):
                 saturated += q == q_max
@@ -170,6 +191,7 @@ def reference_trajectory(policy, system, model, sk, cfg):
         "run_final_aoi": run_aoi,
         "empirical_error_cov": err_cov / (runs * horizon),
         "saturation_events": saturated,
+        "r_at_q_max": r_at_q_max,
     }
 
 
@@ -233,10 +255,10 @@ EXACT_CASES = {
 }
 
 
-# name -> (policy, channel, cost table, config) for the trajectory oracle. Ten steps keep
-# the raw state of this expansive process near 1e3, where the receiver error x - xhat holds
-# ~1e-14 relative precision; at 40 steps the state nears 1e10 and that falls to ~1e-6, so
-# two orders of the same arithmetic could no longer agree to 1e-12.
+# name -> (policy, channel, cost table, config) for the trajectory oracle in state coordinates.
+# Ten steps keep the raw state of this expansive process near 1e3, where the oracle's receiver
+# error x - xhat holds ~1e-14 relative precision; at 40 steps the state nears 1e10 and that falls
+# to ~1e-6, so the oracle could no longer agree with the simulator, which never forms x, to 1e-12.
 TRAJECTORY_CASES = {
     "single_run": lambda system, sk, channel: (
         psi_policy(Q_MAX), channel, sk, SimConfig(horizon=10, runs=1, seed=31, mode="trajectory")),
@@ -246,10 +268,34 @@ TRAJECTORY_CASES = {
     "runs_past_chunk": lambda system, sk, channel: (
         arq_baseline_policy(Q_MAX), channel, sk,
         SimConfig(horizon=10, runs=300, seed=33, mode="trajectory")),
-    # the estimate ring buffer holds q_max + 2 = 4 entries and wraps twice
+    # q reaches q_max = 2 and saturates there, where the receiver's error has the oldest age
     "q_at_q_max": lambda system, sk, channel: (
         arq_baseline_policy(2), HarqModel(0.1, 1.0, r_cap=2), _short_table(system),
         SimConfig(horizon=10, runs=50, seed=34, mode="trajectory")),
+}
+
+
+# name -> (policy, channel, cost table, config) for the trajectory oracle in error coordinates,
+# which keeps full precision at any horizon, and the chain events each case must contain
+LONG_TRAJECTORY_CASES = {
+    "arq": lambda system, sk, channel: (
+        arq_baseline_policy(Q_MAX), channel, sk,
+        SimConfig(horizon=300, runs=20, seed=35, mode="trajectory")),
+    # one run wider than the widest walk that jumps, so the walk steps singly
+    "psi": lambda system, sk, channel: (
+        psi_policy(Q_MAX), channel, sk,
+        SimConfig(horizon=300, runs=JUMP_LANES + 1, seed=36, mode="trajectory")),
+    "arq_q_at_q_max": lambda system, sk, channel: (
+        arq_baseline_policy(2), HarqModel(0.1, 1.0, r_cap=2), _short_table(system),
+        SimConfig(horizon=300, runs=12, seed=37, mode="trajectory")),
+    # r reaches q_max, so the in-flight packet's error has the oldest age
+    "psi_r_at_q_max": lambda system, sk, channel: (
+        psi_policy(2), HarqModel(0.1, 1.0, r_cap=2), _short_table(system),
+        SimConfig(horizon=300, runs=12, seed=38, mode="trajectory")),
+    # r and q stay at q_max from step 3 on: a packet retransmitted there keeps the oldest age
+    "retransmit_at_q_max": lambda system, sk, channel: (
+        PolicyGrid(2, np.ones((3, 3)), label="retransmit"), HarqModel(0.1, 1.0, r_cap=2),
+        _short_table(system), SimConfig(horizon=300, runs=12, seed=39, mode="trajectory")),
 }
 
 
@@ -587,6 +633,32 @@ class TestTrajectorySim:
         for name in ("avg_mse_vs_k", "run_final_mse", "empirical_error_cov"):
             np.testing.assert_allclose(getattr(report, name), ref[name], rtol=1e-12, err_msg=name)
 
+    @pytest.mark.parametrize("case", list(LONG_TRAJECTORY_CASES))
+    def test_matches_error_coordinate_reference(self, case, system, sk, channel):
+        grid, model, table, cfg = LONG_TRAJECTORY_CASES[case](system, sk, channel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = simulate_trajectory(grid, system, model, table, cfg)
+        ref = reference_trajectory(grid, system, model, table, cfg, coordinates="error")
+        for name in ("analytic_avg_mse_vs_k", "run_final_analytic_mse", "avg_aoi_vs_k",
+                     "run_final_aoi", "saturation_events"):
+            assert np.array_equal(getattr(report, name), ref[name]), name
+        assert (ref["saturation_events"] > 0) == (grid.q_max == 2)
+        assert (ref["r_at_q_max"] > 0) == (case in ("psi_r_at_q_max", "retransmit_at_q_max"))
+        for name in ("avg_mse_vs_k", "run_final_mse", "empirical_error_cov"):
+            np.testing.assert_allclose(getattr(report, name), ref[name], rtol=1e-12, err_msg=name)
+
+    def test_retransmission_at_q_max_stays_finite(self, system):
+        # r stays at q_max from step 3 on; the packet's error is formed afresh at the oldest
+        # age every step, where aging it by A would overflow near step 1160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", message="policy 'retransmit'", category=RuntimeWarning)
+            report = simulate_trajectory(PolicyGrid(2, np.ones((3, 3)), label="retransmit"), system,
+                                         HarqModel(0.1, 1.0, r_cap=2), _short_table(system),
+                                         SimConfig(horizon=1500, runs=4, seed=1, mode="trajectory"))
+        assert np.all(np.isfinite(report.run_final_mse))
+
     def test_run_count_invariance(self, system, sk, channel):
         # 300 runs end in a partial chunk; run i's draws depend on its chunk's stream only
         grid = psi_policy(Q_MAX)
@@ -633,10 +705,19 @@ class TestTrajectorySim:
         # trace of the averaged outer products is the mean squared error
         assert np.trace(cov) == pytest.approx(mean_step_mse, rel=1e-9)
 
-    def test_blowup_guard_names_step(self, system, sk, channel):
-        cfg = SimConfig(horizon=2000, runs=4, seed=6, mode="trajectory")
-        with pytest.raises(ValueError, match="at step"):
-            simulate_trajectory(arq_baseline_policy(Q_MAX), system, channel, sk, cfg)
+    def test_long_horizon_empirical_matches_analytic(self, system, sk, channel):
+        # the state of this expansive process would leave float64 near step 1160; the
+        # simulator never forms it, so 2000 steps give finite reports that still agree
+        grid = solve(build_mdp(sk, channel, Q_MAX, "mse")).policy
+        cfg = SimConfig(horizon=2000, runs=200, seed=31, mode="trajectory")
+        report = simulate_trajectory(grid, system, channel, sk, cfg)
+        for name in ("avg_mse_vs_k", "run_final_mse", "analytic_avg_mse_vs_k",
+                     "run_final_analytic_mse", "empirical_error_cov"):
+            assert np.all(np.isfinite(getattr(report, name))), name
+        diff = report.run_final_mse - report.run_final_analytic_mse
+        se = diff.std(ddof=1) / np.sqrt(report.runs)
+        gap = abs(report.final_avg_mse - report.final_analytic_mse)
+        assert gap <= 5 * se + 0.02 * report.final_analytic_mse
 
     def test_determinism(self, system, sk, channel):
         cfg = SimConfig(horizon=25, runs=60, seed=42, mode="trajectory")
