@@ -166,7 +166,10 @@ def riccati_steady_state(
             # K = P_pred C^T S^-1, solved as S^T K^T = (P_pred C^T)^T; S = innov
             # is SPD because R is PD
             gain = np.linalg.solve(innov.T, (P_pred @ sys.C.T).T).T
-            P_new = (ident - gain @ sys.C) @ P_pred
+            # Joseph form: (I - KC) P_pred alone cancels to rounding noise
+            # above tol when P_pred >> R; this sum of PSD terms does not
+            ikc = ident - gain @ sys.C
+            P_new = ikc @ P_pred @ ikc.T + gain @ sys.R @ gain.T
             P_new = 0.5 * (P_new + P_new.T)
             if not np.all(np.isfinite(P_new)):
                 raise RiccatiError("Riccati iteration diverged to non-finite values", P)

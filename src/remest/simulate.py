@@ -13,17 +13,22 @@ exact evaluation. Both draw from counter-based Philox streams split from
 the master seed, so results are reproducible, and a run's draws never
 depend on the number of runs: the chain mode gives every run its own
 stream, and the trajectory mode gives every CHUNK_RUNS-run chunk one
-stream (_chunk_streams). The chain mode walks all runs of a fixed-size
-chunk under every requested policy together in numpy: the policies'
-chains are stacked into one edge table and read the same uniforms, drawn
-once. A walk of at most JUMP_LANES runs across its policies moves k
-steps per numpy call along a jump table composed from that edge table,
-with k as large as a table of JUMP_ENTRIES entries allows; a wider walk
-moves one step per call. Each step's own edge is then rebuilt over a
-block of BLOCK_ELEMENTS elements at once. The uniforms are drawn in
-windows of at most WINDOW per chunk, so memory does not grow with the
-horizon. The walk sums in the order of a per-run scalar loop, so each
-policy's report reproduces such a loop bit for bit.
+stream (_chunk_streams).
+
+Both modes take their edges from one walk (_ChainTables.walk), which
+moves many runs under every requested policy together in numpy: the
+policies' chains are stacked into one edge table and read the same
+uniforms. The chain mode walks CHUNK_RUNS runs at a time and draws their
+uniforms in windows of at most WINDOW, so these take no more memory at a
+longer horizon. A walk of at most JUMP_LANES lanes (policies x runs)
+moves k steps per numpy call along a jump table of at most JUMP_ENTRIES
+entries, a wider walk one step; each step's edge is then rebuilt over a
+block of BLOCK_ELEMENTS elements. The walk counts each policy's visits,
+per step and per run, as integers in bins: q, or q_max + 1 for a failed
+step at q = q_max (a saturation event). The MSE and the AoI are the
+counts times each bin's staleness cost and age q + 1. Integer counts are
+exact, so no statistic depends on the walk's order, on k or on the block
+and window lengths.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import csv
 import json
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -42,7 +47,7 @@ from .lti import LtiSystem, SteadyKalman
 from .mdp import TruncatedMdp, _state_rq, build_mdp
 from .policies import PolicyGrid, enumerate_states
 
-CHUNK_RUNS = 128  # runs walked together; chunk sums are added in chunk order
+CHUNK_RUNS = 128  # runs of a chain-walk chunk, and of a trajectory-mode stream
 BLOCK_ELEMENTS = 2 ** 13  # steps x policies x runs per chain-walk block
 JUMP_ENTRIES = 2 ** 17  # most entries of a chain-walk jump table (1 MB of intp)
 JUMP_LANES = 64  # widest chain walk (policies x runs) that jumps; a full chunk gains nothing
@@ -124,20 +129,22 @@ class _ChainTables:
     refines each policy's own levels, so one level lookup serves every
     policy and every edge stays what that policy's own table would make
     it. An edge e = state * n_levels + level fixes the whole step:
-    next_base[e] is the next stacked state times n_levels, and cost[e],
-    age[e] (q + 1) and saturated[e] (a failure at q = q_max) are what the
-    step accrues. A narrow chain walk also reads jump_base, the same map
-    over jump_steps steps at once; it is built on such a walk's first use,
-    so wide walks never build it.
+    next_base[e] is the next stacked state times n_levels, and bins[e] is
+    the stacked bin p * n_bins + b that counts the step's visit. Bin b is
+    the state's q, or q_max + 1 for a failed step at q = q_max (a
+    saturation event); a visit to it accrues bin_cost[b], the staleness
+    cost of its q, and bin_age[b] = q + 1. A narrow chain walk also reads
+    jump_base, the same map over jump_steps steps at once; it is built on
+    such a walk's first use, so wide walks never build it.
     """
 
     n_policies: int
     n_states: int  # states of one policy's copy of the model
     g_values: np.ndarray   # distinct failure probabilities of all the policies, ascending
     next_base: np.ndarray
-    cost: np.ndarray
-    age: np.ndarray
-    saturated: np.ndarray
+    bins: np.ndarray
+    bin_cost: np.ndarray  # per bin of one policy's copy
+    bin_age: np.ndarray
 
     @classmethod
     def build(cls, mdp: TruncatedMdp, actions: np.ndarray):
@@ -152,14 +159,16 @@ class _ChainTables:
                               mdp.succ_idx[actions, rows][..., None])
         next_state += (np.arange(n_policies) * n_states)[:, None, None]
         q = _state_rq(mdp)[1]
+        bin_q = np.minimum(np.arange(mdp.q_max + 2), mdp.q_max)
+        bins = np.where(failed & (q == mdp.q_max)[:, None], mdp.q_max + 1, q[:, None])
         return cls(
             n_policies=n_policies,
             n_states=n_states,
             g_values=g_values,
             next_base=(next_state * n_levels).astype(np.intp).ravel(),
-            cost=np.tile(np.repeat(mdp.cost, n_levels), n_policies),
-            age=np.tile(np.repeat(q + 1, n_levels), n_policies),
-            saturated=(failed & (q == mdp.q_max)[:, None]).ravel(),
+            bins=(bins + (np.arange(n_policies) * len(bin_q))[:, None, None]).ravel(),
+            bin_cost=mdp.cost[[mdp.index[(0, q)] for q in bin_q]],
+            bin_age=bin_q + 1.0,
         )
 
     @property
@@ -243,56 +252,65 @@ class _ChainTables:
             np.add(self.next_base[edges[j - 1::k]], levels[j::k], out=edges[j::k])
         return edges[:steps]
 
-    def walk(self, generators, start, step_mse, step_aoi, run_mse, run_aoi):
-        """Advance every run of a chunk under every policy together from model state start.
-
-        Run i draws its uniforms from generators[i], and all policies read
-        the same uniforms per run. Per step: accrue the cost and age of
-        the current state, then move along the edge the step's uniform
-        selects. Writes each policy's per-step sums over runs into its row
-        of step_mse/step_aoi (n_policies x horizon) and its per-run horizon
-        averages into its row of run_mse/run_aoi (n_policies x runs), and
-        returns each policy's number of steps at which q saturated at
-        q_max.
-
-        The uniforms are drawn window by window (window_steps) into one
-        reused buffer, each window is walked block by block (block_steps),
-        k = walk_steps steps per numpy call (_block_edges), and each
-        block's edges are reduced. Windows and blocks hold whole groups of
-        k steps, so only the horizon's last group can be partial. Float
-        sums run over a policy's runs in order and over time in order,
-        exactly as a per-run scalar loop adds them, whatever k and the
-        block and window lengths.
-        """
-        n_runs, horizon = len(generators), step_mse.shape[1]
-        n_policies = self.n_policies
-        k, block, window = self.walk_steps(n_runs), self.block_steps(n_runs), self.window_steps(n_runs)
-        uniforms = np.empty((n_runs, min(window, horizon)))
-        # run i of policy p sits at p * n_runs + i
-        base = np.repeat((np.arange(n_policies) * self.n_states + start) * self.n_levels ** k, n_runs)
-        total_cost = np.zeros(n_policies * n_runs)
-        total_age = np.zeros(n_policies * n_runs, dtype=np.int64)
-        saturated = np.zeros(n_policies, dtype=np.int64)
+    def windows(self, generators, horizon: int):
+        """Run i's uniforms from generators[i], window_steps steps at a time, as (steps x runs) views."""
+        window = self.window_steps(len(generators))
+        uniforms = np.empty((len(generators), min(window, horizon)))
         for w0 in range(0, horizon, window):
             drawn = uniforms[:, :min(window, horizon - w0)]
             for row, generator in zip(drawn, generators):
                 generator.random(out=row)
-            for b0 in range(0, drawn.shape[1], block):
-                edges = self._block_edges(self.levels(drawn[:, b0:b0 + block].T), base, k)
-                k0, k1 = w0 + b0, w0 + b0 + len(edges)
-                by_policy = (k1 - k0, n_policies, n_runs)
-                cost = self.cost[edges]
-                # accumulate is sequential; sum() would pair terms up on some shapes
-                step_mse[:, k0:k1] = np.add.accumulate(cost.reshape(by_policy), axis=2)[..., -1].T
-                cost[0] += total_cost
-                total_cost = np.add.accumulate(cost, axis=0)[-1]
-                age = self.age[edges]
-                step_aoi[:, k0:k1] = age.reshape(by_policy).sum(axis=2).T
-                total_age += age.sum(axis=0)
-                saturated += np.count_nonzero(self.saturated[edges].reshape(by_policy), axis=(0, 2))
-        run_mse[:] = (total_cost / horizon).reshape(n_policies, n_runs)
-        run_aoi[:] = (total_age / horizon).reshape(n_policies, n_runs)
-        return saturated
+            yield drawn.T
+
+    def walk(self, windows, start, step_visits, run_visits):
+        """Advance runs under every policy together from model state start, counting their visits.
+
+        windows yields the uniforms (steps x runs) in time order, and every
+        policy reads the same uniforms per run; each window but the last
+        holds whole blocks (block_steps). Per step, each run counts a visit
+        to its edge's bin and moves along the edge its uniform selects. The
+        counts add into step_visits (horizon x stacked bins), per step over
+        runs, and into run_visits (runs x stacked bins, C-contiguous), per
+        run. The walk moves k = walk_steps steps per numpy call
+        (_block_edges), so only the horizon's last group of k steps can be
+        partial. Yields each block's first step and its edges (steps x
+        policies * runs, run i of policy p in column p * runs + i) once they
+        are counted.
+        """
+        n_runs, width = run_visits.shape
+        k, block = self.walk_steps(n_runs), self.block_steps(n_runs)
+        base = np.repeat((np.arange(self.n_policies) * self.n_states + start) * self.n_levels ** k, n_runs)
+        run_offset = np.tile(np.arange(n_runs) * width, self.n_policies)  # each column's run's row
+        k0 = 0
+        for window in windows:
+            for b0 in range(0, len(window), block):
+                edges = self._block_edges(self.levels(window[b0:b0 + block]), base, k)
+                bins, steps = self.bins[edges], len(edges)
+                by_step = bins + (np.arange(steps) * width)[:, None]
+                step_visits[k0:k0 + steps] += np.bincount(
+                    by_step.ravel(), minlength=steps * width).reshape(steps, width)
+                # an int32 one keeps add.at off its slow casting path
+                np.add.at(run_visits.reshape(-1), bins + run_offset, np.int32(1))
+                yield k0, edges
+                k0 += steps
+
+    def visits(self, rows: int) -> np.ndarray:
+        """A zero tally for walk: rows x stacked bins, int32."""
+        return np.zeros((rows, self.n_policies * len(self.bin_cost)), dtype=np.int32)
+
+    def totals(self, visits):
+        """What visits (... x stacked bins) accrue per policy: cost, age and saturation events.
+
+        Each is (... x n_policies). Cost and age are the counts times
+        bin_cost and bin_age summed in bin order, so they depend on the
+        counts alone; the saturation events are the last bin's counts.
+        """
+        by_bin = visits.reshape(*visits.shape[:-1], self.n_policies, -1)
+        cost, age = np.zeros(by_bin.shape[:-1]), np.zeros(by_bin.shape[:-1])
+        for count, bin_cost, bin_age in zip(np.moveaxis(by_bin, -1, 0), self.bin_cost, self.bin_age):
+            cost += count * bin_cost
+            age += count * bin_age
+        return cost, age, by_bin[..., -1]
 
 
 def _policy_chains(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalman, initial_q: int):
@@ -350,36 +368,31 @@ def _chain_reports(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalma
     if cfg.mode != "analytic":
         raise ValueError("the chain simulation requires mode='analytic'")
     tables, initial_state = _policy_chains(policies, m, sk, cfg.initial_q)
-
-    horizon, runs, n_policies = cfg.horizon, cfg.runs, len(policies)
+    horizon, runs = cfg.horizon, cfg.runs
     children = np.random.SeedSequence(cfg.seed).spawn(runs)
-    run_mse = np.zeros((n_policies, runs))
-    run_aoi = np.zeros((n_policies, runs))
-    step_mse = np.zeros((n_policies, horizon))
-    step_aoi = np.zeros((n_policies, horizon))
-    part_mse = np.empty((n_policies, horizon))
-    part_aoi = np.empty((n_policies, horizon))
-    saturation = np.zeros(n_policies, dtype=np.int64)
+    step_visits, run_visits = tables.visits(horizon), tables.visits(runs)
     for start in range(0, runs, CHUNK_RUNS):
-        stop = min(start + CHUNK_RUNS, runs)
         # one Philox stream per run; the walk draws from it window by window
-        generators = [np.random.Generator(np.random.Philox(child)) for child in children[start:stop]]
-        saturation += tables.walk(generators, initial_state,
-                                  part_mse, part_aoi, run_mse[:, start:stop], run_aoi[:, start:stop])
-        step_mse += part_mse  # per-chunk sums, added in chunk order
-        step_aoi += part_aoi
+        generators = [np.random.Generator(np.random.Philox(child))
+                      for child in children[start:start + CHUNK_RUNS]]
+        for _ in tables.walk(tables.windows(generators, horizon), initial_state,
+                             step_visits, run_visits[start:start + CHUNK_RUNS]):
+            pass
+    step_mse, step_aoi, step_saturated = tables.totals(step_visits)
+    run_mse, run_aoi, _ = tables.totals(run_visits)
     steps = np.arange(1, horizon + 1)
     reports = []
     for p, policy in enumerate(policies):
-        avg_mse = np.cumsum(step_mse[p] / runs) / steps
-        avg_aoi = np.cumsum(step_aoi[p] / runs) / steps
+        avg_mse = np.cumsum(step_mse[:, p] / runs) / steps
+        avg_aoi = np.cumsum(step_aoi[:, p] / runs) / steps
+        run_final_mse, run_final_aoi = run_mse[:, p] / horizon, run_aoi[:, p] / horizon
         reports.append(SimReport(
             label=policy.label, mode="analytic", horizon=horizon, runs=runs, seed=cfg.seed,
             avg_mse_vs_k=avg_mse, avg_aoi_vs_k=avg_aoi,
             final_avg_mse=float(avg_mse[-1]), final_avg_aoi=float(avg_aoi[-1]),
-            run_final_mse=run_mse[p], run_final_aoi=run_aoi[p],
-            mse_ci95=_ci95(run_mse[p]), aoi_ci95=_ci95(run_aoi[p]),
-            saturation_events=int(saturation[p]),
+            run_final_mse=run_final_mse, run_final_aoi=run_final_aoi,
+            mse_ci95=_ci95(run_final_mse), aoi_ci95=_ci95(run_final_aoi),
+            saturation_events=int(step_saturated[:, p].sum()),
         ))
     return reports
 
@@ -430,8 +443,8 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     estimate starts at zero, so in steady state), process and measurement
     noise are drawn each step, the sensor runs the converged-gain filter,
     and the receiver predicts from the newest delivered estimate, which is
-    q+1 steps old. The (r, q) chain is the decision model's, and its edges
-    come from the chain walk's own _block_edges.
+    q+1 steps old. The (r, q) chain is the decision model's: the chain
+    walk moves it, counts its visits, and yields its edges block by block.
 
     The simulation runs in error coordinates, so it never forms the state,
     which an expansive process grows without bound, and any horizon keeps
@@ -488,18 +501,10 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     aged = np.empty((n, runs))
     sq = np.empty(runs)
     step_emp = np.zeros(horizon)
-    step_ana = np.zeros(horizon)
-    step_aoi = np.zeros(horizon)
     run_emp = np.zeros(runs)
-    run_ana = np.zeros(runs)
-    run_aoi = np.zeros(runs)
     err_cov = np.zeros((n, n))
-    saturation = 0
-
-    k_walk, block = tables.walk_steps(runs), tables.block_steps(runs)
-    base = np.full(runs, initial_state * tables.n_levels ** k_walk, dtype=np.intp)
-    for b0 in range(0, horizon, block):
-        edges = tables._block_edges(tables.levels(uniforms[b0:b0 + block]), base, k_walk)
+    step_visits, run_visits = tables.visits(horizon), tables.visits(runs)
+    for b0, edges in tables.walk([uniforms], initial_state, step_visits, run_visits):
         for k, edge in enumerate(edges, b0 + 1):
             np.matmul(lq, zw[k - 1], out=noise)
             np.matmul(a, es_ring[(k - 1) % oldest], out=fresh)
@@ -524,30 +529,24 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
 
             np.einsum("ir,ir->r", error, error, out=sq)
             err_cov += error @ error.T
-            ana = tables.cost[edge]
-            aoi = tables.age[edge]
             step_emp[k - 1] = sq.sum()
-            step_ana[k - 1] = ana.sum()
-            step_aoi[k - 1] = aoi.sum()
             run_emp += sq
-            run_ana += ana
-            run_aoi += aoi
-            saturation += int(np.count_nonzero(tables.saturated[edge]))
 
+    step_ana, step_aoi, step_saturated = tables.totals(step_visits)
+    run_ana, run_aoi, _ = tables.totals(run_visits)
     steps = np.arange(1, horizon + 1)
     avg_emp = np.cumsum(step_emp / runs) / steps
-    avg_ana = np.cumsum(step_ana / runs) / steps
-    avg_aoi = np.cumsum(step_aoi / runs) / steps
+    avg_ana = np.cumsum(step_ana[:, 0] / runs) / steps
+    avg_aoi = np.cumsum(step_aoi[:, 0] / runs) / steps
     run_emp /= horizon
-    run_ana /= horizon
-    run_aoi /= horizon
+    run_ana, run_aoi = run_ana[:, 0] / horizon, run_aoi[:, 0] / horizon
     report = TrajectoryReport(
         label=policy.label, mode="trajectory", horizon=horizon, runs=runs, seed=cfg.seed,
         avg_mse_vs_k=avg_emp, avg_aoi_vs_k=avg_aoi,
         final_avg_mse=float(avg_emp[-1]), final_avg_aoi=float(avg_aoi[-1]),
         run_final_mse=run_emp, run_final_aoi=run_aoi,
         mse_ci95=_ci95(run_emp), aoi_ci95=_ci95(run_aoi),
-        saturation_events=int(saturation),
+        saturation_events=int(step_saturated.sum()),
         analytic_avg_mse_vs_k=avg_ana,
         final_analytic_mse=float(avg_ana[-1]),
         run_final_analytic_mse=run_ana,

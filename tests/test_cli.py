@@ -253,6 +253,19 @@ class TestSolveCommand:
         assert run_cli("solve", "--config", str(path)) == 0
         assert verify_switching(load_policy_csv(tmp_path / "o" / "policy_mse.csv")).ok
 
+    def test_stiff_stable_model_solves(self, tmp_path, capsys):
+        # P_pred ~ 1e8 >> R; the Riccati iteration ran out of iterations here (exit 3)
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["system"] = {"A": [[1e4]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]]}
+        cfg["channel"] = {"lambda": 0.999999, "h": 0.001}
+        cfg["mdp"]["q_max"] = 3
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("stability", "--config", str(path)) == 0
+        assert run_cli("solve", "--config", str(path)) == 0
+        assert "gain" in capsys.readouterr().out
+
     def test_reports_only_the_files_it_wrote(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(SMALL_CONFIG))
         out = tmp_path / "o"

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -102,6 +103,15 @@ class TestRiccati:
         oracle = scalar_riccati_brute_force(0.0, 1.0, 1.0, 1.0)
         assert oracle == pytest.approx(0.5, abs=1e-12)
         assert out.p_bar0[0, 0] == pytest.approx(oracle, abs=1e-9)
+
+    def test_stiff_scalar_against_closed_form(self):
+        # P_pred ~ 1e8 >> R: (I - KC) P_pred cancels to ~1e-8 of noise, above tol
+        out = riccati_steady_state(LtiSystem([[1e4]], [[1.0]], [[1.0]], [[1.0]]), q_max=3)
+        # the prior M solves M^2 + b M - q r = 0 with b = r - a^2 r - q
+        b = 1.0 - 1e8 - 1.0
+        prior = (-b + math.sqrt(b * b + 4.0)) / 2
+        assert out.p_bar0[0, 0] == pytest.approx(prior / (prior + 1.0), rel=1e-15)
+        assert out.gain[0, 0] == pytest.approx(prior / (prior + 1.0), rel=1e-15)
 
     def test_perfect_measurements(self):
         sys2 = LtiSystem([[1.8, 0.2], [0.2, 0.8]], np.eye(2), np.eye(2), 1e-12 * np.eye(2))

@@ -36,54 +36,50 @@ from remest.simulate import (
 Q_MAX = 20
 
 
+def _bin_dot(counts, values):
+    """counts times values, summed in bin order from zero, as the simulators sum them."""
+    return sum(float(count) * value for count, value in zip(counts, values))
+
+
+def _bin_values(table, q_max):
+    """Each bin's cost and age q + 1; bin q_max + 1 is a step at q = q_max."""
+    return list(table[:q_max + 1]) + [table[q_max]], [min(b, q_max) + 1 for b in range(q_max + 2)]
+
+
 def reference_chain(policy, model, sk, cfg):
     """Slow dictionary-based reference simulator, used as an exact oracle.
 
-    Consumes the same per-run uniform streams as simulate_chain, sums the
-    per-step costs within each CHUNK_RUNS-run chunk before adding the
-    chunks together (simulate_chain's fixed reduction order), saturates r
-    and q at the grid's q_max as the decision model does, counts the
-    failed steps taken at q = q_max, and additionally asserts the
-    structural invariants (r <= q and the age identity age == previous
-    q + 1) at every step.
+    Consumes the same per-run uniform streams as simulate_chain, saturates
+    r and q at the grid's q_max as the decision model does, and counts each
+    step's visit per bin: bin q, or bin q_max + 1 for a failed step taken
+    at q = q_max (a saturation event). The counts, per step over runs and
+    per run over steps, times the bins' costs and ages q + 1 summed in bin
+    order give the floats. It additionally asserts r <= q at every step.
     """
-    table = list(sk.cost_table)
     q_max = policy.q_max
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.runs)
-    step_mse = np.zeros(cfg.horizon)
-    step_aoi = np.zeros(cfg.horizon)
-    run_mse = np.zeros(cfg.runs)
-    run_aoi = np.zeros(cfg.runs)
-    saturated = 0
+    step_visits = np.zeros((cfg.horizon, q_max + 2), dtype=np.int64)
+    run_visits = np.zeros((cfg.runs, q_max + 2), dtype=np.int64)
     for i in range(cfg.runs):
-        if i % CHUNK_RUNS == 0:
-            chunk_mse = np.zeros(cfg.horizon)
-            chunk_aoi = np.zeros(cfg.horizon)
         u = np.random.Generator(np.random.Philox(children[i])).random(cfg.horizon)
         r, q = 0, cfg.initial_q
-        totals = [0.0, 0.0]
         for k in range(cfg.horizon):
             assert r <= q
-            age = q + 1  # identity: age at step k equals previous q + 1
-            cost = table[q]
-            chunk_mse[k] += cost
-            chunk_aoi[k] += age
-            totals[0] += cost
-            totals[1] += age
             r = 0 if policy.actions[r, q] == 0 else min(r + 1, q_max)
-            if u[k] < model.failure_prob_clamped(r):
-                saturated += q == q_max
-                q = min(q + 1, q_max)
-            else:
-                q = r
-        run_mse[i] = totals[0] / cfg.horizon
-        run_aoi[i] = totals[1] / cfg.horizon
-        if i % CHUNK_RUNS == CHUNK_RUNS - 1 or i == cfg.runs - 1:
-            step_mse += chunk_mse
-            step_aoi += chunk_aoi
+            failed = u[k] < model.failure_prob_clamped(r)
+            b = q_max + 1 if failed and q == q_max else q
+            q = min(q + 1, q_max) if failed else r
+            step_visits[k, b] += 1
+            run_visits[i, b] += 1
+    cost, age = _bin_values(list(sk.cost_table), q_max)
     steps = np.arange(1, cfg.horizon + 1)
+    step_mse = np.array([_bin_dot(row, cost) for row in step_visits])
+    step_aoi = np.array([_bin_dot(row, age) for row in step_visits])
     return (np.cumsum(step_mse / cfg.runs) / steps,
-            np.cumsum(step_aoi / cfg.runs) / steps, run_mse, run_aoi, saturated)
+            np.cumsum(step_aoi / cfg.runs) / steps,
+            np.array([_bin_dot(row, cost) for row in run_visits]) / cfg.horizon,
+            np.array([_bin_dot(row, age) for row in run_visits]) / cfg.horizon,
+            int(step_visits[:, q_max + 1].sum()))
 
 
 def _trajectory_draws(seed, run, horizon, n, m_dim):
@@ -113,10 +109,11 @@ def reference_trajectory(policy, system, model, sk, cfg, coordinates="state"):
     Steps one run at a time on its rebuilt draws: the converged-gain
     sensor filter, the receiver's prediction from the estimate generated
     q + 1 steps ago, and the (r, q) chain with the rules of
-    reference_chain. Per-step values over runs are summed with numpy's sum
-    in run order, as the simulator sums them, and per-run totals over time
-    in order. Returns the report's fields by name, and the number of steps
-    taken at r = q_max.
+    reference_chain, whose visit counts give the analytic MSE and the AoI
+    as they do there. The empirical squared errors are summed per step over
+    runs with numpy's sum in run order, as the simulator sums them, and
+    per run over time in order. Returns the report's fields by name, and
+    the number of steps taken at r = q_max.
 
     coordinates="state" steps the process x and the sensor's estimates xs
     and forms the receiver's error as x_k - A^d xs_(k-d), with d = q + 1.
@@ -133,11 +130,11 @@ def reference_trajectory(policy, system, model, sk, cfg, coordinates="state"):
     l0, lq, lr = (_psd_factor(cov) for cov in (sk.p_bar0, system.Q, system.R))
     horizon, runs = cfg.horizon, cfg.runs
     step_emp = np.zeros((horizon, runs))
-    step_ana = np.zeros((horizon, runs))
-    step_aoi = np.zeros((horizon, runs), dtype=np.int64)
-    run_emp, run_ana, run_aoi = np.zeros(runs), np.zeros(runs), np.zeros(runs)
+    run_emp = np.zeros(runs)
+    step_visits = np.zeros((horizon, q_max + 2), dtype=np.int64)
+    run_visits = np.zeros((runs, q_max + 2), dtype=np.int64)
     err_cov = np.zeros((system.n, system.n))
-    saturated = r_at_q_max = 0
+    r_at_q_max = 0
     for i in range(runs):
         z0, zw, zv, u = _trajectory_draws(cfg.seed, i, horizon, system.n, system.m)
         x = l0 @ z0
@@ -145,7 +142,6 @@ def reference_trajectory(policy, system, model, sk, cfg, coordinates="state"):
         sensor_errors = [x]  # es_0 = x_0, as the estimate starts at zero
         noise = [None]  # w_k at index k
         r, q = 0, 0
-        totals = [0.0, 0.0, 0.0]
         for k in range(1, horizon + 1):
             age = q + 1
             if coordinates == "state":
@@ -165,32 +161,30 @@ def reference_trajectory(policy, system, model, sk, cfg, coordinates="state"):
                 for j in range(age):
                     err = err + a_pow[j] @ noise[k - j]
             err_cov += np.outer(err, err)
-            step_emp[k - 1, i], step_ana[k - 1, i], step_aoi[k - 1, i] = err @ err, table[q], age
-            totals[0] += step_emp[k - 1, i]
-            totals[1] += table[q]
-            totals[2] += age
+            step_emp[k - 1, i] = err @ err
+            run_emp[i] += step_emp[k - 1, i]
             r_at_q_max += r == q_max
             r = 0 if policy.actions[r, q] == 0 else min(r + 1, q_max)
-            if u[k - 1] < model.failure_prob_clamped(r):
-                saturated += q == q_max
-                q = min(q + 1, q_max)
-            else:
-                q = r
-        run_emp[i], run_ana[i], run_aoi[i] = (total / horizon for total in totals)
+            failed = u[k - 1] < model.failure_prob_clamped(r)
+            b = q_max + 1 if failed and q == q_max else q
+            q = min(q + 1, q_max) if failed else r
+            step_visits[k - 1, b] += 1
+            run_visits[i, b] += 1
+    cost, ages = _bin_values(table, q_max)
     steps = np.arange(1, horizon + 1)
 
     def running_mean(per_step):
-        return np.cumsum(np.array([row.sum() for row in per_step]) / runs) / steps
+        return np.cumsum(np.array(per_step) / runs) / steps
 
     return {
-        "avg_mse_vs_k": running_mean(step_emp),
-        "analytic_avg_mse_vs_k": running_mean(step_ana),
-        "avg_aoi_vs_k": running_mean(step_aoi),
-        "run_final_mse": run_emp,
-        "run_final_analytic_mse": run_ana,
-        "run_final_aoi": run_aoi,
+        "avg_mse_vs_k": running_mean([row.sum() for row in step_emp]),
+        "analytic_avg_mse_vs_k": running_mean([_bin_dot(row, cost) for row in step_visits]),
+        "avg_aoi_vs_k": running_mean([_bin_dot(row, ages) for row in step_visits]),
+        "run_final_mse": run_emp / horizon,
+        "run_final_analytic_mse": np.array([_bin_dot(row, cost) for row in run_visits]) / horizon,
+        "run_final_aoi": np.array([_bin_dot(row, ages) for row in run_visits]) / horizon,
         "empirical_error_cov": err_cov / (runs * horizon),
-        "saturation_events": saturated,
+        "saturation_events": int(step_visits[:, q_max + 1].sum()),
         "r_at_q_max": r_at_q_max,
     }
 
@@ -394,27 +388,24 @@ class TestChainSim:
         mdp = build_mdp(sk, HarqModel(0.6, 0.7, r_cap=q_max), q_max)
         actions = np.zeros((1, mdp.n_states), dtype=np.intp)
         start = mdp.index[(0, 0)]
-        step_mse = np.zeros((1, horizon))
-        step_aoi = np.zeros((1, horizon))
-        run_mse = np.zeros((1, runs))
-        run_aoi = np.zeros((1, runs))
 
-        def draws():  # fresh per-run streams for each walk
-            return [np.random.default_rng([0, i]) for i in range(runs)]
+        def walk(fail_prob):  # fresh per-run streams for each walk
+            tables = _ChainTables.build(replace(mdp, fail_prob=fail_prob), actions)
+            step_visits, run_visits = tables.visits(horizon), tables.visits(runs)
+            generators = [np.random.default_rng([0, i]) for i in range(runs)]
+            for _ in tables.walk(tables.windows(generators, horizon), start, step_visits, run_visits):
+                pass
+            return tables.totals(step_visits), tables.totals(run_visits)
 
         # g = 0 everywhere: every transmission lands, q tracks r
-        never = replace(mdp, fail_prob=np.zeros_like(mdp.fail_prob))
-        sat = _ChainTables.build(never, actions).walk(draws(), start, step_mse, step_aoi,
-                                                      run_mse, run_aoi)
-        assert sat.tolist() == [0]
-        np.testing.assert_allclose(run_mse[0], sk.cost_table[0], rtol=1e-12)
+        (_, _, sat), (run_cost, _, _) = walk(np.zeros_like(mdp.fail_prob))
+        assert sat.sum(axis=0).tolist() == [0]
+        np.testing.assert_allclose(run_cost[:, 0] / horizon, sk.cost_table[0], rtol=1e-12)
         # g = 1 everywhere: every transmission fails, q climbs and saturates at q_max
-        always = replace(mdp, fail_prob=np.ones_like(mdp.fail_prob))
-        sat = _ChainTables.build(always, actions).walk(draws(), start, step_mse, step_aoi,
-                                                       run_mse, run_aoi)
-        assert sat.tolist() == [runs * (horizon - q_max)]
+        (step_cost, _, sat), _ = walk(np.ones_like(mdp.fail_prob))
+        assert sat.sum(axis=0).tolist() == [runs * (horizon - q_max)]
         expected_first = [sk.cost_table[min(k, q_max)] for k in range(horizon)]
-        np.testing.assert_allclose(step_mse[0] / runs, expected_first)
+        np.testing.assert_allclose(step_cost[:, 0] / runs, expected_first)
 
     def test_jump_table_composes_next_base(self, system):
         # jump_base[s * L**k + c] is k next_base steps from s along the base-L digits of c
@@ -580,6 +571,35 @@ class TestStackedChains:
         assert [r.label for r in forward] == ["arq", "psi", "optimal", "psi again"]
         assert all(_same_report(a, b) for a, b in zip(forward, backward[::-1]))
         assert np.array_equal(forward[1].run_final_mse, forward[3].run_final_mse)
+
+    def test_reports_do_not_depend_on_walk_sizes(self, system, sk, monkeypatch):
+        # visits are counted as integers, so k and the block and window lengths move no float
+        stack, model = _table_stack(sk)
+        chain_cfg = SimConfig(horizon=301, runs=CHUNK_RUNS + 5, seed=51)
+        trajectory_cfg = SimConfig(horizon=61, runs=40, seed=52, mode="trajectory")
+
+        def simulate_both():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                return (simulate_chains(stack, model, sk, chain_cfg),
+                        simulate_trajectory(psi_policy(Q_MAX), system, model, sk, trajectory_cfg))
+
+        chains, trajectory = simulate_both()
+        tables = _tables(stack, model, sk)
+        sizes = [(tables.walk_steps(runs), tables.block_steps(runs), tables.window_steps(runs))
+                 for runs in (CHUNK_RUNS, 5)]
+        monkeypatch.setattr("remest.simulate.BLOCK_ELEMENTS", 40)
+        monkeypatch.setattr("remest.simulate.WINDOW", 700)
+        monkeypatch.setattr("remest.simulate.JUMP_LANES", 2)
+        # the last chunk no longer jumps, and every block and window shrinks
+        assert [(tables.walk_steps(runs), tables.block_steps(runs), tables.window_steps(runs))
+                for runs in (CHUNK_RUNS, 5)] == [(1, 1, 5), (1, 2, 140)]
+        assert sizes[1][0] > 1 and sizes[0][1:] == (21, 1008)
+        small_chains, small_trajectory = simulate_both()
+        assert all(_same_report(a, b) for a, b in zip(chains, small_chains))
+        assert _same_report(trajectory, small_trajectory)
+        for name in ("analytic_avg_mse_vs_k", "run_final_analytic_mse", "empirical_error_cov"):
+            assert np.array_equal(getattr(trajectory, name), getattr(small_trajectory, name)), name
 
     def test_empty_stack_rejected(self, sk, channel):
         with pytest.raises(ValueError, match="no policies"):
