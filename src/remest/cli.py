@@ -305,8 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error (code 2) or the help (code 0)
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
     except _StabilityGateError as exc:

@@ -1,7 +1,11 @@
 """Experiment configuration: a single JSON document with strict keys.
 
 Matrices are nested arrays; "lambda" is the fresh-transmission success
-probability. Every construction of an ExperimentConfig, loaded or
+probability. One table, _LAYOUT, declares the layout: each key of each
+section maps to the ExperimentConfig field it fills, its default (or
+_REQUIRED) and its conversion; from_dict and to_dict both walk it, and a
+section is required when one of its keys is. Integer keys take integral
+numbers only. Every construction of an ExperimentConfig, loaded or
 overridden with dataclasses.replace, validates every invariant through
 the constructed objects (LtiSystem, HarqModel, SimConfig), and unknown
 keys are rejected at every level so typos cannot silently fall back to
@@ -11,7 +15,8 @@ defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from importlib import resources
 
 from .harq import HarqModel
@@ -19,31 +24,57 @@ from .lti import LtiSystem
 from .simulate import SimConfig
 
 _FORMATS = ("csv", "json")
+_REQUIRED = object()
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _take(section: dict, name: str, allowed: dict):
-    """Pull values out of a config section, rejecting unknown keys.
+def _vector(values):
+    return tuple(float(v) for v in values)
 
-    allowed maps key -> (required, default).
-    """
+
+def _matrix(rows):
+    return tuple(_vector(row) for row in rows)
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _integer(value) -> int:
+    """value as an int; int() would silently truncate a fraction and take a bool."""
+    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _plain(value):
+    """A field's value as JSON: tuples become lists."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
+# section -> key -> (ExperimentConfig field, default or _REQUIRED, conversion)
+_LAYOUT = {
+    "system": {key: (key, _REQUIRED, _matrix) for key in ("A", "C", "Q", "R")},
+    "channel": {"lambda": ("lam", _REQUIRED, float), "h": ("h", None, _optional(float)),
+                "g_table": ("g_table", None, _optional(_vector))},
+    "mdp": {"q_max": ("q_max", 20, _integer), "tol": ("tol", 1e-9, float),
+            "max_iter": ("max_iter", 100000, _integer)},
+    "sim": {"K": ("horizon", 2000, _integer), "runs": ("runs", 2000, _integer),
+            "seed": ("seed", 0, _integer), "mode": ("mode", "analytic", str),
+            "initial_q": ("initial_q", 0, _integer)},
+    "outputs": {"directory": ("out_dir", "out", str), "formats": ("formats", _FORMATS, tuple)},
+}
+
+
+def _check_keys(section, name: str, keys) -> None:
     if not isinstance(section, dict):
         raise ConfigError(f"section {name!r} must be an object")
-    unknown = set(section) - set(allowed)
+    unknown = set(section) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    out = {}
-    for key, (required, default) in allowed.items():
-        if key in section:
-            out[key] = section[key]
-        elif required:
-            raise ConfigError(f"missing required key {key!r} in {name!r}")
-        else:
-            out[key] = default
-    return out
 
 
 @dataclass(frozen=True)
@@ -64,48 +95,24 @@ class ExperimentConfig:
     mode: str
     initial_q: int
     out_dir: str
-    formats: tuple = field(default=_FORMATS)
+    formats: tuple
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        top = _take(data, "config", {
-            "system": (True, None), "channel": (True, None), "mdp": (False, {}),
-            "sim": (False, {}), "outputs": (False, {}),
-        })
-        system = _take(top["system"], "system", {
-            "A": (True, None), "C": (True, None), "Q": (True, None), "R": (True, None),
-        })
-        channel = _take(top["channel"], "channel", {
-            "lambda": (True, None), "h": (False, None), "g_table": (False, None),
-        })
-        mdp = _take(top["mdp"], "mdp", {
-            "q_max": (False, 20), "tol": (False, 1e-9), "max_iter": (False, 100000),
-        })
-        sim = _take(top["sim"], "sim", {
-            "K": (False, 2000), "runs": (False, 2000), "seed": (False, 0),
-            "mode": (False, "analytic"), "initial_q": (False, 0),
-        })
-        outputs = _take(top["outputs"], "outputs", {
-            "directory": (False, "out"), "formats": (False, list(_FORMATS)),
-        })
-
-        def freeze(mat):
-            return tuple(tuple(float(v) for v in row) for row in mat)
-
-        try:
-            fields = dict(
-                A=freeze(system["A"]), C=freeze(system["C"]),
-                Q=freeze(system["Q"]), R=freeze(system["R"]),
-                lam=float(channel["lambda"]),
-                h=None if channel["h"] is None else float(channel["h"]),
-                g_table=None if channel["g_table"] is None else tuple(float(v) for v in channel["g_table"]),
-                q_max=int(mdp["q_max"]), tol=float(mdp["tol"]), max_iter=int(mdp["max_iter"]),
-                horizon=int(sim["K"]), runs=int(sim["runs"]), seed=int(sim["seed"]),
-                mode=str(sim["mode"]), initial_q=int(sim["initial_q"]),
-                out_dir=str(outputs["directory"]), formats=tuple(outputs["formats"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config value: {exc}") from exc
+        _check_keys(data, "config", _LAYOUT)
+        fields = {}
+        for name, keys in _LAYOUT.items():
+            if name not in data and any(spec[1] is _REQUIRED for spec in keys.values()):
+                raise ConfigError(f"missing required key {name!r} in 'config'")
+            section = data.get(name, {})
+            _check_keys(section, name, keys)
+            for key, (field_name, default, convert) in keys.items():
+                if key not in section and default is _REQUIRED:
+                    raise ConfigError(f"missing required key {key!r} in {name!r}")
+                try:
+                    fields[field_name] = convert(section.get(key, default))
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ConfigError(f"malformed config value {name}.{key}: {exc}") from exc
         return cls(**fields)
 
     def __post_init__(self):
@@ -122,8 +129,8 @@ class ExperimentConfig:
         self.make_sim_config()
         if self.q_max < 1:
             raise ConfigError("mdp.q_max must be at least 1")
-        if self.tol <= 0:
-            raise ConfigError("mdp.tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"mdp.tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"mdp.max_iter must be at least 1, got {self.max_iter}")
         if self.initial_q > self.q_max:
@@ -133,20 +140,8 @@ class ExperimentConfig:
                               "sim.initial_q must be 0")
 
     def to_dict(self) -> dict:
-        channel = {"lambda": self.lam, "h": self.h, "g_table": None}
-        if self.g_table is not None:
-            channel["g_table"] = list(self.g_table)
-        return {
-            "system": {
-                "A": [list(r) for r in self.A], "C": [list(r) for r in self.C],
-                "Q": [list(r) for r in self.Q], "R": [list(r) for r in self.R],
-            },
-            "channel": channel,
-            "mdp": {"q_max": self.q_max, "tol": self.tol, "max_iter": self.max_iter},
-            "sim": {"K": self.horizon, "runs": self.runs, "seed": self.seed,
-                    "mode": self.mode, "initial_q": self.initial_q},
-            "outputs": {"directory": self.out_dir, "formats": list(self.formats)},
-        }
+        return {name: {key: _plain(getattr(self, spec[0])) for key, spec in keys.items()}
+                for name, keys in _LAYOUT.items()}
 
     def make_system(self) -> LtiSystem:
         import warnings

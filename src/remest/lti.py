@@ -152,8 +152,8 @@ def riccati_steady_state(
     Raises ValueError naming the first q whose staleness cost overflows
     float64; a smaller q_max keeps the table finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     ident = np.eye(sys.n)
     P = sys.Q.copy()
     gain = None

@@ -185,8 +185,8 @@ def solve(mdp: TruncatedMdp, tol: float = 1e-9, max_iter: int = 100000) -> MdpSo
     Raises SolverError when a policy's chain is not unichain or when
     max_iter rounds do not settle.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     rows = np.arange(mdp.n_states)

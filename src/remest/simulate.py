@@ -77,20 +77,27 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
+    """What a walk measured: per-step running means and per-run horizon averages.
+
+    horizon, runs, final_avg_mse, final_avg_aoi, mse_ci95 and aoi_ci95 are
+    derived from these fields, as read-only properties.
+    """
+
     label: str
     mode: str
-    horizon: int
-    runs: int
     seed: int
     avg_mse_vs_k: np.ndarray  # running mean of the per-step MSE, averaged over runs
     avg_aoi_vs_k: np.ndarray
-    final_avg_mse: float
-    final_avg_aoi: float
     run_final_mse: np.ndarray  # per-run horizon averages, for confidence intervals
     run_final_aoi: np.ndarray
-    mse_ci95: float
-    aoi_ci95: float
-    saturation_events: int = 0
+    saturation_events: int
+
+    horizon = property(lambda self: len(self.avg_mse_vs_k))
+    runs = property(lambda self: len(self.run_final_mse))
+    final_avg_mse = property(lambda self: float(self.avg_mse_vs_k[-1]))
+    final_avg_aoi = property(lambda self: float(self.avg_aoi_vs_k[-1]))
+    mse_ci95 = property(lambda self: _ci95(self.run_final_mse))
+    aoi_ci95 = property(lambda self: _ci95(self.run_final_aoi))
 
 
 @dataclass(frozen=True)
@@ -98,21 +105,26 @@ class TrajectoryReport(SimReport):
     """Chain statistics plus the empirical quantities from the drawn trajectories.
 
     avg_mse_vs_k / final_avg_mse hold the empirical squared error; the
-    analytic_* fields hold the cost-table values for the same realized
-    staleness states, and empirical_error_cov averages the receiver error
-    outer products over all steps and runs.
+    analytic_* fields and final_analytic_mse hold the cost-table values for
+    the same realized staleness states, and empirical_error_cov averages
+    the receiver error outer products over all steps and runs.
     """
 
-    analytic_avg_mse_vs_k: np.ndarray = None
-    final_analytic_mse: float = float("nan")
-    run_final_analytic_mse: np.ndarray = None
-    empirical_error_cov: np.ndarray = None
+    analytic_avg_mse_vs_k: np.ndarray
+    run_final_analytic_mse: np.ndarray
+    empirical_error_cov: np.ndarray
+    final_analytic_mse = property(lambda self: float(self.analytic_avg_mse_vs_k[-1]))
 
 
 def _ci95(per_run: np.ndarray) -> float:
     if len(per_run) < 2:
         return 0.0
     return float(1.96 * per_run.std(ddof=1) / np.sqrt(len(per_run)))
+
+
+def _running_mean(step_totals: np.ndarray, runs: int) -> np.ndarray:
+    """Entry k - 1 is the mean over steps 1..k of step_totals / runs, the per-step run average."""
+    return np.cumsum(step_totals / runs) / np.arange(1, len(step_totals) + 1)
 
 
 @dataclass(frozen=True)
@@ -380,21 +392,12 @@ def _chain_reports(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalma
             pass
     step_mse, step_aoi, step_saturated = tables.totals(step_visits)
     run_mse, run_aoi, _ = tables.totals(run_visits)
-    steps = np.arange(1, horizon + 1)
-    reports = []
-    for p, policy in enumerate(policies):
-        avg_mse = np.cumsum(step_mse[:, p] / runs) / steps
-        avg_aoi = np.cumsum(step_aoi[:, p] / runs) / steps
-        run_final_mse, run_final_aoi = run_mse[:, p] / horizon, run_aoi[:, p] / horizon
-        reports.append(SimReport(
-            label=policy.label, mode="analytic", horizon=horizon, runs=runs, seed=cfg.seed,
-            avg_mse_vs_k=avg_mse, avg_aoi_vs_k=avg_aoi,
-            final_avg_mse=float(avg_mse[-1]), final_avg_aoi=float(avg_aoi[-1]),
-            run_final_mse=run_final_mse, run_final_aoi=run_final_aoi,
-            mse_ci95=_ci95(run_final_mse), aoi_ci95=_ci95(run_final_aoi),
-            saturation_events=int(step_saturated[:, p].sum()),
-        ))
-    return reports
+    return [SimReport(label=policy.label, mode="analytic", seed=cfg.seed,
+                      avg_mse_vs_k=_running_mean(step_mse[:, p], runs),
+                      avg_aoi_vs_k=_running_mean(step_aoi[:, p], runs),
+                      run_final_mse=run_mse[:, p] / horizon, run_final_aoi=run_aoi[:, p] / horizon,
+                      saturation_events=int(step_saturated[:, p].sum()))
+            for p, policy in enumerate(policies)]
 
 
 def simulate_chains(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalman,
@@ -534,22 +537,13 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
 
     step_ana, step_aoi, step_saturated = tables.totals(step_visits)
     run_ana, run_aoi, _ = tables.totals(run_visits)
-    steps = np.arange(1, horizon + 1)
-    avg_emp = np.cumsum(step_emp / runs) / steps
-    avg_ana = np.cumsum(step_ana[:, 0] / runs) / steps
-    avg_aoi = np.cumsum(step_aoi[:, 0] / runs) / steps
-    run_emp /= horizon
-    run_ana, run_aoi = run_ana[:, 0] / horizon, run_aoi[:, 0] / horizon
     report = TrajectoryReport(
-        label=policy.label, mode="trajectory", horizon=horizon, runs=runs, seed=cfg.seed,
-        avg_mse_vs_k=avg_emp, avg_aoi_vs_k=avg_aoi,
-        final_avg_mse=float(avg_emp[-1]), final_avg_aoi=float(avg_aoi[-1]),
-        run_final_mse=run_emp, run_final_aoi=run_aoi,
-        mse_ci95=_ci95(run_emp), aoi_ci95=_ci95(run_aoi),
+        label=policy.label, mode="trajectory", seed=cfg.seed,
+        avg_mse_vs_k=_running_mean(step_emp, runs), avg_aoi_vs_k=_running_mean(step_aoi[:, 0], runs),
+        run_final_mse=run_emp / horizon, run_final_aoi=run_aoi[:, 0] / horizon,
         saturation_events=int(step_saturated.sum()),
-        analytic_avg_mse_vs_k=avg_ana,
-        final_analytic_mse=float(avg_ana[-1]),
-        run_final_analytic_mse=run_ana,
+        analytic_avg_mse_vs_k=_running_mean(step_ana[:, 0], runs),
+        run_final_analytic_mse=run_ana[:, 0] / horizon,
         empirical_error_cov=err_cov / (runs * horizon),
     )
     _warn_saturation([report], policy.q_max)

@@ -7,7 +7,7 @@ import pytest
 
 from remest import load_policy_csv, mdp, verify_switching
 from remest.cli import main
-from remest.config import ConfigError, ExperimentConfig, default_config, load_config
+from remest.config import _LAYOUT, ConfigError, ExperimentConfig, default_config, load_config
 
 SMALL_CONFIG = {
     "system": {
@@ -136,6 +136,68 @@ class TestConfig:
         path.write_text(json.dumps(cfg))
         assert run_cli("stability", "--config", str(path)) == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("layout", ["h", "g_table", "default"])
+    def test_round_trip_every_layout(self, layout):
+        if layout == "default":
+            cfg = default_config()
+        else:
+            data = json.loads(json.dumps(SMALL_CONFIG))
+            if layout == "g_table":
+                del data["channel"]["h"]
+                data["channel"]["g_table"] = [0.2, 0.05, 0.01]
+            cfg = ExperimentConfig.from_dict(data)
+        out = cfg.to_dict()
+        assert ExperimentConfig.from_dict(out) == cfg
+        assert {name: set(section) for name, section in out.items()} == \
+            {name: set(keys) for name, keys in _LAYOUT.items()}
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("mdp", "q_max", 20.9), ("mdp", "max_iter", 1000.5), ("sim", "K", 2000.7),
+        ("sim", "runs", True), ("sim", "seed", True), ("sim", "initial_q", 0.5),
+    ])
+    def test_integer_key_takes_only_integers(self, tmp_path, capsys, section, key, value):
+        # int() used to truncate a fraction and read a bool as 0 or 1
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg[section][key] = value
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("solve", "--config", str(path)) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_float_loads_as_int(self):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["sim"]["K"] = 3e2
+        horizon = ExperimentConfig.from_dict(cfg).horizon
+        assert horizon == 300 and type(horizon) is int
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tol_is_a_config_error(self, tmp_path, capsys, tol):
+        # inf stopped the solver after one step with a wrong gain; nan ran max_iter and exited 3
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["mdp"]["tol"] = tol
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("solve", "--config", str(path)) == 1
+        assert "mdp.tol" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--default", "--cost", "foo"], ["simulate", "--default"], ["bogus"], [],
+    ], ids=["bad_choice", "missing_policy", "unknown_command", "no_command"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        # argparse exits 2 on its own, the stability-failure code
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: remest" in capsys.readouterr().out
 
 
 class TestStabilityCommand:

@@ -104,6 +104,12 @@ class TestRiccati:
         assert oracle == pytest.approx(0.5, abs=1e-12)
         assert out.p_bar0[0, 0] == pytest.approx(oracle, abs=1e-9)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tol_rejected(self, system, tol):
+        # inf stopped after the first step; nan ran all max_iter iterations
+        with pytest.raises(ValueError, match="finite"):
+            riccati_steady_state(system, tol=tol)
+
     def test_stiff_scalar_against_closed_form(self):
         # P_pred ~ 1e8 >> R: (I - KC) P_pred cancels to ~1e-8 of noise, above tol
         out = riccati_steady_state(LtiSystem([[1e4]], [[1.0]], [[1.0]], [[1.0]]), q_max=3)

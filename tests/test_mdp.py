@@ -180,6 +180,12 @@ class TestRvi:
         with pytest.raises(ValueError):
             solve(mse_mdp, max_iter=0)
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_non_finite_tol_rejected(self, mse_mdp, tol):
+        # inf let the first round stop switching; nan never settled
+        with pytest.raises(ValueError, match="finite"):
+            solve(mse_mdp, tol=tol)
+
     def test_unsettled_policy_iteration_is_a_solver_error(self, mse_mdp):
         # all-fresh is not optimal here, so one round cannot settle
         with pytest.raises(SolverError):
