@@ -5,11 +5,12 @@ probability. One table, _LAYOUT, declares the layout: each key of each
 section maps to the ExperimentConfig field it fills, its default (or
 _REQUIRED) and its conversion; from_dict and to_dict both walk it, and a
 section is required when one of its keys is. Integer keys take integral
-numbers only. Every construction of an ExperimentConfig, loaded or
-overridden with dataclasses.replace, validates every invariant through
-the constructed objects (LtiSystem, HarqModel, SimConfig), and unknown
-keys are rejected at every level so typos cannot silently fall back to
-defaults.
+numbers only, number keys no booleans, and string and list keys (vectors
+and matrix rows among them) only strings and lists. Every construction
+of an ExperimentConfig, loaded or overridden with dataclasses.replace,
+validates every invariant through the constructed objects (LtiSystem,
+HarqModel, SimConfig), and unknown keys are rejected at every level so
+typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
@@ -31,12 +32,33 @@ class ConfigError(ValueError):
     pass
 
 
+def _real(value) -> float:
+    """value as a float; float() would take a bool."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _string(value) -> str:
+    """value itself; str() would turn any value into a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _list(value) -> tuple:
+    """value as a tuple; tuple() would split a string into its characters."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list, got {value!r}")
+    return tuple(value)
+
+
 def _vector(values):
-    return tuple(float(v) for v in values)
+    return tuple(_real(v) for v in _list(values))
 
 
 def _matrix(rows):
-    return tuple(_vector(row) for row in rows)
+    return tuple(_vector(row) for row in _list(rows))
 
 
 def _optional(convert):
@@ -58,14 +80,14 @@ def _plain(value):
 # section -> key -> (ExperimentConfig field, default or _REQUIRED, conversion)
 _LAYOUT = {
     "system": {key: (key, _REQUIRED, _matrix) for key in ("A", "C", "Q", "R")},
-    "channel": {"lambda": ("lam", _REQUIRED, float), "h": ("h", None, _optional(float)),
+    "channel": {"lambda": ("lam", _REQUIRED, _real), "h": ("h", None, _optional(_real)),
                 "g_table": ("g_table", None, _optional(_vector))},
-    "mdp": {"q_max": ("q_max", 20, _integer), "tol": ("tol", 1e-9, float),
+    "mdp": {"q_max": ("q_max", 20, _integer), "tol": ("tol", 1e-9, _real),
             "max_iter": ("max_iter", 100000, _integer)},
     "sim": {"K": ("horizon", 2000, _integer), "runs": ("runs", 2000, _integer),
-            "seed": ("seed", 0, _integer), "mode": ("mode", "analytic", str),
+            "seed": ("seed", 0, _integer), "mode": ("mode", "analytic", _string),
             "initial_q": ("initial_q", 0, _integer)},
-    "outputs": {"directory": ("out_dir", "out", str), "formats": ("formats", _FORMATS, tuple)},
+    "outputs": {"directory": ("out_dir", "out", _string), "formats": ("formats", _FORMATS, _list)},
 }
 
 

@@ -6,7 +6,10 @@ packet, q the age of the newest estimate the receiver holds. Action 0
 sends fresh, action 1 retransmits. Transitions follow the detection
 probabilities of the channel model; r and q saturate at q_max so the grid
 is closed (a standard approximating construction), and the detection
-probability of a retransmission saturates at the channel's r_cap. The
+probability of a retransmission saturates at the channel's r_cap. A
+TruncatedMdp holds its states as two index arrays, r and q, in the order
+of enumerate_states; state_index(r, q) maps a state back to its position,
+and policy.actions[mdp.r, mdp.q] reads a grid's action per state. The
 succ_idx, fail_idx and fail_prob arrays of a TruncatedMdp are the one
 definition of how the chain moves: _poisson builds from them the chain
 that the solver and evaluate_policy use, and both simulators walk them.
@@ -22,7 +25,7 @@ import numpy as np
 
 from .harq import HarqModel
 from .lti import SteadyKalman
-from .policies import PolicyGrid, enumerate_states
+from .policies import PolicyGrid, state_index
 
 COST_KINDS = ("mse", "delay")
 
@@ -33,10 +36,18 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncatedMdp:
+    """The truncated model: state i is (r[i], q[i]), and state_index(r, q) is i.
+
+    r and q are read-only int arrays in the order of enumerate_states
+    (q, r = np.tril_indices(q_max + 1)), so state 0 is (0, 0) and the
+    last state is the corner (q_max, q_max). The other arrays are indexed
+    by state, and by action first where they have two rows.
+    """
+
     q_max: int
     cost_kind: str
-    states: tuple
-    index: dict
+    r: np.ndarray  # (S,) retransmission count of each state
+    q: np.ndarray  # (S,) age of each state's newest delivered estimate
     cost: np.ndarray
     succ_idx: np.ndarray  # (2, S) next-state index on detection success
     fail_idx: np.ndarray  # (2, S) next-state index on detection failure
@@ -44,7 +55,7 @@ class TruncatedMdp:
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.q)
 
 
 @dataclass(frozen=True)
@@ -54,9 +65,7 @@ class MdpSolution:
     policy: PolicyGrid
     iterations: int
     span_residual: float
-    q_max: int
     cost_kind: str
-    states: tuple
 
 
 def build_mdp(sk: SteadyKalman | None, m: HarqModel, q_max: int, cost_kind: str = "mse") -> TruncatedMdp:
@@ -78,35 +87,19 @@ def build_mdp(sk: SteadyKalman | None, m: HarqModel, q_max: int, cost_kind: str 
             raise ValueError("the MSE cost needs a steady-state filter (sk)")
         if sk.n_max < q_max:
             raise ValueError(f"cost table covers q up to {sk.n_max}, need {q_max}")
-    states = enumerate_states(q_max)
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    cost = np.empty(n)
-    succ = np.zeros((2, n), dtype=np.int32)
-    fail = np.zeros((2, n), dtype=np.int32)
-    pfail = np.zeros((2, n))
-    g0 = m.failure_prob(0)
-    for i, (r, q) in enumerate(states):
-        cost[i] = sk.cost_table[q] if cost_kind == "mse" else q + 1.0
-        succ[0, i] = index[(0, 0)]
-        fail[0, i] = index[(0, min(q + 1, q_max))]
-        pfail[0, i] = g0
-        r_next = min(r + 1, q_max)
-        succ[1, i] = index[(r_next, r_next)]
-        fail[1, i] = index[(r_next, min(q + 1, q_max))]
-        pfail[1, i] = m.failure_prob_clamped(r + 1)
-    for arr in (cost, succ, fail, pfail):
+    q, r = np.tril_indices(q_max + 1)
+    q_next, r_next = np.minimum(q + 1, q_max), np.minimum(r + 1, q_max)
+    cost = sk.cost_table[q] if cost_kind == "mse" else q + 1.0
+    succ = np.stack([np.zeros_like(q), state_index(r_next, r_next)]).astype(np.int32)
+    fail = np.stack([state_index(0, q_next), state_index(r_next, q_next)]).astype(np.int32)
+    g_next = np.array([m.failure_prob_clamped(count) for count in range(1, q_max + 2)])  # by r
+    pfail = np.stack([np.full(len(q), m.failure_prob(0)), g_next[r]])
+    for arr in (r, q, cost, succ, fail, pfail):
         arr.flags.writeable = False
     return TruncatedMdp(
-        q_max=q_max, cost_kind=cost_kind, states=states, index=index,
+        q_max=q_max, cost_kind=cost_kind, r=r, q=q,
         cost=cost, succ_idx=succ, fail_idx=fail, fail_prob=pfail,
     )
-
-
-def _state_rq(mdp: TruncatedMdp):
-    """r and q of every state, as index arrays into a PolicyGrid's actions."""
-    r, q = np.array(mdp.states).T
-    return r, q
 
 
 def _reached_by_all(successors: np.ndarray, target: int) -> bool:
@@ -148,9 +141,9 @@ def _poisson(mdp: TruncatedMdp, actions: np.ndarray):
     fail = mdp.fail_idx[actions, rows]
     # successors along edges of positive probability
     successors = np.stack([np.where(pf < 1.0, succ, fail), np.where(pf > 0.0, fail, succ)])
-    ref = mdp.index[(0, 0)]
+    ref = 0  # (0, 0)
     if not _reached_by_all(successors, ref):
-        ref = mdp.index[(mdp.q_max, mdp.q_max)]
+        ref = n - 1  # the corner
         if not _reached_by_all(successors, ref):
             raise SolverError("the policy's chain has more than one recurrent class")
     lhs = np.eye(n)
@@ -204,12 +197,12 @@ def solve(mdp: TruncatedMdp, tol: float = 1e-9, max_iter: int = 100000) -> MdpSo
         raise SolverError(f"policy iteration still switched actions after {max_iter} rounds")
     delta = q.min(axis=0) - h
     grid = np.zeros((mdp.q_max + 1, mdp.q_max + 1), dtype=np.int8)
-    grid[_state_rq(mdp)] = actions
+    grid[mdp.r, mdp.q] = actions
     h.flags.writeable = False
     return MdpSolution(
         gain=gain, bias=h, policy=PolicyGrid(mdp.q_max, grid, label=f"optimal-{mdp.cost_kind}"),
         iterations=iterations, span_residual=float(delta.max() - delta.min()),
-        q_max=mdp.q_max, cost_kind=mdp.cost_kind, states=mdp.states,
+        cost_kind=mdp.cost_kind,
     )
 
 
@@ -221,14 +214,14 @@ def evaluate_policy(mdp: TruncatedMdp, policy: PolicyGrid) -> float:
     """
     if policy.q_max != mdp.q_max:
         raise ValueError(f"policy grid q_max={policy.q_max} does not match model q_max={mdp.q_max}")
-    return _poisson(mdp, policy.actions[_state_rq(mdp)])[0]
+    return _poisson(mdp, policy.actions[mdp.r, mdp.q])[0]
 
 
 def save_bias_csv(solution: MdpSolution, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "q", "bias"])
-        for (r, q), value in zip(solution.states, solution.bias):
+        for (r, q), value in zip(solution.policy.states(), solution.bias):
             writer.writerow([r, q, f"{value:.17g}"])
 
 
@@ -238,7 +231,7 @@ def save_solution_json(solution: MdpSolution, path):
             "gain": solution.gain,
             "iterations": solution.iterations,
             "span_residual": solution.span_residual,
-            "q_max": solution.q_max,
+            "q_max": solution.policy.q_max,
             "cost_kind": solution.cost_kind,
         }, fh, indent=2)
         fh.write("\n")

@@ -22,6 +22,11 @@ def enumerate_states(q_max: int):
     return tuple((r, q) for q in range(q_max + 1) for r in range(q + 1))
 
 
+def state_index(r, q):
+    """The position of (r, q) in enumerate_states; elementwise on arrays."""
+    return q * (q + 1) // 2 + r
+
+
 @dataclass(frozen=True)
 class SwitchingReport:
     ok: bool

@@ -44,8 +44,8 @@ import numpy as np
 
 from .harq import HarqModel
 from .lti import LtiSystem, SteadyKalman
-from .mdp import TruncatedMdp, _state_rq, build_mdp
-from .policies import PolicyGrid, enumerate_states
+from .mdp import TruncatedMdp, build_mdp
+from .policies import PolicyGrid, state_index
 
 CHUNK_RUNS = 128  # runs of a chain-walk chunk, and of a trajectory-mode stream
 BLOCK_ELEMENTS = 2 ** 13  # steps x policies x runs per chain-walk block
@@ -170,16 +170,15 @@ class _ChainTables:
         next_state = np.where(failed, mdp.fail_idx[actions, rows][..., None],
                               mdp.succ_idx[actions, rows][..., None])
         next_state += (np.arange(n_policies) * n_states)[:, None, None]
-        q = _state_rq(mdp)[1]
         bin_q = np.minimum(np.arange(mdp.q_max + 2), mdp.q_max)
-        bins = np.where(failed & (q == mdp.q_max)[:, None], mdp.q_max + 1, q[:, None])
+        bins = np.where(failed & (mdp.q == mdp.q_max)[:, None], mdp.q_max + 1, mdp.q[:, None])
         return cls(
             n_policies=n_policies,
             n_states=n_states,
             g_values=g_values,
             next_base=(next_state * n_levels).astype(np.intp).ravel(),
             bins=(bins + (np.arange(n_policies) * len(bin_q))[:, None, None]).ravel(),
-            bin_cost=mdp.cost[[mdp.index[(0, q)] for q in bin_q]],
+            bin_cost=mdp.cost[state_index(0, bin_q)],
             bin_age=bin_q + 1.0,
         )
 
@@ -326,7 +325,8 @@ class _ChainTables:
 
 
 def _policy_chains(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalman, initial_q: int):
-    """The MSE decision model's chains under a stack of policies, and the start state (0, initial_q)."""
+    """The MSE decision model's chains under a stack of policies, the start state (0, initial_q)
+    and the model."""
     if not policies:
         raise ValueError("no policies to simulate")
     q_max = policies[0].q_max
@@ -336,9 +336,8 @@ def _policy_chains(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalma
     if initial_q > q_max:
         raise ValueError(f"initial_q={initial_q} outside the grid's q range 0..{q_max}")
     mdp = build_mdp(sk, m, q_max, "mse")
-    rq = _state_rq(mdp)
-    actions = np.stack([policy.actions[rq] for policy in policies])
-    return _ChainTables.build(mdp, actions), mdp.index[(0, initial_q)]
+    actions = np.stack([policy.actions[mdp.r, mdp.q] for policy in policies])
+    return _ChainTables.build(mdp, actions), state_index(0, initial_q), mdp
 
 
 def _warn_saturation(reports, q_max: int):
@@ -379,7 +378,7 @@ def _chain_reports(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalma
     """simulate_chains without the saturation warnings."""
     if cfg.mode != "analytic":
         raise ValueError("the chain simulation requires mode='analytic'")
-    tables, initial_state = _policy_chains(policies, m, sk, cfg.initial_q)
+    tables, initial_state, _ = _policy_chains(policies, m, sk, cfg.initial_q)
     horizon, runs = cfg.horizon, cfg.runs
     children = np.random.SeedSequence(cfg.seed).spawn(runs)
     step_visits, run_visits = tables.visits(horizon), tables.visits(runs)
@@ -470,7 +469,7 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     if cfg.initial_q != 0:
         raise ValueError("trajectory mode starts from a just-delivered estimate (initial_q=0)")
     horizon, runs, n = cfg.horizon, cfg.runs, sys.n
-    tables, initial_state = _policy_chains([policy], m, sk, cfg.initial_q)
+    tables, initial_state, mdp = _policy_chains([policy], m, sk, cfg.initial_q)
     oldest = policy.q_max + 1  # the saturated age
 
     a = sys.A
@@ -491,10 +490,9 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
 
     # what the state of each edge tells the errors: r = 0 restarts the packet's
     # error, q = r hands it to the receiver, and q_max saturates either age (r <= q)
-    r, q = np.array(enumerate_states(policy.q_max)).T
     restarts, delivered, r_oldest, q_oldest = (
         np.repeat(flags, tables.n_levels)
-        for flags in (r == 0, q == r, r == policy.q_max, q == policy.q_max))
+        for flags in (mdp.r == 0, mdp.q == mdp.r, mdp.r == mdp.q_max, mdp.q == mdp.q_max))
 
     noise = np.empty((n, runs))  # w_k
     filter_in = np.empty((n + sys.m, runs))

@@ -167,6 +167,27 @@ class TestConfig:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("channel", "lambda", True), ("channel", "h", True),
+        ("channel", "g_table", [0.2, True]), ("system", "A", [[1.8, True], [0.2, 0.8]]),
+        ("system", "A", ["12", "34"]),
+        ("mdp", "tol", True), ("sim", "mode", 5), ("outputs", "directory", 5),
+        ("outputs", "formats", "json"),
+    ])
+    def test_key_takes_only_its_type(self, tmp_path, capsys, section, key, value):
+        # float(), str() and tuple() used to read a bool as 1.0, 5 as "5" and "json" or "12" as
+        # its characters
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        if key == "g_table":
+            del cfg["channel"]["h"]
+        cfg[section][key] = value
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("solve", "--config", str(path)) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_integral_float_loads_as_int(self):
         cfg = json.loads(json.dumps(SMALL_CONFIG))
         cfg["sim"]["K"] = 3e2

@@ -16,7 +16,7 @@ from remest import (
     solve,
     verify_switching,
 )
-from remest.mdp import enumerate_states
+from remest.policies import enumerate_states, state_index
 
 Q_MAX = 20
 
@@ -44,7 +44,7 @@ def gth_gain(model, policy):
     however small, to full relative accuracy."""
     n = model.n_states
     p = np.zeros((n, n))
-    for i, (r, q) in enumerate(model.states):
+    for i, (r, q) in enumerate(enumerate_states(model.q_max)):
         action = policy.actions[r, q]
         pf = model.fail_prob[action, i]
         p[i, model.succ_idx[action, i]] += 1.0 - pf
@@ -62,13 +62,28 @@ def gth_gain(model, policy):
 def outcomes(model, state, action):
     """{next_state: probability} for one (state, action), read off the
     model's succ_idx, fail_idx and fail_prob arrays."""
-    i = model.index[state]
+    i = state_index(*state)
     pf = float(model.fail_prob[action, i])
     out = {}
     for idx, prob in ((model.succ_idx[action, i], 1.0 - pf), (model.fail_idx[action, i], pf)):
-        key = model.states[idx]
+        key = enumerate_states(model.q_max)[idx]
         out[key] = out.get(key, 0.0) + prob
     return out
+
+
+def build_oracle(sk, m, q_max, cost_kind):
+    """succ_idx, fail_idx, fail_prob and cost by build_mdp's docstring rules, state by state."""
+    index = {s: i for i, s in enumerate(enumerate_states(q_max))}
+    n = len(index)
+    succ, fail = np.zeros((2, n), dtype=np.int32), np.zeros((2, n), dtype=np.int32)
+    pfail, cost = np.zeros((2, n)), np.zeros(n)
+    for (r, q), i in index.items():
+        r_next, q_next = min(r + 1, q_max), min(q + 1, q_max)
+        succ[:, i] = index[(0, 0)], index[(r_next, r_next)]
+        fail[:, i] = index[(0, q_next)], index[(r_next, q_next)]
+        pfail[:, i] = m.failure_prob(0), m.failure_prob(min(r + 1, m.r_cap))
+        cost[i] = sk.cost_table[q] if cost_kind == "mse" else q + 1
+    return succ, fail, pfail, cost
 
 
 class TestBuild:
@@ -103,17 +118,38 @@ class TestBuild:
         assert outcomes(mse_mdp, (0, 0), 1) == {(1, 1): pytest.approx(1.0)}
 
     def test_all_probabilities_sum_to_one(self, mse_mdp):
-        for state in mse_mdp.states:
+        for state in enumerate_states(mse_mdp.q_max):
             for action in (0, 1):
                 total = sum(outcomes(mse_mdp, state, action).values())
                 assert abs(total - 1.0) < 1e-12
 
     def test_costs(self, sk, channel, mse_mdp):
-        for i, (r, q) in enumerate(mse_mdp.states):
+        for i, (r, q) in enumerate(enumerate_states(mse_mdp.q_max)):
             assert mse_mdp.cost[i] == sk.cost_table[q]
         delay = build_mdp(None, channel, 5, "delay")
-        for i, (r, q) in enumerate(delay.states):
+        for i, (r, q) in enumerate(enumerate_states(delay.q_max)):
             assert delay.cost[i] == q + 1
+
+    @pytest.mark.parametrize("cost_kind", ["mse", "delay"])
+    @pytest.mark.parametrize("table", [False, True], ids=["geometric", "table"])
+    @pytest.mark.parametrize("q_max", [1, 2, 20, 40])
+    def test_arrays_match_per_state_oracle(self, system, q_max, table, cost_kind):
+        # the table channel's r_cap of 3 lies below q_max from q_max = 20 on
+        m = HarqModel.from_table([0.2, 0.1, 0.05, 0.025]) if table else HarqModel(0.8, 0.5, r_cap=q_max)
+        sk = riccati_steady_state(system, q_max=q_max)
+        model = build_mdp(sk if cost_kind == "mse" else None, m, q_max, cost_kind)
+        succ, fail, pfail, cost = build_oracle(sk, m, q_max, cost_kind)
+        assert np.array_equal(model.succ_idx, succ)
+        assert np.array_equal(model.fail_idx, fail)
+        assert np.array_equal(model.fail_prob, pfail)
+        assert np.array_equal(model.cost, cost)
+        states = enumerate_states(q_max)
+        assert [state_index(r, q) for r, q in states] == list(range(len(states)))
+        assert np.array_equal(state_index(model.r, model.q), np.arange(len(states)))
+        assert list(zip(model.r.tolist(), model.q.tolist())) == list(states)
+        for arr in (model.r, model.q):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
     def test_validation(self, sk, channel):
         with pytest.raises(ValueError):
@@ -162,7 +198,7 @@ class TestRvi:
         assert abs(solution.gain - gain_eval) <= 10 * 1e-9
 
     def test_bias_nondecreasing_in_q(self, mse_solution):
-        bias = {s: b for s, b in zip(mse_solution.states, mse_solution.bias)}
+        bias = {s: b for s, b in zip(enumerate_states(Q_MAX), mse_solution.bias)}
         for (r, q), value in bias.items():
             if (r, q + 1) in bias:
                 assert bias[(r, q + 1)] >= value - 1e-6
@@ -316,7 +352,7 @@ class TestExports:
         save_bias_csv(mse_solution, bias_path)
         lines = bias_path.read_text().strip().splitlines()
         assert lines[0] == "r,q,bias"
-        assert len(lines) == 1 + len(mse_solution.states)
+        assert len(lines) == 1 + len(enumerate_states(Q_MAX))
 
         json_path = tmp_path / "solve.json"
         save_solution_json(mse_solution, json_path)

@@ -32,6 +32,7 @@ from remest.simulate import (
     write_report_csv,
     write_report_json,
 )
+from remest.policies import enumerate_states, state_index
 
 Q_MAX = 20
 
@@ -387,7 +388,7 @@ class TestChainSim:
         runs, horizon, q_max = 9, 64, 6
         mdp = build_mdp(sk, HarqModel(0.6, 0.7, r_cap=q_max), q_max)
         actions = np.zeros((1, mdp.n_states), dtype=np.intp)
-        start = mdp.index[(0, 0)]
+        start = state_index(0, 0)
 
         def walk(fail_prob):  # fresh per-run streams for each walk
             tables = _ChainTables.build(replace(mdp, fail_prob=fail_prob), actions)
@@ -412,7 +413,7 @@ class TestChainSim:
         q_max = 3
         stack, model = _table_stack(riccati_steady_state(system, q_max=q_max), q_max)
         mdp = build_mdp(None, model, q_max, "delay")
-        tables = _ChainTables.build(mdp, np.stack([g.actions[tuple(np.array(mdp.states).T)]
+        tables = _ChainTables.build(mdp, np.stack([g.actions[tuple(np.array(enumerate_states(mdp.q_max)).T)]
                                                    for g in stack]))
         k, n_levels = tables.jump_steps, tables.n_levels
         n_states = tables.n_policies * tables.n_states
@@ -550,7 +551,7 @@ class TestStackedChains:
         # the stack only tests the level union if its policies' own levels differ
         stack, model = _table_stack(sk)
         mdp = build_mdp(sk, model, Q_MAX)
-        rq = tuple(np.array(mdp.states).T)
+        rq = tuple(np.array(enumerate_states(mdp.q_max)).T)
         own = [set(_ChainTables.build(mdp, g.actions[rq][None]).g_values) for g in stack]
         union = set(_ChainTables.build(mdp, np.stack([g.actions[rq] for g in stack])).g_values)
         assert union == set.union(*own) and any(levels != union for levels in own)
