@@ -3,8 +3,9 @@ remote state estimation of linear dynamic processes.
 
 Pipeline: compute the sensor's steady-state filter covariance, build the
 truncated (r, q) average-cost decision model, solve it by policy
-iteration, and evaluate the resulting policies exactly (the gain of each
-policy's Poisson equation) and by Monte-Carlo simulation.
+iteration, and evaluate the resulting policies exactly (each policy's
+stationary distribution dotted with the stage costs) and by Monte-Carlo
+simulation.
 """
 
 from .config import ConfigError, ExperimentConfig, default_config, load_config
@@ -17,6 +18,7 @@ from .mdp import (
     build_mdp,
     evaluate_policy,
     solve,
+    stationary_distribution,
 )
 from .policies import (
     PolicyGrid,

@@ -5,8 +5,9 @@ probability. One table, _LAYOUT, declares the layout: each key of each
 section maps to the ExperimentConfig field it fills, its default (or
 _REQUIRED) and its conversion; from_dict and to_dict both walk it, and a
 section is required when one of its keys is. Integer keys take integral
-numbers only, number keys no booleans, and string and list keys (vectors
-and matrix rows among them) only strings and lists. Every construction
+numbers only, number keys numbers only (no booleans, no numeric strings),
+and string and list keys (vectors and matrix rows among them) only
+strings and lists. Every construction
 of an ExperimentConfig, loaded or overridden with dataclasses.replace,
 validates every invariant through the constructed objects (LtiSystem,
 HarqModel, SimConfig), and unknown keys are rejected at every level so
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -33,8 +35,8 @@ class ConfigError(ValueError):
 
 
 def _real(value) -> float:
-    """value as a float; float() would take a bool."""
-    if isinstance(value, bool):
+    """value as a float; float() would take a bool or a numeric string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -66,8 +68,9 @@ def _optional(convert):
 
 
 def _integer(value) -> int:
-    """value as an int; int() would silently truncate a fraction and take a bool."""
-    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
+    """value as an int; int() would silently truncate a fraction and take a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or float(value).is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 

@@ -124,25 +124,26 @@ def psi_policy(q_max: int) -> PolicyGrid:
 
 
 def verify_switching(p: PolicyGrid) -> SwitchingReport:
-    """Exhaustively check the two switching monotonicity conditions.
+    """Check the two switching monotonicity conditions on every pair of states.
 
     (i) action 0 at (r, q) forces action 0 at (r+z, q) for every in-grid z;
     (ii) action 1 at (r, q) forces action 1 at (r, q+z) for every in-grid z.
-    Violations are reported as (state, state, condition) triples. States at
-    the q = q_max boundary have no (ii)-successors and pass vacuously.
+    Violations are reported as (state, state, condition) triples, ordered
+    by the first state's q, then its r, then z. States at the q = q_max
+    boundary have no (ii)-successors and pass vacuously.
     """
-    violations = []
-    a = p.actions
-    for q in range(p.q_max + 1):
-        for r in range(q + 1):
-            if a[r, q] == 0:
-                for z in range(1, q - r + 1):
-                    if a[r + z, q] != 0:
-                        violations.append(((r, q), (r + z, q), "monotone-in-r"))
-            else:
-                for z in range(1, p.q_max - q + 1):
-                    if a[r, q + z] != 1:
-                        violations.append(((r, q), (r, q + z), "monotone-in-q"))
+    a = p.actions.astype(bool)  # [r, q]; False off the grid, r > q
+    a_qr = a.T
+    later = np.triu(np.ones_like(a), k=1)  # [x, y]: x < y
+    # [q, r, t]: (ii) a 1 at (r, q) and a 0 at (r, t), t > q >= r, so (r, t) is in the grid;
+    # (i) a 0 at (r, q) and a 1 at (t, q), t > r, where a 1 is always in the grid
+    bad = np.where(a_qr[:, :, None], ~a[None] & later[:, None, :], a_qr[:, None, :] & later[None])
+    q, r, t = np.nonzero(bad)
+    in_q = a_qr[q, r]
+    rows = zip(r.tolist(), q.tolist(), np.where(in_q, r, t).tolist(), np.where(in_q, t, q).tolist(),
+               in_q.tolist())
+    violations = [((r1, q1), (r2, q2), "monotone-in-q" if cond else "monotone-in-r")
+                  for r1, q1, r2, q2, cond in rows]
     return SwitchingReport(ok=not violations, violations=violations)
 
 

@@ -188,6 +188,24 @@ class TestConfig:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("channel", "lambda", "0.8"), ("channel", "h", "0.5"), ("mdp", "tol", "1e-9"),
+        ("sim", "K", "12"), ("mdp", "q_max", "8"), ("sim", "seed", "5"),
+        ("channel", "g_table", [0.2, "0.05"]), ("system", "A", [[1.8, "0.2"], [0.2, 0.8]]),
+    ])
+    def test_numeric_string_is_rejected(self, tmp_path, capsys, section, key, value):
+        # float() and int() used to read "0.8" as 0.8 and "12" as 12
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        if key == "g_table":
+            del cfg["channel"]["h"]
+        cfg[section][key] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("solve", "--config", str(path)) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_integral_float_loads_as_int(self):
         cfg = json.loads(json.dumps(SMALL_CONFIG))
         cfg["sim"]["K"] = 3e2
@@ -376,6 +394,18 @@ class TestSolveCommand:
         assert "gain" not in captured.out
         assert not (tmp_path / "o").exists()
 
+    def test_dense_matrix_past_the_limit_is_a_config_error(self, tmp_path, capsys):
+        # q_max 151 would need a 1.08 GB dense matrix; the error comes before any allocation
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["mdp"]["q_max"] = 151
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("solve", "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert "1081683072 bytes" in err and "the largest q_max that fits is 150" in err
+        assert not (tmp_path / "o").exists()
+
     def test_stability_gate_and_force(self, tmp_path):
         cfg = json.loads(json.dumps(SMALL_CONFIG))
         cfg["channel"] = {"lambda": 0.1, "h": 1.0}
@@ -479,6 +509,21 @@ class TestCompareCommand:
         csv_lines = (out / "compare.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 6
         assert "policy" in capsys.readouterr().out
+
+    def test_boundary_mass(self, tmp_path):
+        # exact, so a short simulation leaves it unchanged
+        cfg = default_config().to_dict()
+        cfg["sim"].update(K=50, runs=20)
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("compare", "--config", str(path)) == 0
+        table = json.loads((tmp_path / "o" / "compare.json").read_text())
+        rows = {row["policy"]: row for row in table["policies"]}
+        assert all(0.0 <= row["boundary_mass"] <= 1.0 for row in rows.values())
+        assert rows["optimal"]["boundary_mass"] < 1e-3
+        # always-fresh sits at q = q_max after q_max failures in a row: (1 - lambda)^q_max
+        assert rows["arq"]["boundary_mass"] == pytest.approx(0.2**20, rel=1e-12)
 
     def test_perfect_channel_equalizes(self, tmp_path):
         cfg = json.loads(json.dumps(SMALL_CONFIG))

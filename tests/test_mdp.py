@@ -14,8 +14,10 @@ from remest import (
     riccati_steady_state,
     simulate_chain,
     solve,
+    stationary_distribution,
     verify_switching,
 )
+from remest.mdp import DENSE_LIMIT_BYTES, _dense_bytes, _poisson
 from remest.policies import enumerate_states, state_index
 
 Q_MAX = 20
@@ -39,8 +41,13 @@ def arq_stationary_oracle(lam, cost_table, q_max):
 
 
 def gth_gain(model, policy):
-    """Average cost from the stationary distribution by Grassmann-Taksar-
-    Heyman elimination, which never subtracts and so keeps every entry,
+    """Average cost from the stationary distribution of gth_stationary."""
+    return float(gth_stationary(model, policy) @ model.cost)
+
+
+def gth_stationary(model, policy):
+    """Stationary distribution by Grassmann-Taksar-Heyman elimination of
+    the whole chain, which never subtracts and so keeps every entry,
     however small, to full relative accuracy."""
     n = model.n_states
     p = np.zeros((n, n))
@@ -56,7 +63,7 @@ def gth_gain(model, policy):
     pi[0] = 1.0
     for k in range(1, n):
         pi[k] = pi[:k] @ p[:k, k]
-    return float(pi @ model.cost / pi.sum())
+    return pi / pi.sum()
 
 
 def outcomes(model, state, action):
@@ -342,6 +349,102 @@ class TestEvaluatePolicy:
     def test_grid_mismatch(self, mse_mdp):
         with pytest.raises(ValueError):
             evaluate_policy(mse_mdp, arq_baseline_policy(5))
+
+
+def level_model(system, q_max, table):
+    """The MSE model at q_max on the geometric channel, or on the table
+    channel, whose r_cap of 3 lies below q_max from q_max = 20 on."""
+    m = HarqModel.from_table([0.2, 0.1, 0.05, 0.025]) if table else HarqModel(0.8, 0.5, r_cap=q_max)
+    return build_mdp(riccati_steady_state(system, q_max=q_max), m, q_max, "mse")
+
+
+def zoo_of(model, name):
+    if name == "optimal":
+        return solve(model).policy
+    return {"arq": arq_baseline_policy, "psi": psi_policy}[name](model.q_max)
+
+
+def corner_policies(q_max):
+    """Policies under which the corner (q_max, q_max) retransmits, so it absorbs."""
+    around_origin = np.ones((q_max + 1, q_max + 1), dtype=np.int8)
+    around_origin[0, :q_max] = 0  # test_absorbing_corner_gain_is_its_cost's policy
+    psi_but_corner = psi_policy(q_max).actions.copy()
+    psi_but_corner[q_max, q_max] = 1
+    return [PolicyGrid(q_max, around_origin), PolicyGrid(q_max, psi_but_corner)]
+
+
+class TestStationary:
+    """stationary_distribution: level elimination against whole-chain GTH and the Poisson solve."""
+
+    @pytest.mark.parametrize("q_max, table, name", [
+        (q_max, table, name) for q_max in (1, 2, 20) for table in (False, True)
+        for name in ("optimal", "arq", "psi")
+    ] + [(40, False, "optimal"), (40, True, "psi")])
+    def test_gain_matches_gth(self, system, q_max, table, name):
+        # whole-chain GTH takes ~1 s per policy at q_max 40, so two policies run there
+        model = level_model(system, q_max, table)
+        grid = zoo_of(model, name)
+        assert evaluate_policy(model, grid) == pytest.approx(gth_gain(model, grid), rel=1e-12)
+
+    @pytest.mark.parametrize("table", [False, True], ids=["geometric", "table"])
+    @pytest.mark.parametrize("q_max", [1, 2, 20])
+    def test_every_entry_matches_gth(self, system, q_max, table):
+        # psi reaches entries of 5e-72 at q_max 20; each keeps full relative accuracy
+        model = level_model(system, q_max, table)
+        for grid in [zoo_of(model, name) for name in ("optimal", "arq", "psi")] + [
+                myopic_policy(riccati_steady_state(system, q_max=q_max + 1),
+                              HarqModel(0.8, 0.5, r_cap=q_max), q_max)]:
+            pi, want = stationary_distribution(model, grid), gth_stationary(model, grid)
+            assert np.array_equal(pi > 0, want > 0)
+            assert pi[want > 0] == pytest.approx(want[want > 0], rel=1e-12)
+
+    @pytest.mark.parametrize("table", [False, True], ids=["geometric", "table"])
+    @pytest.mark.parametrize("q_max", [1, 2, 20, 40])
+    def test_poisson_gain_matches_pi_cost(self, system, q_max, table):
+        model = level_model(system, q_max, table)
+        for grid in [zoo_of(model, name) for name in ("optimal", "arq", "psi")]:
+            gain = float(stationary_distribution(model, grid) @ model.cost)
+            assert _poisson(model, grid.actions[model.r, model.q])[0] == pytest.approx(gain, rel=1e-12)
+
+    def test_solved_gain_is_pi_cost(self, mse_mdp, mse_solution):
+        pi = stationary_distribution(mse_mdp, mse_solution.policy)
+        assert mse_solution.gain == float(pi @ mse_mdp.cost)
+
+    @pytest.mark.parametrize("table", [False, True], ids=["geometric", "table"])
+    @pytest.mark.parametrize("q_max", [1, 2, 20, 40])
+    def test_pi_is_stationary(self, system, q_max, table):
+        model = level_model(system, q_max, table)
+        rows = np.arange(model.n_states)
+        for grid in [zoo_of(model, name) for name in ("optimal", "arq", "psi")]:
+            pi = stationary_distribution(model, grid)
+            assert pi.min() >= 0.0
+            assert abs(pi.sum() - 1.0) <= 1e-15
+            actions = grid.actions[model.r, model.q]
+            pf = model.fail_prob[actions, rows]
+            step = (np.bincount(model.succ_idx[actions, rows], pi * (1.0 - pf), model.n_states)
+                    + np.bincount(model.fail_idx[actions, rows], pi * pf, model.n_states))
+            assert np.abs(step - pi).sum() <= 1e-15
+
+    @pytest.mark.parametrize("q_max", [1, 2, 20])
+    def test_retransmitting_corner_is_a_point_mass(self, system, q_max):
+        model = level_model(system, q_max, False)
+        corner = np.zeros(model.n_states)
+        corner[-1] = 1.0
+        for grid in corner_policies(q_max):
+            assert np.array_equal(stationary_distribution(model, grid), corner)
+
+    def test_evaluates_past_the_dense_limit(self, channel):
+        # solve would need a dense matrix over DENSE_LIMIT_BYTES here; evaluation needs none
+        q_max = 1
+        while _dense_bytes(q_max) <= DENSE_LIMIT_BYTES:
+            q_max += 1
+        model = build_mdp(None, HarqModel(0.8, 0.5, r_cap=q_max), q_max, "delay")
+        with pytest.raises(ValueError, match=f"the largest q_max that fits is {q_max - 1}"):
+            solve(model)
+        near = build_mdp(None, HarqModel(0.8, 0.5, r_cap=40), 40, "delay")
+        # psi's age leaves q = 40 with probability far below float64 resolution
+        assert evaluate_policy(model, psi_policy(q_max)) == pytest.approx(
+            evaluate_policy(near, psi_policy(40)), rel=1e-12)
 
 
 class TestExports:

@@ -134,7 +134,38 @@ class TestFixedPolicies:
         assert "retransmit_states=210" in repr(psi_policy(Q_MAX))
 
 
+def switching_oracle(p):
+    """The violations of verify_switching, pair by pair, in its order."""
+    violations = []
+    a = p.actions
+    for q in range(p.q_max + 1):
+        for r in range(q + 1):
+            if a[r, q] == 0:
+                for z in range(1, q - r + 1):
+                    if a[r + z, q] != 0:
+                        violations.append(((r, q), (r + z, q), "monotone-in-r"))
+            else:
+                for z in range(1, p.q_max - q + 1):
+                    if a[r, q + z] != 1:
+                        violations.append(((r, q), (r, q + z), "monotone-in-q"))
+    return violations
+
+
 class TestVerifySwitching:
+    @pytest.mark.parametrize("q_max", [1, 5, 20])
+    def test_matches_pairwise_oracle(self, q_max):
+        rng = np.random.default_rng(q_max)
+        grids = [psi_policy(q_max), arq_baseline_policy(q_max)] + [
+            PolicyGrid(q_max, rng.random((q_max + 1, q_max + 1)) < share)
+            for share in (0.05, 0.5, 0.95) for _ in range(10)]
+        for grid in grids:
+            want = switching_oracle(grid)
+            report = verify_switching(grid)
+            assert report.violations == want
+            assert report.ok == (not want)
+            assert all(type(i) is int for first, second, _ in report.violations
+                       for i in first + second)
+
     def test_constant_policy(self):
         assert verify_switching(arq_baseline_policy(Q_MAX)).ok
 
