@@ -3,7 +3,9 @@
 Subcommands: stability, solve, simulate, compare, verify-policy. All take
 --config PATH or --default (the packaged example configuration). Exit
 codes: 0 success, 1 usage/config error, 2 stability check failed,
-3 solver failure.
+3 solver failure. The commands that solve the decision model apply the
+stability gate: solve and compare (unless --force), and simulate with
+--policy optimal or delay.
 """
 
 from __future__ import annotations
@@ -93,17 +95,15 @@ def cmd_stability(args) -> int:
     return EXIT_OK if report.stable else EXIT_UNSTABLE
 
 
-def _gate_stability(cfg: ExperimentConfig, force: bool) -> None:
+def _gate_stability(cfg: ExperimentConfig, force: bool,
+                    hint: str = "use --force to solve the truncated model anyway") -> None:
     report = _stability(cfg)
     if report.stable or force:
         return
     reasons = [f"(1-lambda')*rho^2 = {_fmt(report.margin)} >= 1"] if report.margin >= 1.0 else []
     if report.unseen_modes:
         reasons.append(_unseen(report))
-    raise _StabilityGateError(
-        f"stability check failed ({'; '.join(reasons)}); "
-        "use --force to solve the truncated model anyway"
-    )
+    raise _StabilityGateError(f"stability check failed ({'; '.join(reasons)}); {hint}")
 
 
 class _StabilityGateError(RuntimeError):
@@ -157,6 +157,9 @@ def _resolve_policy(cfg: ExperimentConfig, source: str, filt):
 
 def cmd_simulate(args) -> int:
     cfg = _apply_overrides(_load(args), args)
+    if args.policy in ("optimal", "delay"):
+        _gate_stability(cfg, force=False, hint="to simulate the truncated model's policy anyway, "
+                        "run remest solve --force and pass the policy CSV it writes to --policy")
     filt = _filter(cfg)
     system, channel, sk = filt
     grid = _resolve_policy(cfg, args.policy, filt)
@@ -249,7 +252,7 @@ def cmd_compare(args) -> int:
 def cmd_verify_policy(args) -> int:
     grid = policies.load_policy_csv(args.policy, label=Path(args.policy).stem)
     report = policies.verify_switching(grid)
-    print(f"states: {len(grid.states())} (q_max={grid.q_max})")
+    print(f"states: {len(policies.enumerate_states(grid.q_max)[0])} (q_max={grid.q_max})")
     print(f"switching-type: {report.ok}")
     for (s1, s2, cond) in report.violations[:20]:
         print(f"  violation [{cond}]: action({s1})={grid.action(*s1)} "

@@ -54,7 +54,7 @@ class HarqModel:
         g = np.asarray(g_table, dtype=float)
         if g.ndim != 1 or len(g) < 2:
             raise ValueError("g_table must be a 1-D sequence with at least two entries")
-        if np.any(g < 0.0) or np.any(g > 1.0):
+        if not np.all((g >= 0.0) & (g <= 1.0)):  # NaN fails both comparisons
             raise ValueError("g_table entries must lie in [0, 1]")
         if np.any(np.diff(g) > 0.0):
             raise ValueError("g_table must be non-increasing in r")
@@ -76,9 +76,9 @@ class HarqModel:
             raise ValueError(f"r={r} outside modeled range 0..{self.r_cap}")
         return float(self._g[r])
 
-    def failure_prob_clamped(self, r: int) -> float:
-        """g(min(r, r_cap)); retransmission counts beyond r_cap saturate."""
-        return float(self._g[min(r, self.r_cap)])
+    def failure_prob_clamped(self, r):
+        """g(min(r, r_cap)), elementwise on an int array of counts; counts beyond r_cap saturate."""
+        return self._g[np.minimum(r, self.r_cap)]
 
     def lambda_prime(self) -> float:
         """Effective success floor of retransmissions: 1 - max_{r>0} g(r)."""

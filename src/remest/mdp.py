@@ -7,14 +7,15 @@ sends fresh, action 1 retransmits. Transitions follow the detection
 probabilities of the channel model; r and q saturate at q_max so the grid
 is closed (a standard approximating construction), and the detection
 probability of a retransmission saturates at the channel's r_cap. A
-TruncatedMdp holds its states as two index arrays, r and q, in the order
-of enumerate_states; state_index(r, q) maps a state back to its position,
-and policy.actions[mdp.r, mdp.q] reads a grid's action per state. The
-succ_idx, fail_idx and fail_prob arrays of a TruncatedMdp are the one
-definition of how the chain moves: _chain reads from them the chain of a
-policy, which _stationary solves for its stationary distribution pi (the
-exact evaluation, and the solver's reported gain) and _poisson for the
-solver's bias, and both simulators walk them.
+TruncatedMdp holds its states as the two index arrays r and q of
+policies.enumerate_states, which defines the state order; state_index(r, q)
+maps a state back to its position, and policy.actions[mdp.r, mdp.q] reads
+a grid's action per state. The succ_idx, fail_idx and fail_prob arrays
+of a TruncatedMdp are the one definition of how the chain moves: _chain
+reads from them the chain of a policy, which _stationary solves for its
+stationary distribution pi (the exact evaluation, and the solver's
+reported gain) and _poisson for the solver's bias, and both simulators
+walk them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .harq import HarqModel
 from .lti import SteadyKalman
-from .policies import PolicyGrid, state_index
+from .policies import PolicyGrid, enumerate_states, state_index
 
 COST_KINDS = ("mse", "delay")
 # the largest dense S x S float64 matrix that solve builds for its Poisson
@@ -43,10 +44,10 @@ class SolverError(RuntimeError):
 class TruncatedMdp:
     """The truncated model: state i is (r[i], q[i]), and state_index(r, q) is i.
 
-    r and q are read-only int arrays in the order of enumerate_states
-    (q, r = np.tril_indices(q_max + 1)), so state 0 is (0, 0) and the
-    last state is the corner (q_max, q_max). The other arrays are indexed
-    by state, and by action first where they have two rows.
+    r and q are the read-only int arrays of policies.enumerate_states, the
+    order of the states, so state 0 is (0, 0) and the last state is the
+    corner (q_max, q_max). The other arrays are indexed by state, and by
+    action first where they have two rows.
     """
 
     q_max: int
@@ -92,14 +93,13 @@ def build_mdp(sk: SteadyKalman | None, m: HarqModel, q_max: int, cost_kind: str 
             raise ValueError("the MSE cost needs a steady-state filter (sk)")
         if sk.n_max < q_max:
             raise ValueError(f"cost table covers q up to {sk.n_max}, need {q_max}")
-    q, r = np.tril_indices(q_max + 1)
+    r, q = enumerate_states(q_max)
     q_next, r_next = np.minimum(q + 1, q_max), np.minimum(r + 1, q_max)
     cost = sk.cost_table[q] if cost_kind == "mse" else q + 1.0
     succ = np.stack([np.zeros_like(q), state_index(r_next, r_next)]).astype(np.int32)
     fail = np.stack([state_index(0, q_next), state_index(r_next, q_next)]).astype(np.int32)
-    g_next = np.array([m.failure_prob_clamped(count) for count in range(1, q_max + 2)])  # by r
-    pfail = np.stack([np.full(len(q), m.failure_prob(0)), g_next[r]])
-    for arr in (r, q, cost, succ, fail, pfail):
+    pfail = np.stack([np.full(len(q), m.failure_prob(0)), m.failure_prob_clamped(r + 1)])
+    for arr in (cost, succ, fail, pfail):
         arr.flags.writeable = False
     return TruncatedMdp(
         q_max=q_max, cost_kind=cost_kind, r=r, q=q,
@@ -331,8 +331,8 @@ def save_bias_csv(solution: MdpSolution, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "q", "bias"])
-        for (r, q), value in zip(solution.policy.states(), solution.bias):
-            writer.writerow([r, q, f"{value:.17g}"])
+        r, q = enumerate_states(solution.policy.q_max)
+        writer.writerows(zip(r.tolist(), q.tolist(), map("{:.17g}".format, solution.bias.tolist())))
 
 
 def save_solution_json(solution: MdpSolution, path):

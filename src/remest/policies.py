@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -18,8 +19,11 @@ from .lti import SteadyKalman
 
 
 def enumerate_states(q_max: int):
-    """All (r, q) with 0 <= r <= q <= q_max, lexicographic in (q, r)."""
-    return tuple((r, q) for q in range(q_max + 1) for r in range(q + 1))
+    """All (r, q) with 0 <= r <= q <= q_max, lexicographic in (q, r), as two
+    read-only int arrays r, q: the one definition of the state order."""
+    q, r = np.tril_indices(q_max + 1)
+    r.flags.writeable = q.flags.writeable = False
+    return r, q
 
 
 def state_index(r, q):
@@ -48,10 +52,11 @@ class PolicyGrid:
     def __init__(self, q_max: int, actions, label: str = ""):
         if q_max < 0:
             raise ValueError("q_max must be non-negative")
-        arr = np.array(actions, dtype=np.int8)
+        arr = np.asarray(actions)
         if arr.shape != (q_max + 1, q_max + 1):
             raise ValueError(f"actions must have shape {(q_max + 1, q_max + 1)}, got {arr.shape}")
-        valid = np.triu(np.ones_like(arr, dtype=bool))  # r <= q with [r, q] indexing
+        valid = np.triu(np.ones(arr.shape, dtype=bool))  # r <= q with [r, q] indexing
+        # checked before the cast, which would wrap 256 to 0 and truncate 0.7 to 0
         if not np.isin(arr[valid], (0, 1)).all():
             raise ValueError("actions must be 0 or 1 on every state with r <= q")
         arr = np.where(valid, arr, 0).astype(np.int8)
@@ -64,10 +69,6 @@ class PolicyGrid:
         if not (0 <= r <= q <= self.q_max):
             raise ValueError(f"state ({r}, {q}) outside grid with q_max={self.q_max}")
         return int(self.actions[r, q])
-
-    def states(self):
-        """All (r, q) states in lexicographic (q, r) order."""
-        return enumerate_states(self.q_max)
 
     def relabeled(self, label: str) -> "PolicyGrid":
         return PolicyGrid(self.q_max, self.actions, label)
@@ -98,16 +99,12 @@ def myopic_policy(sk: SteadyKalman, m: HarqModel, q_max: int) -> PolicyGrid:
     if sk.n_max < q_max + 1:
         raise ValueError(f"cost table covers q up to {sk.n_max}, need {q_max + 1}")
     ct = sk.cost_table
-    g0 = m.failure_prob(0)
+    r, q = enumerate_states(q_max)
+    g0, gr1 = m.failure_prob(0), m.failure_prob_clamped(r + 1)
+    gain = g0 != gr1
+    threshold = ((1.0 - gr1) * ct[r + 1] - (1.0 - g0) * ct[0]) / np.where(gain, g0 - gr1, 1.0)
     actions = np.zeros((q_max + 1, q_max + 1), dtype=np.int8)
-    for q in range(q_max + 1):
-        for r in range(q + 1):
-            gr1 = m.failure_prob_clamped(r + 1)
-            if g0 == gr1:
-                continue
-            threshold = ((1.0 - gr1) * ct[r + 1] - (1.0 - g0) * ct[0]) / (g0 - gr1)
-            if ct[q + 1] > threshold:
-                actions[r, q] = 1
+    actions[r, q] = gain & (ct[q + 1] > threshold)
     return PolicyGrid(q_max, actions, label="myopic")
 
 
@@ -151,8 +148,8 @@ def save_policy_csv(p: PolicyGrid, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "q", "action"])
-        for (r, q) in p.states():
-            writer.writerow([r, q, int(p.actions[r, q])])
+        r, q = enumerate_states(p.q_max)
+        writer.writerows(zip(r.tolist(), q.tolist(), p.actions[r, q].tolist()))
 
 
 def load_policy_csv(path, label: str = "") -> PolicyGrid:
@@ -183,10 +180,11 @@ def load_policy_csv(path, label: str = "") -> PolicyGrid:
     if not entries:
         raise ValueError("policy CSV contains no states")
     q_max = max(q for (_, q) in entries)
-    missing = set(enumerate_states(q_max)) - set(entries)
-    if missing:
-        raise ValueError(f"policy CSV is not total: missing states {sorted(missing)[:5]}...")
+    # the rows are distinct states with q <= q_max: a count checks totality for any q_max
+    if len(entries) < state_index(0, q_max + 1):
+        missing = ((r, q) for r in range(q_max + 1) for q in range(r, q_max + 1)
+                   if (r, q) not in entries)
+        raise ValueError(f"policy CSV is not total: missing states {list(islice(missing, 5))}...")
     actions = np.zeros((q_max + 1, q_max + 1), dtype=np.int8)
-    for (r, q), action in entries.items():
-        actions[r, q] = action
+    actions[tuple(np.array(list(entries)).T)] = list(entries.values())
     return PolicyGrid(q_max, actions, label=label)

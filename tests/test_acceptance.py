@@ -29,6 +29,7 @@ from remest import (
 )
 from remest.cli import main as cli_main
 from remest.config import default_config
+from remest.policies import enumerate_states
 
 Q_MAX = 20
 TOL = 1e-9
@@ -225,7 +226,7 @@ def test_criterion_8_qualitative_policy_geometry(sk, channel, solutions):
     delay = solutions["delay"].policy
 
     def n_fresh(grid):
-        return sum(grid.action(*s) == 0 for s in grid.states())
+        return sum(grid.action(*s) == 0 for s in zip(*enumerate_states(grid.q_max)))
 
     n_opt = n_fresh(optimal)
     n_delay = n_fresh(delay)

@@ -8,6 +8,7 @@ import pytest
 from remest import load_policy_csv, mdp, verify_switching
 from remest.cli import main
 from remest.config import _LAYOUT, ConfigError, ExperimentConfig, default_config, load_config
+from remest.policies import enumerate_states
 
 SMALL_CONFIG = {
     "system": {
@@ -287,6 +288,18 @@ class TestStabilityCommand:
         out = capsys.readouterr().out
         assert "stability     : PASS" in out and "detectability" not in out
 
+    def test_nan_g_table_is_a_config_error(self, tmp_path, capsys):
+        # NaN passed the range check and gave lambda' = nan, then exit 2 with no reason
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["channel"] = {"lambda": 0.8, "g_table": [0.2, 0.1, math.nan, 0.05]}
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(cfg))
+        for command in ("stability", "solve", "compare"):
+            assert run_cli(command, "--config", str(path)) == 1
+            assert "g_table entries must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -319,7 +332,8 @@ class TestSolveCommand:
         mse_grid = load_policy_csv(out / "policy_mse.csv")
         delay_grid = load_policy_csv(out / "policy_delay.csv")
         assert mse_grid != delay_grid
-        fresh = [sum(g.action(*s) == 0 for s in g.states()) for g in (delay_grid, mse_grid)]
+        fresh = [sum(g.action(*s) == 0 for s in zip(*enumerate_states(g.q_max)))
+                 for g in (delay_grid, mse_grid)]
         assert fresh[0] > fresh[1]
 
     def test_minimal_grid(self, tmp_path):
@@ -330,7 +344,7 @@ class TestSolveCommand:
         path.write_text(json.dumps(cfg))
         assert run_cli("solve", "--config", str(path)) == 0
         grid = load_policy_csv(tmp_path / "o" / "policy_mse.csv")
-        assert len(grid.states()) == 3
+        assert len(list(zip(*enumerate_states(grid.q_max)))) == 3
 
     def test_diverging_riccati_is_a_solver_error(self, tmp_path, capsys):
         # the unstable mode 3 is invisible through C, so the filter diverges
@@ -475,6 +489,22 @@ class TestSimulateCommand:
         summary = json.loads((tmp_path / "o" / "report_arq.json").read_text())
         assert summary["horizon"] == 2000
         assert math.isfinite(summary["final_avg_mse"]) and math.isfinite(summary["final_analytic_mse"])
+
+    def test_solved_policy_passes_the_stability_gate(self, tmp_path, capsys):
+        # (1 - lambda') * rho^2 = 2.13: solve and compare exit 2, so simulating their policy does too
+        cfg = default_config().to_dict()
+        cfg["channel"] = {"lambda": 0.3, "h": 0.9}
+        cfg["sim"].update(K=50, runs=10)
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps(cfg))
+        for source in ("optimal", "delay"):
+            assert run_cli("simulate", "--config", str(path), "--policy", source) == 2
+            err = capsys.readouterr().err
+            assert "stability check failed" in err and "remest solve --force" in err
+        assert not (tmp_path / "o").exists()
+        # the other sources solve nothing and stay ungated
+        assert run_cli("simulate", "--config", str(path), "--policy", "arq") == 0
 
     @pytest.mark.parametrize("mode, initial_q", [("analytic", 9), ("trajectory", 1)])
     def test_bad_initial_q_is_a_config_error(self, tmp_path, capsys, mode, initial_q):

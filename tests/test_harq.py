@@ -25,6 +25,13 @@ class TestFailureProb:
             m.failure_prob(6)
         assert m.failure_prob_clamped(6) == m.failure_prob(5)
 
+    def test_clamped_is_elementwise(self):
+        for m in (HarqModel(0.8, 0.5, r_cap=5), HarqModel.from_table([0.2, 0.1, 0.05, 0.025])):
+            counts = np.arange(12)  # past both r_caps
+            got = m.failure_prob_clamped(counts)
+            assert got.tolist() == [m.failure_prob_clamped(int(c)) for c in counts]
+            assert got.tolist() == [m.failure_prob(min(int(c), m.r_cap)) for c in counts]
+
     def test_non_increasing_and_exact_at_zero(self):
         for lam in (0.05, 0.3, 0.8, 1.0):
             for h in (0.1, 0.5, 1.0):
@@ -59,6 +66,12 @@ class TestTableOverride:
     def test_certain_failure_rejected(self):
         with pytest.raises(ValueError):
             HarqModel.from_table([1.0, 0.5])
+
+    def test_nan_entry_rejected(self):
+        # NaN compares false both ways, so it must fail the range check, not pass it
+        for table in ([0.2, 0.1, np.nan, 0.05], [np.nan, 0.1]):
+            with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+                HarqModel.from_table(table)
 
     def test_first_retransmission_as_reliable_as_new_accepted(self):
         m = HarqModel.from_table([0.99, 0.99, 0.5])

@@ -51,7 +51,7 @@ def gth_stationary(model, policy):
     however small, to full relative accuracy."""
     n = model.n_states
     p = np.zeros((n, n))
-    for i, (r, q) in enumerate(enumerate_states(model.q_max)):
+    for i, (r, q) in enumerate(zip(*enumerate_states(model.q_max))):
         action = policy.actions[r, q]
         pf = model.fail_prob[action, i]
         p[i, model.succ_idx[action, i]] += 1.0 - pf
@@ -73,14 +73,14 @@ def outcomes(model, state, action):
     pf = float(model.fail_prob[action, i])
     out = {}
     for idx, prob in ((model.succ_idx[action, i], 1.0 - pf), (model.fail_idx[action, i], pf)):
-        key = enumerate_states(model.q_max)[idx]
+        key = list(zip(*enumerate_states(model.q_max)))[idx]
         out[key] = out.get(key, 0.0) + prob
     return out
 
 
 def build_oracle(sk, m, q_max, cost_kind):
     """succ_idx, fail_idx, fail_prob and cost by build_mdp's docstring rules, state by state."""
-    index = {s: i for i, s in enumerate(enumerate_states(q_max))}
+    index = {s: i for i, s in enumerate(zip(*enumerate_states(q_max)))}
     n = len(index)
     succ, fail = np.zeros((2, n), dtype=np.int32), np.zeros((2, n), dtype=np.int32)
     pfail, cost = np.zeros((2, n)), np.zeros(n)
@@ -95,9 +95,17 @@ def build_oracle(sk, m, q_max, cost_kind):
 
 class TestBuild:
     def test_state_enumeration(self):
-        states = enumerate_states(3)
+        states = tuple(zip(*enumerate_states(3)))
         assert states == ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2),
                           (0, 3), (1, 3), (2, 3), (3, 3))
+        for q_max in (1, 2, 3, 20):
+            oracle = [(r, q) for q in range(q_max + 1) for r in range(q + 1)]  # the order, as loops
+            r, q = enumerate_states(q_max)
+            assert list(zip(r.tolist(), q.tolist())) == oracle
+            assert r.dtype.kind == q.dtype.kind == "i"
+            assert not r.flags.writeable and not q.flags.writeable
+            model = build_mdp(None, HarqModel(0.8, 0.5), q_max, "delay")
+            assert np.array_equal(model.r, r) and np.array_equal(model.q, q)
 
     def test_fresh_transition_from_origin(self, mse_mdp):
         assert outcomes(mse_mdp, (0, 0), 0) == {(0, 0): pytest.approx(0.8), (0, 1): pytest.approx(0.2)}
@@ -125,16 +133,16 @@ class TestBuild:
         assert outcomes(mse_mdp, (0, 0), 1) == {(1, 1): pytest.approx(1.0)}
 
     def test_all_probabilities_sum_to_one(self, mse_mdp):
-        for state in enumerate_states(mse_mdp.q_max):
+        for state in zip(*enumerate_states(mse_mdp.q_max)):
             for action in (0, 1):
                 total = sum(outcomes(mse_mdp, state, action).values())
                 assert abs(total - 1.0) < 1e-12
 
     def test_costs(self, sk, channel, mse_mdp):
-        for i, (r, q) in enumerate(enumerate_states(mse_mdp.q_max)):
+        for i, (r, q) in enumerate(zip(*enumerate_states(mse_mdp.q_max))):
             assert mse_mdp.cost[i] == sk.cost_table[q]
         delay = build_mdp(None, channel, 5, "delay")
-        for i, (r, q) in enumerate(enumerate_states(delay.q_max)):
+        for i, (r, q) in enumerate(zip(*enumerate_states(delay.q_max))):
             assert delay.cost[i] == q + 1
 
     @pytest.mark.parametrize("cost_kind", ["mse", "delay"])
@@ -150,7 +158,7 @@ class TestBuild:
         assert np.array_equal(model.fail_idx, fail)
         assert np.array_equal(model.fail_prob, pfail)
         assert np.array_equal(model.cost, cost)
-        states = enumerate_states(q_max)
+        states = list(zip(*enumerate_states(q_max)))
         assert [state_index(r, q) for r, q in states] == list(range(len(states)))
         assert np.array_equal(state_index(model.r, model.q), np.arange(len(states)))
         assert list(zip(model.r.tolist(), model.q.tolist())) == list(states)
@@ -205,7 +213,7 @@ class TestRvi:
         assert abs(solution.gain - gain_eval) <= 10 * 1e-9
 
     def test_bias_nondecreasing_in_q(self, mse_solution):
-        bias = {s: b for s, b in zip(enumerate_states(Q_MAX), mse_solution.bias)}
+        bias = {s: b for s, b in zip(zip(*enumerate_states(Q_MAX)), mse_solution.bias)}
         for (r, q), value in bias.items():
             if (r, q + 1) in bias:
                 assert bias[(r, q + 1)] >= value - 1e-6
@@ -455,7 +463,7 @@ class TestExports:
         save_bias_csv(mse_solution, bias_path)
         lines = bias_path.read_text().strip().splitlines()
         assert lines[0] == "r,q,bias"
-        assert len(lines) == 1 + len(enumerate_states(Q_MAX))
+        assert len(lines) == 1 + len(list(zip(*enumerate_states(Q_MAX))))
 
         json_path = tmp_path / "solve.json"
         save_solution_json(mse_solution, json_path)

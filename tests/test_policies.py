@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from remest import (
     solve,
     verify_switching,
 )
+from remest.policies import enumerate_states
 
 Q_MAX = 20
 
@@ -39,6 +43,10 @@ class TestPolicyGrid:
         bad[0, 1] = 7
         with pytest.raises(ValueError):
             PolicyGrid(2, bad)
+        # an int8 cast would turn these into [[0, 1], [0, 1]]
+        for actions in ([[256, 1], [0, 257]], [[0.7, 1.2], [0, 1]]):
+            with pytest.raises(ValueError):
+                PolicyGrid(1, np.array(actions))
 
     def test_action_accessor(self):
         grid = psi_policy(4)
@@ -61,10 +69,12 @@ class TestPolicyGrid:
 
 class TestMyopic:
     def test_matches_expected_cost_oracle(self, sk, channel):
-        grid = myopic_policy(sk, channel, Q_MAX)
-        oracle = myopic_oracle(sk, channel, Q_MAX)
-        for (r, q), want in oracle.items():
-            assert grid.action(r, q) == want, (r, q)
+        # on the table, g(0) == g(r + 1) holds at r = 0 only: both sides of the no-gain mask
+        for m in (channel, HarqModel.from_table([0.2, 0.2, 0.1, 0.05])):
+            grid = myopic_policy(sk, m, Q_MAX)
+            oracle = myopic_oracle(sk, m, Q_MAX)
+            for (r, q), want in oracle.items():
+                assert grid.action(r, q) == want, (m.h, r, q)
 
     def test_diagonal_always_fresh(self, sk, channel):
         grid = myopic_policy(sk, channel, Q_MAX)
@@ -92,7 +102,7 @@ class TestMyopic:
 
 
 def fresh_states(grid):
-    return {s for s in grid.states() if grid.action(*s) == 0}
+    return {s for s in zip(*enumerate_states(grid.q_max)) if grid.action(*s) == 0}
 
 
 def delay_optimal(channel):
@@ -119,14 +129,14 @@ class TestFixedPolicies:
         grid = arq_baseline_policy(Q_MAX)
         assert grid.action(0, 0) == 0
         assert grid.action(3, 7) == 0
-        assert all(grid.action(r, q) == 0 for (r, q) in grid.states())
+        assert all(grid.action(r, q) == 0 for (r, q) in zip(*enumerate_states(Q_MAX)))
 
     def test_psi(self):
         grid = psi_policy(Q_MAX)
         assert grid.action(2, 2) == 0
         assert grid.action(1, 4) == 1
         assert grid.action(0, 0) == 0
-        for (r, q) in grid.states():
+        for (r, q) in zip(*enumerate_states(Q_MAX)):
             assert grid.action(r, q) == (0 if r == q else 1)
 
     def test_repr_counts_retransmit_states(self):
@@ -214,8 +224,18 @@ class TestCsvRoundTrip:
     def test_rejects_partial_grid(self, tmp_path):
         path = tmp_path / "partial.csv"
         path.write_text("r,q,action\n0,0,0\n0,1,1\n")  # (1,1) missing
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("missing states [(1, 1)]")):
             load_policy_csv(path)
+        # one row naming q = 2000 (2003001 states): the check must not build every state
+        path.write_text("r,q,action\n1,2000,0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape("[(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]")):
+                load_policy_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_rejects_bad_rows(self, tmp_path):
         path = tmp_path / "bad.csv"

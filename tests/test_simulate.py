@@ -413,7 +413,7 @@ class TestChainSim:
         q_max = 3
         stack, model = _table_stack(riccati_steady_state(system, q_max=q_max), q_max)
         mdp = build_mdp(None, model, q_max, "delay")
-        tables = _ChainTables.build(mdp, np.stack([g.actions[tuple(np.array(enumerate_states(mdp.q_max)).T)]
+        tables = _ChainTables.build(mdp, np.stack([g.actions[enumerate_states(mdp.q_max)]
                                                    for g in stack]))
         k, n_levels = tables.jump_steps, tables.n_levels
         n_states = tables.n_policies * tables.n_states
@@ -551,7 +551,7 @@ class TestStackedChains:
         # the stack only tests the level union if its policies' own levels differ
         stack, model = _table_stack(sk)
         mdp = build_mdp(sk, model, Q_MAX)
-        rq = tuple(np.array(enumerate_states(mdp.q_max)).T)
+        rq = enumerate_states(mdp.q_max)
         own = [set(_ChainTables.build(mdp, g.actions[rq][None]).g_values) for g in stack]
         union = set(_ChainTables.build(mdp, np.stack([g.actions[rq] for g in stack])).g_values)
         assert union == set.union(*own) and any(levels != union for levels in own)
