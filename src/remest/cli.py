@@ -126,7 +126,8 @@ def cmd_solve(args) -> int:
         mdp.save_solution_json(solution, summary_path)
         written.append(summary_path)
     print(f"gain = {_fmt(solution.gain)}  ({solution.iterations} policy-iteration rounds, "
-          f"span residual {solution.span_residual:.3e})")
+          f"span residual {solution.span_residual:.3e}, "
+          f"{solution.span_residual_rel:.1e} of max |bias|)")
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

@@ -12,10 +12,13 @@ policies.enumerate_states, which defines the state order; state_index(r, q)
 maps a state back to its position, and policy.actions[mdp.r, mdp.q] reads
 a grid's action per state. The succ_idx, fail_idx and fail_prob arrays
 of a TruncatedMdp are the one definition of how the chain moves: _chain
-reads from them the chain of a policy, which _stationary solves for its
-stationary distribution pi (the exact evaluation, and the solver's
-reported gain) and _poisson for the solver's bias, and both simulators
-walk them.
+reads from them the chain of a policy, and both simulators walk them.
+One level elimination (_excursions, then _gth on the q_max + 2 kept
+states) solves that chain with nothing subtracted: _stationary takes from
+it the stationary distribution pi (the exact evaluation), and _poisson
+also the bias, as the cost to go until the reference state less the gain
+times the time to go, for each policy-iteration round of solve. No S x S
+matrix is built; the largest arrays are S x (q_max + 2).
 """
 
 from __future__ import annotations
@@ -31,13 +34,14 @@ from .lti import SteadyKalman
 from .policies import PolicyGrid, enumerate_states, state_index
 
 COST_KINDS = ("mse", "delay")
-# the largest dense S x S float64 matrix that solve builds for its Poisson
-# equation: 1 GiB holds q_max up to 150 (S = 11476 states)
-DENSE_LIMIT_BYTES = 2**30
+# the largest arrays of the level elimination are S x (q_max + 2) float64,
+# visits and exits: 1 GiB each holds q_max up to 643 (S = 207690 states)
+VISITS_LIMIT_BYTES = 2**30
 
 
 class SolverError(RuntimeError):
-    """A policy's Poisson equation is singular, or policy iteration did not settle."""
+    """A policy's chain has more than one recurrent class, so its Poisson equation is
+    singular, or policy iteration did not settle."""
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,12 @@ class MdpSolution:
     iterations: int
     span_residual: float
     cost_kind: str
+
+    @property
+    def span_residual_rel(self) -> float:
+        """span_residual over max |bias|: a few float64 ulps when the bias is exact."""
+        scale = float(np.abs(self.bias).max())
+        return self.span_residual / scale if scale > 0 else self.span_residual
 
 
 def build_mdp(sk: SteadyKalman | None, m: HarqModel, q_max: int, cost_kind: str = "mse") -> TruncatedMdp:
@@ -145,45 +155,82 @@ def _chain(mdp: TruncatedMdp, actions: np.ndarray):
     raise SolverError("the policy's chain has more than one recurrent class")
 
 
-def _gth(p: np.ndarray, first: int) -> np.ndarray:
-    """Unnormalised stationary vector of the stochastic matrix p, by GTH.
+def _gth(p: np.ndarray, first: int, reward: np.ndarray | None = None):
+    """Stationary vector of the stochastic matrix p, and reward to go until first, by GTH.
 
     Grassmann, Taksar and Heyman (Operations Research 33, 1985): eliminate
     the states one by one, taking each one's escape probability as the sum
     of its row over the states left instead of 1 - p(k, k), so nothing is
     ever subtracted. first is eliminated last; every state must reach it.
+    Returns the unnormalised stationary vector x and togo. With reward
+    (m, k), paid on each visit to a state, the same multipliers carry it
+    onto the states left, and a back-substitution gives togo[i], the
+    expected reward paid from state i, its own visit included, until the
+    chain enters first (0 at first), again with nothing subtracted; without
+    reward, togo is None.
     """
-    order = np.arange(len(p))
+    m = len(p)
+    order = np.arange(m)
     order[[0, first]] = first, 0
     t = p.T[order][:, order]  # t[j, i] = p[i, j]: a state's inflow is a row
-    for k in range(len(t) - 1, 0, -1):
-        t[k, :k] /= np.add.reduce(t[:k, k])
+    escape = np.ones(m)
+    for k in range(m - 1, 0, -1):
+        escape[k] = np.add.reduce(t[:k, k])
+        t[k, :k] /= escape[k]
         t[:k, :k] += t[:k, k, None] * t[k, :k]
-    x = np.zeros(len(t))
+    x = np.zeros(m)
     x[0] = 1.0
-    for k in range(1, len(t)):
+    for k in range(1, m):
         x[k] = t[k, :k] @ x[:k]
-    return x[order]
+    if reward is None:
+        return x[order], None
+    # once state k is eliminated, neither its multipliers t[k, :k] nor its row t[:k, k] change
+    reward = reward[order]
+    for k in range(m - 1, 0, -1):
+        reward[:k] += t[k, :k, None] * reward[k]
+    togo = np.zeros_like(reward)
+    for k in range(1, m):
+        togo[k] = (reward[k] + t[:k, k] @ togo[:k]) / escape[k]
+    return x[order], togo[order]
 
 
-def _stationary(mdp: TruncatedMdp, actions: np.ndarray) -> np.ndarray:
-    """Stationary distribution, by state, of the chain that takes action actions[i] in state i.
+def _visits_bytes(q_max: int) -> int:
+    """Bytes of the S x (q_max + 2) float64 visits array of a level elimination at q_max."""
+    return 8 * state_index(0, q_max + 1) * (q_max + 2)
 
-    Level elimination. An off-diagonal state (r, q), r < q, is entered
-    only by a failed step from level q - 1, or, on the last level q_max,
-    from (r - 1, q_max); so every cycle of the chain passes through the
-    kept set, the diagonal states and (0, q_max), and a visit to any other
-    state is part of an excursion from a kept state that climbs (in q,
-    then in r) until it returns to the kept set. The expected visits per
-    excursion start, carried level by level with one small matrix product
-    per level (and state by state along the last level), give the chain
-    watched only on the kept set; GTH solves that chain of q_max + 2
-    states, and the visits spread its solution over every state. Nothing
-    is ever subtracted, so every entry of pi, however small, keeps full
-    relative accuracy.
 
-    Raises SolverError unless the chain has one recurrent class.
+def _excursions(mdp: TruncatedMdp, actions: np.ndarray):
+    """The chain that takes action actions[i] in state i, watched on its kept states.
+
+    An off-diagonal state (r, q), r < q, is entered only by a failed step
+    from level q - 1, or, on the last level q_max, from (r - 1, q_max); so
+    every cycle of the chain passes through the kept set, the diagonal
+    states and (0, q_max), and a visit to any other state is part of an
+    excursion from a kept state that climbs (in q, then in r) until it
+    returns to the kept set. The expected visits per excursion start are
+    carried level by level with one small matrix product per level (and
+    state by state along the last level), with nothing subtracted.
+
+    Returns probs, targets (as _chain), kept (the kept states' indices),
+    first (ref's position in kept), visits (S, m) with visits[s, c] the
+    expected visits to s in an excursion from kept state c, 1 at s = c,
+    and censored (m, m), the chain watched on the kept set: visits.T @
+    exits, where exits[s, c] is the probability that state s steps to kept
+    state c.
+
+    Raises ValueError before it allocates anything when visits would pass
+    VISITS_LIMIT_BYTES, and SolverError unless the chain has one recurrent
+    class.
     """
+    need = _visits_bytes(mdp.q_max)
+    if need > VISITS_LIMIT_BYTES:
+        fits = 1
+        while _visits_bytes(fits + 1) <= VISITS_LIMIT_BYTES:
+            fits += 1
+        raise ValueError(f"the level elimination at q_max={mdp.q_max} needs a {mdp.n_states} x "
+                         f"{mdp.q_max + 2} float64 array of {need} bytes ({need / 2**30:.3f} GiB), "
+                         f"over the {VISITS_LIMIT_BYTES}-byte limit; the largest q_max that fits "
+                         f"is {fits}")
     probs, targets, ref = _chain(mdp, actions)
     n, states = mdp.q_max, np.arange(mdp.n_states)
     diag = np.arange(n + 1)
@@ -194,7 +241,7 @@ def _stationary(mdp: TruncatedMdp, actions: np.ndarray) -> np.ndarray:
     into = where[targets]  # (2, S): each edge's target in the kept set, or -1
     out = into >= 0
     exits = np.bincount((states * m + into)[out], probs[out], minlength=mdp.n_states * m)
-    exits = exits.reshape(-1, m)  # [s, c]: probability that state s steps to kept state c
+    exits = exits.reshape(-1, m)
     # every other edge climbs from level k - 1 into level k, or steps along level n;
     # the climbs into level k form a (k, k) block [target r, source r], stored flat
     src = np.broadcast_to(states, targets.shape)[~out]
@@ -203,8 +250,6 @@ def _stationary(mdp: TruncatedMdp, actions: np.ndarray) -> np.ndarray:
     offset = np.r_[0, np.cumsum(diag ** 2)]  # block k starts at offset[k]
     flat = offset[mdp.q[to]] + mdp.r[to] * mdp.q[to] + mdp.r[src]
     blocks = np.bincount(flat[~along], p[~along], minlength=offset[-1])
-    # visits[s, c]: expected visits to state s in an excursion from kept state c
-    # until the chain returns to the kept set, 1 at s = c
     visits = np.zeros((mdp.n_states, m))
     visits[kept, np.arange(m)] = 1.0
     for k in range(1, n + 1):  # only excursions from (j, j), j < k, reach level k
@@ -212,42 +257,63 @@ def _stationary(mdp: TruncatedMdp, actions: np.ndarray) -> np.ndarray:
         visits[lo:lo + k, :k] = blocks[offset[k]:offset[k + 1]].reshape(k, k) @ visits[lo - k:lo, :k]
     for s, t, ps in sorted(zip(src[along].tolist(), to[along].tolist(), p[along].tolist())):
         visits[t] += ps * visits[s]  # (r - 1, n) to (r, n), in increasing r
-    pi = visits @ _gth(visits.T @ exits, where[ref])
+    return probs, targets, kept, where[ref], visits, visits.T @ exits
+
+
+def _stationary(mdp: TruncatedMdp, actions: np.ndarray) -> np.ndarray:
+    """Stationary distribution, by state, of the chain that takes action actions[i] in state i.
+
+    Level elimination: GTH solves the chain of _excursions, watched on its
+    q_max + 2 kept states, and the expected visits per excursion spread its
+    solution over every state. Nothing is ever subtracted, so every entry
+    of pi, however small, keeps full relative accuracy.
+
+    Raises SolverError unless the chain has one recurrent class.
+    """
+    _, _, _, first, visits, censored = _excursions(mdp, actions)
+    x, _ = _gth(censored, first)
+    pi = visits @ x
     return pi / pi.sum()
 
 
 def _poisson(mdp: TruncatedMdp, actions: np.ndarray):
     """Gain and bias of the chain that takes action actions[i] in state i.
 
-    One dense solve of the Poisson equation (I - P) h + g 1 = c with
-    h(ref) = 0 gives both: the column of I - P that h(ref) would multiply
-    is replaced by the ones that multiply g. Pinning h at a recurrent
-    state, ref of _chain, keeps the gain exact even when the other states
-    reach it only with probabilities below float64 resolution. Raises
-    SolverError when the chain is not unichain, or when the gain leaves
-    the range of the stage costs.
+    The bias h with h(ref) = 0 solves the Poisson equation (I - P) h + g 1
+    = c: h(s) is C(s) - g T(s), where C(s) is the expected cost paid from
+    s until the chain enters ref and T(s) the expected number of steps,
+    both 0 at ref. The level elimination of _stationary gives both with
+    nothing subtracted: GTH carries each kept state's excursion cost and
+    length to its C and T, and one backward sweep fills in the other
+    states, along level q_max in decreasing r and then level by level
+    down to level 1, since each of their successors is kept, further along
+    level q_max or on the next level up. The one subtraction per state
+    comes last, so h is as accurate as a dense solve, and stays so where
+    the other states reach ref only with a tiny probability, which a dense
+    LU solve loses. The gain is pi . c of the same elimination, as
+    evaluate_policy computes it: the excursion cost over the excursion
+    length, averaged over the kept chain. Raises SolverError when the
+    chain is not unichain, or when the gain leaves the range of the stage
+    costs.
     """
-    probs, targets, ref = _chain(mdp, actions)
-    n = mdp.n_states
-    lhs = np.eye(n)
-    np.add.at(lhs, (np.arange(n), targets), -probs)
-    lhs[:, ref] = 1.0
-    try:
-        h = np.linalg.solve(lhs, mdp.cost)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("the policy's Poisson equation is singular") from exc
-    gain = float(h[ref])
+    probs, targets, kept, first, visits, censored = _excursions(mdp, actions)
+    stage = np.stack([mdp.cost, np.ones(mdp.n_states)], axis=1)  # paid per visit: cost, one step
+    x, kept_togo = _gth(censored, first, visits.T @ stage)
+    pi = visits @ x
+    gain = float(pi / pi.sum() @ mdp.cost)
     # a unichain gain averages the stage costs over the stationary distribution
     if not mdp.cost.min() * (1 - 1e-9) <= gain <= mdp.cost.max() * (1 + 1e-9):
         raise SolverError(f"the policy's Poisson equation gave gain {gain!r}, outside the "
                           "range of the stage costs")
-    h[ref] = 0.0
-    return gain, h
-
-
-def _dense_bytes(q_max: int) -> int:
-    """Bytes of the S x S float64 matrix of a Poisson solve at q_max."""
-    return 8 * state_index(0, q_max + 1) ** 2
+    togo = np.zeros_like(stage)
+    togo[kept] = kept_togo
+    n = mdp.q_max
+    along = [slice(s, s + 1) for s in range(state_index(n - 1, n), state_index(0, n), -1)]
+    levels = [slice(state_index(0, k), state_index(k, k)) for k in range(n - 1, 0, -1)]
+    for s in along + levels:
+        togo[s] = (stage[s] + probs[0, s, None] * togo[targets[0, s]]
+                   + probs[1, s, None] * togo[targets[1, s]])
+    return gain, togo[:, 0] - gain * togo[:, 1]
 
 
 def solve(mdp: TruncatedMdp, tol: float = 1e-9, max_iter: int = 100000) -> MdpSolution:
@@ -257,34 +323,26 @@ def solve(mdp: TruncatedMdp, tol: float = 1e-9, max_iter: int = 100000) -> MdpSo
     section 8.6): start from all-fresh, evaluate the policy exactly, and
     switch a state's action only when that lowers its Q-value by more
     than tol * max(1, |Q|); stop when no state switches. Each round is
-    one dense Poisson solve for the bias; every round improves the gain
-    or the bias, so no policy repeats, and 2-4 rounds suffice on the
-    models tested. The returned gain is pi . cost of the final policy, as
-    evaluate_policy computes it, so the two agree bit for bit; the Poisson
-    solve's own gain agrees with it to rounding. span_residual is the
-    span of Bellman(h) - h at the returned bias, zero in exact arithmetic.
+    one level elimination (_poisson), which gives pi, the gain and the
+    bias with no S x S matrix; every round improves the gain or the bias,
+    so no policy repeats, and 2-4 rounds suffice on the models tested. The
+    returned gain is pi . cost of the final policy from its round's
+    elimination, as evaluate_policy computes it, so the two agree bit for
+    bit. span_residual is the span of Bellman(h) - h at the returned bias,
+    zero in exact arithmetic.
 
-    Raises ValueError before it allocates anything when the dense matrix
-    would exceed DENSE_LIMIT_BYTES, and SolverError when a policy's chain
-    is not unichain or when max_iter rounds do not settle.
+    Raises ValueError before it allocates anything when the level
+    elimination would pass VISITS_LIMIT_BYTES, and SolverError when a
+    policy's chain is not unichain or when max_iter rounds do not settle.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    need = _dense_bytes(mdp.q_max)
-    if need > DENSE_LIMIT_BYTES:
-        fits = 1
-        while _dense_bytes(fits + 1) <= DENSE_LIMIT_BYTES:
-            fits += 1
-        raise ValueError(f"solving at q_max={mdp.q_max} needs a dense {mdp.n_states} x "
-                         f"{mdp.n_states} matrix of {need} bytes ({need / 2**30:.2f} GiB), over "
-                         f"the {DENSE_LIMIT_BYTES}-byte limit; the largest q_max that fits is "
-                         f"{fits} (evaluating a given policy has no such limit)")
     rows = np.arange(mdp.n_states)
     actions = np.zeros(mdp.n_states, dtype=np.intp)
     for iterations in range(1, max_iter + 1):
-        _, h = _poisson(mdp, actions)
+        gain, h = _poisson(mdp, actions)
         pf = mdp.fail_prob
         q = mdp.cost + (1.0 - pf) * h[mdp.succ_idx] + pf * h[mdp.fail_idx]  # (2, S) Q-values
         current = q[actions, rows]
@@ -294,7 +352,6 @@ def solve(mdp: TruncatedMdp, tol: float = 1e-9, max_iter: int = 100000) -> MdpSo
         actions = np.where(switch, 1 - actions, actions)
     else:
         raise SolverError(f"policy iteration still switched actions after {max_iter} rounds")
-    gain = float(_stationary(mdp, actions) @ mdp.cost)
     delta = q.min(axis=0) - h
     grid = np.zeros((mdp.q_max + 1, mdp.q_max + 1), dtype=np.int8)
     grid[mdp.r, mdp.q] = actions
@@ -341,6 +398,7 @@ def save_solution_json(solution: MdpSolution, path):
             "gain": solution.gain,
             "iterations": solution.iterations,
             "span_residual": solution.span_residual,
+            "span_residual_rel": solution.span_residual_rel,
             "q_max": solution.policy.q_max,
             "cost_kind": solution.cost_kind,
         }, fh, indent=2)

@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from remest import load_policy_csv, mdp, verify_switching
+from remest import HarqModel, load_policy_csv, mdp, psi_policy, riccati_steady_state, verify_switching
 from remest.cli import main
 from remest.config import _LAYOUT, ConfigError, ExperimentConfig, default_config, load_config
 from remest.policies import enumerate_states
@@ -322,7 +323,8 @@ class TestSolveCommand:
         bias_lines = (out / "bias_mse.csv").read_text().strip().splitlines()
         assert bias_lines[0] == "r,q,bias"
         summary = json.loads((out / "solve_mse.json").read_text())
-        assert set(summary) == {"gain", "iterations", "span_residual", "q_max", "cost_kind"}
+        assert set(summary) == {"gain", "iterations", "span_residual", "span_residual_rel", "q_max",
+                                "cost_kind"}
         assert "gain" in capsys.readouterr().out
 
     def test_delay_policy_differs_with_more_fresh_states(self, small_config):
@@ -408,17 +410,38 @@ class TestSolveCommand:
         assert "gain" not in captured.out
         assert not (tmp_path / "o").exists()
 
-    def test_dense_matrix_past_the_limit_is_a_config_error(self, tmp_path, capsys):
-        # q_max 151 would need a 1.08 GB dense matrix; the error comes before any allocation
+    def test_solves_past_the_old_dense_limit(self, tmp_path, capsys):
+        # q_max 151 once needed a 1.08 GB dense Poisson matrix and exited 1
         cfg = json.loads(json.dumps(SMALL_CONFIG))
         cfg["mdp"]["q_max"] = 151
-        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        out = tmp_path / "o"
+        cfg["outputs"]["directory"] = str(out)
         path = tmp_path / "big.json"
         path.write_text(json.dumps(cfg))
-        assert run_cli("solve", "--config", str(path)) == 1
-        err = capsys.readouterr().err
-        assert "1081683072 bytes" in err and "the largest q_max that fits is 150" in err
-        assert not (tmp_path / "o").exists()
+        assert run_cli("solve", "--config", str(path)) == 0
+        assert "of max |bias|" in capsys.readouterr().out
+        loaded = load_config(path)
+        sk = riccati_steady_state(loaded.make_system(), tol=loaded.tol, max_iter=loaded.max_iter,
+                                  q_max=151)
+        model = mdp.build_mdp(sk, loaded.make_channel(), 151, "mse")
+        summary = json.loads((out / "solve_mse.json").read_text())
+        assert summary["gain"] == mdp.evaluate_policy(model, load_policy_csv(out / "policy_mse.csv"))
+
+    def test_visits_past_the_limit_is_a_config_error(self):
+        # q_max 644 needs a 208335 x 646 float64 visits array of 1.08 GB; the
+        # error comes before it, or anything of its size, is allocated
+        model = mdp.build_mdp(None, HarqModel(0.8, 0.5, r_cap=644), 644, "delay")
+        grid = psi_policy(644)
+        tracemalloc.start()
+        try:
+            for call in (lambda: mdp.solve(model), lambda: mdp.evaluate_policy(model, grid)):
+                with pytest.raises(ValueError, match="the largest q_max that fits is 643") as info:
+                    call()
+                assert "1076675280 bytes" in str(info.value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24
 
     def test_stability_gate_and_force(self, tmp_path):
         cfg = json.loads(json.dumps(SMALL_CONFIG))

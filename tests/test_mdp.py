@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from remest import (
     stationary_distribution,
     verify_switching,
 )
-from remest.mdp import DENSE_LIMIT_BYTES, _dense_bytes, _poisson
+from remest.mdp import _chain, _poisson
 from remest.policies import enumerate_states, state_index
 
 Q_MAX = 20
@@ -64,6 +66,48 @@ def gth_stationary(model, policy):
     for k in range(1, n):
         pi[k] = pi[:k] @ p[:k, k]
     return pi / pi.sum()
+
+
+def dense_poisson(model, actions):
+    """Gain and bias by one dense LU solve of the Poisson equation
+    (I - P) h + g 1 = c with h(ref) = 0: the column of I - P that h(ref)
+    would multiply is replaced by the ones that multiply g."""
+    probs, targets, ref = _chain(model, actions)
+    n = model.n_states
+    lhs = np.eye(n)
+    np.add.at(lhs, (np.arange(n), targets), -probs)
+    lhs[:, ref] = 1.0
+    h = np.linalg.solve(lhs, model.cost)
+    gain = float(h[ref])
+    h[ref] = 0.0
+    return gain, h
+
+
+def fraction_poisson(model, actions):
+    """Gain and bias by exact Gaussian elimination over fractions, pinned as
+    dense_poisson. A state fails with the model's float64 probability pf
+    and succeeds with exactly 1 - pf, so each row sums to 1 exactly: with
+    1 - pf rounded, a row would leak up to 1e-16 per step, which outweighs
+    a chance of 1e-14 to reach ref."""
+    probs, targets, ref = _chain(model, actions)
+    n = model.n_states
+    a = [[Fraction(int(i == j)) for j in range(n)] + [Fraction(model.cost[i])] for i in range(n)]
+    for i in range(n):
+        pf = Fraction(probs[1, i])
+        a[i][targets[0, i]] -= 1 - pf
+        a[i][targets[1, i]] -= pf
+        a[i][ref] = Fraction(1)
+    for col in range(n):
+        pivot = next(row for row in range(col, n) if a[row][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        for row in range(n):
+            if row != col and a[row][col] != 0:
+                ratio = a[row][col] / a[col][col]
+                a[row] = [x - ratio * y for x, y in zip(a[row], a[col])]
+    h = [a[i][n] / a[i][i] for i in range(n)]
+    gain = h[ref]
+    h[ref] = Fraction(0)
+    return gain, h
 
 
 def outcomes(model, state, action):
@@ -441,18 +485,112 @@ class TestStationary:
         for grid in corner_policies(q_max):
             assert np.array_equal(stationary_distribution(model, grid), corner)
 
-    def test_evaluates_past_the_dense_limit(self, channel):
-        # solve would need a dense matrix over DENSE_LIMIT_BYTES here; evaluation needs none
-        q_max = 1
-        while _dense_bytes(q_max) <= DENSE_LIMIT_BYTES:
-            q_max += 1
-        model = build_mdp(None, HarqModel(0.8, 0.5, r_cap=q_max), q_max, "delay")
-        with pytest.raises(ValueError, match=f"the largest q_max that fits is {q_max - 1}"):
-            solve(model)
+    def test_evaluates_and_solves_at_q_max_200(self):
+        # no array grows like S^2: q_max 200 has S = 20301 states
+        model = build_mdp(None, HarqModel(0.8, 0.5, r_cap=200), 200, "delay")
         near = build_mdp(None, HarqModel(0.8, 0.5, r_cap=40), 40, "delay")
         # psi's age leaves q = 40 with probability far below float64 resolution
-        assert evaluate_policy(model, psi_policy(q_max)) == pytest.approx(
+        assert evaluate_policy(model, psi_policy(200)) == pytest.approx(
             evaluate_policy(near, psi_policy(40)), rel=1e-12)
+        solution = solve(model)
+        assert solution.gain == evaluate_policy(model, solution.policy)
+        assert solution.gain == pytest.approx(solve(near).gain, rel=1e-12)
+        assert verify_switching(solution.policy).ok
+        assert solution.span_residual <= 16 * np.finfo(float).eps * np.abs(solution.bias).max()
+
+
+def random_unichain_grids(model, count, seed):
+    """count random grids whose chains have one recurrent class."""
+    rng = np.random.default_rng(seed)
+    grids = []
+    while len(grids) < count:
+        grid = PolicyGrid(model.q_max, np.triu(rng.integers(0, 2, (model.q_max + 1,) * 2)))
+        try:
+            _chain(model, grid.actions[model.r, model.q])
+        except SolverError:
+            continue
+        grids.append(grid)
+    return grids
+
+
+def dense_policy_iteration(model, tol):
+    """solve's policy iteration, driven by dense_poisson: final actions, rounds, gain."""
+    rows = np.arange(model.n_states)
+    actions = np.zeros(model.n_states, dtype=np.intp)
+    for iterations in range(1, 100):
+        gain, h = dense_poisson(model, actions)
+        pf = model.fail_prob
+        q = model.cost + (1.0 - pf) * h[model.succ_idx] + pf * h[model.fail_idx]
+        current = q[actions, rows]
+        switch = q[1 - actions, rows] < current - tol * np.maximum(1.0, np.abs(current))
+        if not switch.any():
+            return actions, iterations, gain
+        actions = np.where(switch, 1 - actions, actions)
+    raise AssertionError("dense policy iteration did not settle")
+
+
+# (id, lambda, h or None, g_table or None, q_max): the solve-sweep benchmark's required models
+SWEEP_MODELS = (
+    ("l0.8-h0.9-q20", 0.8, 0.9, None, 20),
+    ("l0.8-h0.3-q20", 0.8, 0.3, None, 20),
+    ("l0.8-h0.3-q40", 0.8, 0.3, None, 40),
+    ("g0.2+0.1x20-q20", 0.8, None, (0.2,) + (0.1,) * 20, 20),
+    ("g0.2-0.1-0.05-0.025-q20", 0.8, None, (0.2, 0.1, 0.05, 0.025), 20),
+    ("l0.8-h0.5-q40", 0.8, 0.5, None, 40),
+    ("l0.85-h0.6-q40", 0.85, 0.6, None, 40),
+) + tuple((f"l0.85-h{h}-q{q_max}", 0.85, h, None, q_max)
+          for h in (0.35, 0.6, 0.9) for q_max in (10, 20))
+
+
+class TestPoisson:
+    """_poisson's bias, from the level elimination, against dense and exact solves."""
+
+    @staticmethod
+    def assert_matches(model, grid, want_gain, want_h):
+        gain, h = _poisson(model, grid.actions[model.r, model.q])
+        assert gain == pytest.approx(want_gain, rel=1e-13)
+        want_h = np.asarray(want_h, dtype=float)
+        assert np.all(np.abs(h - want_h) <= 1e-13 * np.maximum(1.0, np.abs(want_h)))
+
+    @pytest.mark.parametrize("table", [False, True], ids=["geometric", "table"])
+    @pytest.mark.parametrize("q_max", [1, 2, 20, 40])
+    def test_bias_matches_dense_solve(self, system, q_max, table):
+        # arq is the always-fresh grid; under always-retransmit the corner absorbs and is ref
+        model = level_model(system, q_max, table)
+        retransmit = PolicyGrid(q_max, np.ones((q_max + 1, q_max + 1), dtype=np.int8))
+        for grid in [zoo_of(model, name) for name in ("optimal", "arq", "psi")] + [retransmit]:
+            self.assert_matches(model, grid, *dense_poisson(model, grid.actions[model.r, model.q]))
+
+    @pytest.mark.parametrize("table", [False, True], ids=["geometric", "table"])
+    def test_bias_matches_exact_elimination(self, system, table):
+        model = level_model(system, 3, table)
+        for grid in random_unichain_grids(model, 5, seed=18) + corner_policies(3):
+            gain, h = fraction_poisson(model, grid.actions[model.r, model.q])
+            self.assert_matches(model, grid, float(gain), [float(x) for x in h])
+
+    @pytest.mark.parametrize("table", [False, True], ids=["geometric", "table"])
+    def test_corner_grids_match_exact_elimination(self, system, table):
+        # from (0, 0) the chain takes 5e5 to 1e14 steps on average to reach the absorbing
+        # corner here, so the bias reaches -1.6e19; a dense LU solve is off by up to 1e-3
+        # relative on these grids, and the level elimination by under 1e-15
+        model = level_model(system, 8, table)
+        for grid in corner_policies(8):
+            gain, h = fraction_poisson(model, grid.actions[model.r, model.q])
+            self.assert_matches(model, grid, float(gain), [float(x) for x in h])
+
+    @pytest.mark.parametrize("kind", ["mse", "delay"])
+    @pytest.mark.parametrize("model_id, lam, h, g_table, q_max", SWEEP_MODELS,
+                             ids=[m[0] for m in SWEEP_MODELS])
+    def test_solve_matches_dense_policy_iteration(self, system, model_id, lam, h, g_table,
+                                                  q_max, kind):
+        channel = HarqModel.from_table(g_table) if g_table else HarqModel(lam, h, r_cap=q_max)
+        sk_q = riccati_steady_state(system, q_max=q_max) if kind == "mse" else None
+        model = build_mdp(sk_q, channel, q_max, kind)
+        solution = solve(model)
+        actions, iterations, gain = dense_policy_iteration(model, tol=1e-9)
+        assert np.array_equal(solution.policy.actions[model.r, model.q], actions)
+        assert solution.iterations == iterations
+        assert solution.gain == pytest.approx(gain, rel=1e-13)
 
 
 class TestExports:
@@ -473,4 +611,7 @@ class TestExports:
         assert summary["q_max"] == Q_MAX
         assert summary["cost_kind"] == "mse"
         assert summary["span_residual"] < 1e-3
+        assert summary["span_residual_rel"] == mse_solution.span_residual_rel
+        assert mse_solution.span_residual_rel == pytest.approx(
+            mse_solution.span_residual / np.abs(mse_solution.bias).max(), rel=1e-15)
         assert summary["gain"] == mse_solution.gain
