@@ -34,9 +34,8 @@ from .lti import SteadyKalman
 from .policies import PolicyGrid, enumerate_states, state_index
 
 COST_KINDS = ("mse", "delay")
-# the largest arrays of the level elimination are S x (q_max + 2) float64,
-# visits and exits: 1 GiB each holds q_max up to 643 (S = 207690 states)
-VISITS_LIMIT_BYTES = 2**30
+# what a level elimination holds at once (_elimination_bytes): 1 GiB fits q_max up to 460
+ELIMINATION_LIMIT_BYTES = 2**30
 
 
 class SolverError(RuntimeError):
@@ -194,9 +193,16 @@ def _gth(p: np.ndarray, first: int, reward: np.ndarray | None = None):
     return x[order], togo[order]
 
 
-def _visits_bytes(q_max: int) -> int:
-    """Bytes of the S x (q_max + 2) float64 visits array of a level elimination at q_max."""
-    return 8 * state_index(0, q_max + 1) * (q_max + 2)
+def _elimination_bytes(q_max: int) -> int:
+    """Bytes a level elimination at q_max holds at once, an upper bound on its peak.
+
+    _excursions keeps visits and exits, S x (q_max + 2) float64 each, and
+    the flat climb blocks, sum of k^2 for k <= q_max float64, alive
+    together; the chain's edges, their indices and solve's Q-values add
+    about 19 words per state, counted as 24.
+    """
+    n_states = state_index(0, q_max + 1)
+    return 8 * (n_states * (2 * (q_max + 2) + 24) + q_max * (q_max + 1) * (2 * q_max + 1) // 6)
 
 
 def _excursions(mdp: TruncatedMdp, actions: np.ndarray):
@@ -218,19 +224,18 @@ def _excursions(mdp: TruncatedMdp, actions: np.ndarray):
     exits, where exits[s, c] is the probability that state s steps to kept
     state c.
 
-    Raises ValueError before it allocates anything when visits would pass
-    VISITS_LIMIT_BYTES, and SolverError unless the chain has one recurrent
-    class.
+    Raises ValueError before it allocates anything when the elimination
+    would pass ELIMINATION_LIMIT_BYTES (_elimination_bytes), and
+    SolverError unless the chain has one recurrent class.
     """
-    need = _visits_bytes(mdp.q_max)
-    if need > VISITS_LIMIT_BYTES:
+    need = _elimination_bytes(mdp.q_max)
+    if need > ELIMINATION_LIMIT_BYTES:
         fits = 1
-        while _visits_bytes(fits + 1) <= VISITS_LIMIT_BYTES:
+        while _elimination_bytes(fits + 1) <= ELIMINATION_LIMIT_BYTES:
             fits += 1
-        raise ValueError(f"the level elimination at q_max={mdp.q_max} needs a {mdp.n_states} x "
-                         f"{mdp.q_max + 2} float64 array of {need} bytes ({need / 2**30:.3f} GiB), "
-                         f"over the {VISITS_LIMIT_BYTES}-byte limit; the largest q_max that fits "
-                         f"is {fits}")
+        raise ValueError(f"the level elimination at q_max={mdp.q_max} needs {need} bytes "
+                         f"({need / 2**30:.3f} GiB) for its {mdp.n_states} states, over the "
+                         f"{ELIMINATION_LIMIT_BYTES}-byte limit; the largest q_max that fits is {fits}")
     probs, targets, ref = _chain(mdp, actions)
     n, states = mdp.q_max, np.arange(mdp.n_states)
     diag = np.arange(n + 1)
@@ -332,7 +337,7 @@ def solve(mdp: TruncatedMdp, tol: float = 1e-9, max_iter: int = 100000) -> MdpSo
     zero in exact arithmetic.
 
     Raises ValueError before it allocates anything when the level
-    elimination would pass VISITS_LIMIT_BYTES, and SolverError when a
+    elimination would pass ELIMINATION_LIMIT_BYTES, and SolverError when a
     policy's chain is not unichain or when max_iter rounds do not settle.
     """
     if not 0 < tol < np.inf:

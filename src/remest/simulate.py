@@ -17,28 +17,29 @@ stream (_chunk_streams).
 
 Both modes take their edges from one walk (_ChainTables.walk), which
 moves many runs under every requested policy together in numpy: the
-policies' chains are stacked into one edge table and read the same
-uniforms. The chain mode walks CHUNK_RUNS runs at a time and draws their
-uniforms in windows of at most WINDOW, so these take no more memory at a
-longer horizon. A walk of at most JUMP_LANES lanes (policies x runs)
-moves k steps per numpy call along a jump table of at most JUMP_ENTRIES
-entries, a wider walk one step; each step's edge is then rebuilt over a
-block of BLOCK_ELEMENTS elements. The walk counts each policy's visits,
-per step and per run, as integers in bins: q, or q_max + 1 for a failed
-step at q = q_max (a saturation event). The MSE and the AoI are the
-counts times each bin's staleness cost and age q + 1. Integer counts are
-exact, so no statistic depends on the walk's order, on k or on the block
-and window lengths.
+policies' chains are stacked into one table of two-outcome edges and read
+the same uniforms. The chain mode walks the horizon in windows of at most
+WINDOW uniforms per CHUNK_RUNS-run chunk, every chunk in turn, so the
+uniforms and the per-step counts take no more memory at a longer horizon.
+The walk moves its lanes (policies x runs) in blocks of BLOCK_ELEMENTS
+lane-steps. A block of fewer than LANES lanes, such as a few long runs, is
+cut into time segments walked side by side and then stitched exactly
+where their paths meet, so every numpy call moves about LANES lanes. The
+walk counts each policy's visits, per step and per run, as integers in
+bins: q, or q_max + 1 for a failed step at q = q_max (a saturation
+event). The MSE and the AoI are the counts times each bin's staleness
+cost and age q + 1. Integer counts are exact, so no statistic depends on
+the walk's order or on the block, segment and window lengths.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,10 +49,9 @@ from .mdp import TruncatedMdp, build_mdp
 from .policies import PolicyGrid, state_index
 
 CHUNK_RUNS = 128  # runs of a chain-walk chunk, and of a trajectory-mode stream
-BLOCK_ELEMENTS = 2 ** 13  # steps x policies x runs per chain-walk block
-JUMP_ENTRIES = 2 ** 17  # most entries of a chain-walk jump table (1 MB of intp)
-JUMP_LANES = 64  # widest chain walk (policies x runs) that jumps; a full chunk gains nothing
-WINDOW = 2 ** 17  # most uniforms a chunk of the chain walk holds at once (1 MB)
+BLOCK_ELEMENTS = 2 ** 16  # steps x lanes (policies x runs) per chain-walk block
+LANES = 2 ** 11  # a block of fewer lanes walks its time segments side by side, to about this width
+WINDOW = 2 ** 16  # most uniforms a chunk of the chain walk holds at once (512 KB)
 
 
 @dataclass(frozen=True)
@@ -133,177 +133,206 @@ class _ChainTables:
 
     Policy p's copy of model state s is the stacked state p * n_states + s,
     and every transition is read from the model's succ_idx, fail_idx and
-    fail_prob arrays, so no edge leaves its policy's copy. Each step's
-    uniform u maps to a level, the number of distinct failure
-    probabilities at or below u, so the detection draw u < p fails exactly
-    when the level is at most the index of p among them. The levels range
-    over the union of all the policies' failure probabilities; that union
-    refines each policy's own levels, so one level lookup serves every
-    policy and every edge stays what that policy's own table would make
-    it. An edge e = state * n_levels + level fixes the whole step:
-    next_base[e] is the next stacked state times n_levels, and bins[e] is
-    the stacked bin p * n_bins + b that counts the step's visit. Bin b is
-    the state's q, or q_max + 1 for a failed step at q = q_max (a
-    saturation event); a visit to it accrues bin_cost[b], the staleness
-    cost of its q, and bin_age[b] = q + 1. A narrow chain walk also reads
-    jump_base, the same map over jump_steps steps at once; it is built on
-    such a walk's first use, so wide walks never build it.
+    fail_prob arrays, so no edge leaves its policy's copy. A step has two
+    outcomes, and its edge 2 * state + failed fixes it: failed is whether
+    the step's uniform u is below fail_prob[2 * state], the state's failure
+    probability (fail_prob holds it for both of the state's edges), which
+    is the reference rule u < g. next_base[e] is 2 times the next stacked
+    state, and bins[e] is the stacked bin p * n_bins + b that counts the
+    step's visit. Bin b is the state's q, or q_max + 1 for a failed step at
+    q = q_max (a saturation event); a visit to it accrues bin_cost[b], the
+    staleness cost of its q, and bin_age[b] = q + 1.
+
+    A walk's lanes are its policies x runs, lane p * runs + i for run i of
+    policy p, and it moves them in blocks of BLOCK_ELEMENTS lane-steps. A
+    block of fewer than LANES lanes is cut into time segments walked side
+    by side, the first from the lanes' true states and every other from
+    state (0, 0) of its lane's policy, and then stitched exactly: under
+    common uniforms, copies of the chain started in different states soon
+    meet and move together from then on (the coalescence behind coupling
+    from the past; Propp and Wilson, Random Structures & Algorithms 9,
+    1996), so a segment whose start differs from its left neighbour's end
+    is re-walked from that end only until it meets its stored path. A
+    block in which some lane never meets it is walked again in time order
+    as one segment, so even a chain whose copies never meet, such as a
+    cycle, takes three passes over each block: side by side, the stitch,
+    and in time order.
     """
 
     n_policies: int
     n_states: int  # states of one policy's copy of the model
-    g_values: np.ndarray   # distinct failure probabilities of all the policies, ascending
+    fail_prob: np.ndarray  # per edge, its state's failure probability
     next_base: np.ndarray
     bins: np.ndarray
     bin_cost: np.ndarray  # per bin of one policy's copy
     bin_age: np.ndarray
+    # a walk's block arrays, kept from block to block: fresh ones of this size would be
+    # mapped and unmapped by malloc block after block, tens of thousands of page faults a call
+    buffers: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, mdp: TruncatedMdp, actions: np.ndarray):
         """Tables of the chains that take action actions[p, s] in model state s, one per row p."""
         n_policies, n_states = actions.shape
         rows = np.arange(n_states)
-        pf = mdp.fail_prob[actions, rows]
-        g_values = np.array(sorted(set(pf.ravel().tolist())))  # np.unique would import numpy.ma
-        n_levels = len(g_values) + 1
-        failed = np.arange(n_levels) <= np.searchsorted(g_values, pf)[..., None]
-        next_state = np.where(failed, mdp.fail_idx[actions, rows][..., None],
-                              mdp.succ_idx[actions, rows][..., None])
-        next_state += (np.arange(n_policies) * n_states)[:, None, None]
+        offset = (np.arange(n_policies) * n_states)[:, None, None]
+        next_state = np.stack([mdp.succ_idx[actions, rows], mdp.fail_idx[actions, rows]], axis=-1)
         bin_q = np.minimum(np.arange(mdp.q_max + 2), mdp.q_max)
+        failed = np.array([False, True])
         bins = np.where(failed & (mdp.q == mdp.q_max)[:, None], mdp.q_max + 1, mdp.q[:, None])
         return cls(
             n_policies=n_policies,
             n_states=n_states,
-            g_values=g_values,
-            next_base=(next_state * n_levels).astype(np.intp).ravel(),
-            bins=(bins + (np.arange(n_policies) * len(bin_q))[:, None, None]).ravel(),
+            fail_prob=np.repeat(mdp.fail_prob[actions, rows].ravel(), 2),
+            next_base=(2 * (next_state + offset)).astype(np.intp).ravel(),
+            bins=(bins + (np.arange(n_policies) * len(bin_q))[:, None, None]).astype(np.intp).ravel(),
             bin_cost=mdp.cost[state_index(0, bin_q)],
             bin_age=bin_q + 1.0,
         )
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.g_values) + 1
-
-    def levels(self, uniforms: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.g_values, uniforms, side="right")
-
-    @cached_property
-    def jump_steps(self) -> int:
-        """k, the most steps whose jump table has at most JUMP_ENTRIES entries; at least 1."""
-        k, entries = 1, len(self.next_base) * self.n_levels
-        while entries <= JUMP_ENTRIES:
-            k, entries = k + 1, entries * self.n_levels
-        return k
-
-    @cached_property
-    def jump_base(self) -> np.ndarray:
-        """The stacked state k = jump_steps steps on, times n_levels**k, per k-step edge.
-
-        A k-step edge is state * n_levels**k + c, where the k steps'
-        levels are the base-n_levels digits of c, the first step's the
-        most significant. With k = 1 this is next_base.
-        """
-        n_levels, k = self.n_levels, self.jump_steps
-        after = self.next_base.reshape(-1, n_levels)
-        for _ in range(k - 1):
-            after = self.next_base[after[..., None] + np.arange(n_levels)].reshape(len(after), -1)
-        return after.ravel() * n_levels ** (k - 1)
-
-    def walk_steps(self, n_runs: int) -> int:
-        """Steps per numpy call of a walk of n_runs runs: jump_steps up to JUMP_LANES lanes, else 1.
-
-        Per-call overhead bounds a narrow walk, so jumping pays there; on a
-        full chunk the extra passes that rebuild each step's edge cost as
-        much as the calls they save.
-        """
-        return self.jump_steps if self.n_policies * n_runs <= JUMP_LANES else 1
+    def start(self, state: int, n_runs: int) -> np.ndarray:
+        """A walk's base with every lane at model state state: 2 x its stacked state, per lane."""
+        return np.repeat(2 * (np.arange(self.n_policies) * self.n_states + state), n_runs)
 
     def block_steps(self, n_runs: int) -> int:
-        """Steps per block of a walk of n_runs runs: BLOCK_ELEMENTS elements, a multiple of walk_steps."""
-        k = self.walk_steps(n_runs)
-        return max(1, BLOCK_ELEMENTS // (self.n_policies * n_runs) // k) * k
+        """Steps per block of a walk of n_runs runs: BLOCK_ELEMENTS lane-steps."""
+        return max(1, BLOCK_ELEMENTS // (self.n_policies * n_runs))
+
+    def segment_steps(self, n_runs: int) -> int:
+        """Steps per time segment: a block cut into as many segments as LANES lanes hold, at least one."""
+        return -(-self.block_steps(n_runs) // max(1, LANES // (self.n_policies * n_runs)))
 
     def window_steps(self, n_runs: int) -> int:
         """Steps per window of drawn uniforms: as many whole blocks as WINDOW uniforms hold."""
         block = self.block_steps(n_runs)
         return max(1, WINDOW // (n_runs * block)) * block
 
-    def _block_edges(self, levels, base, k):
-        """Each step's edge over a block of levels (steps x runs), moving base on past the block.
+    def _buffer(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        """An uninitialised array of shape in buffers[name], which grows as a walk needs."""
+        size = int(np.prod(shape))
+        flat = self.buffers.get(name)
+        if flat is None or len(flat) < size:
+            flat = self.buffers[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
 
-        base holds every policy's runs' states times n_levels**k. The runs
-        move k steps per numpy call along jump_base (next_base if k = 1),
-        on k-step edges whose digits are the levels of k steps; each step's
-        edge is then rebuilt for the whole block, the first of a group from
-        its k-step edge and the next from next_base. A last partial group
-        is padded with level 0; its padded steps are dropped from the
-        edges, but base moves past them.
+    def _segments(self, uniforms, base, seg):
+        """Edges of a block of uniforms (steps x runs) whose time is cut into segments of seg steps.
+
+        The segments are walked side by side, segment 0 from base and every
+        other from (0, 0); the last is padded past the block. Returns the
+        edges and the uniforms as the walk read them, by step within a
+        segment: seg x segments x lanes and seg x segments x runs.
         """
-        n_levels, steps = self.n_levels, len(levels)
-        jump_base = self.jump_base if k > 1 else self.next_base
-        if steps % k:
-            levels = np.concatenate([levels, np.zeros((-steps % k, levels.shape[1]), levels.dtype)])
-        if self.n_policies > 1:
-            levels = np.tile(levels, self.n_policies)
-        combos = levels[::k]
-        for j in range(1, k):
-            combos = combos * n_levels + levels[j::k]
-        kedges = np.empty(combos.shape, dtype=np.intp)
-        for combo, kedge in zip(combos, kedges):
-            np.add(base, combo, out=kedge)
-            # edges are always in range; mode="raise" would buffer out
-            jump_base.take(kedge, out=base, mode="wrap")
-        if k == 1:
-            return kedges
-        edges = np.empty(levels.shape, dtype=np.intp)
-        np.floor_divide(kedges, n_levels ** (k - 1), out=edges[::k])
-        for j in range(1, k):
-            np.add(self.next_base[edges[j - 1::k]], levels[j::k], out=edges[j::k])
-        return edges[:steps]
+        steps, n_runs = uniforms.shape
+        n_seg, full = -(-steps // seg), steps // seg
+        by_step = self._buffer("uniforms", (seg, n_seg, n_runs), float)
+        by_time = by_step.transpose(1, 0, 2)  # step j * seg + t of the block is by_time[j, t]
+        by_time[:full] = uniforms[:full * seg].reshape(full, seg, n_runs)
+        if full < n_seg:
+            by_time[full, :steps - full * seg] = uniforms[full * seg:]
+            by_time[full, steps - full * seg:] = 1.0  # padding, which never fails
+        edges = self._buffer("edges", (seg, n_seg, len(base)), np.intp)
+        state = np.empty((n_seg, len(base)), dtype=np.intp)
+        state[0], state[1:] = base, self.start(0, n_runs)
+        state, pf = state.reshape(-1), np.empty(state.size)
+        # every policy's lane of a run reads the run's uniform
+        by_policy = pf.reshape(n_seg, self.n_policies, n_runs)
+        failed = np.empty(by_policy.shape, dtype=bool)
+        failed_lanes = failed.reshape(-1)
+        for u, edge in zip(by_step[:, :, None], edges.reshape(seg, -1)):
+            # indices are always in range; mode="raise" would buffer out
+            self.fail_prob.take(state, out=pf, mode="wrap")
+            np.less(u, by_policy, out=failed)
+            np.add(state, failed_lanes, out=edge)
+            self.next_base.take(edge, out=state, mode="wrap")
+        return edges, by_step
 
-    def windows(self, generators, horizon: int):
-        """Run i's uniforms from generators[i], window_steps steps at a time, as (steps x runs) views."""
-        window = self.window_steps(len(generators))
-        uniforms = np.empty((len(generators), min(window, horizon)))
-        for w0 in range(0, horizon, window):
-            drawn = uniforms[:, :min(window, horizon - w0)]
-            for row, generator in zip(drawn, generators):
-                generator.random(out=row)
-            yield drawn.T
+    def _stitch(self, edges, by_step) -> bool:
+        """Re-walk each segment whose start is not its left neighbour's end, in one pass.
 
-    def walk(self, windows, start, step_visits, run_visits):
-        """Advance runs under every policy together from model state start, counting their visits.
-
-        windows yields the uniforms (steps x runs) in time order, and every
-        policy reads the same uniforms per run; each window but the last
-        holds whole blocks (block_steps). Per step, each run counts a visit
-        to its edge's bin and moves along the edge its uniform selects. The
-        counts add into step_visits (horizon x stacked bins), per step over
-        runs, and into run_visits (runs x stacked bins, C-contiguous), per
-        run. The walk moves k = walk_steps steps per numpy call
-        (_block_edges), so only the horizon's last group of k steps can be
-        partial. Yields each block's first step and its edges (steps x
-        policies * runs, run i of policy p in column p * runs + i) once they
-        are counted.
+        All such lanes move together from their left neighbours' ends and
+        stop once every one has met its stored path, as from there the two
+        paths agree; True then, and edges holds the block's exact edges.
+        False if a lane reaches its segment's end without meeting it.
         """
-        n_runs, width = run_visits.shape
-        k, block = self.walk_steps(n_runs), self.block_steps(n_runs)
-        base = np.repeat((np.arange(self.n_policies) * self.n_states + start) * self.n_levels ** k, n_runs)
-        run_offset = np.tile(np.arange(n_runs) * width, self.n_policies)  # each column's run's row
-        k0 = 0
-        for window in windows:
-            for b0 in range(0, len(window), block):
-                edges = self._block_edges(self.levels(window[b0:b0 + block]), base, k)
-                bins, steps = self.bins[edges], len(edges)
-                by_step = bins + (np.arange(steps) * width)[:, None]
-                step_visits[k0:k0 + steps] += np.bincount(
-                    by_step.ravel(), minlength=steps * width).reshape(steps, width)
-                # an int32 one keeps add.at off its slow casting path
-                np.add.at(run_visits.reshape(-1), bins + run_offset, np.int32(1))
-                yield k0, edges
-                k0 += steps
+        seg, n_seg, lanes = edges.shape
+        n_runs = by_step.shape[2]
+        ends = self.next_base.take(edges[-1, :-1])
+        redo = np.flatnonzero(ends != self.start(0, n_runs))
+        state = ends.ravel()[redo]
+        at = redo + lanes  # each lane's place in the next segment, in edges[t]
+        read = at // lanes * n_runs + at % lanes % n_runs  # and its run's, in by_step[t]
+        for u, edge in zip(by_step.reshape(seg, -1), edges.reshape(seg, -1)):
+            new = state + (u.take(read) < self.fail_prob.take(state))
+            if np.array_equal(new, edge.take(at)):
+                return True
+            edge[at] = new
+            self.next_base.take(new, out=state)
+        return False
+
+    def _block_edges(self, uniforms, base):
+        """Each step's edge over a block of uniforms (steps x runs), moving base on past the block.
+
+        A walk of fewer than LANES lanes cuts the block into segments,
+        walks them side by side and stitches them (_stitch); if a lane
+        never meets its stored path, as in a chain that cycles, the block
+        is walked again in time order as one segment. Returns the edges as
+        _segments does: step j * seg + t of the block is edges[t, j].
+        """
+        steps, n_runs = uniforms.shape
+        edges, by_step = self._segments(uniforms, base, min(self.segment_steps(n_runs), steps))
+        if edges.shape[1] > 1 and not self._stitch(edges, by_step):
+            edges, _ = self._segments(uniforms, base, steps)
+        seg, n_seg, _ = edges.shape
+        self.next_base.take(edges[steps - 1 - (n_seg - 1) * seg, -1], out=base, mode="wrap")
+        return edges
+
+    def _count(self, edges, step_visits, run_visits):
+        """Count the visits of a block's edges, laid out as _block_edges returns them.
+
+        They add per step into step_visits (steps x stacked bins) and per
+        run into run_visits (runs x stacked bins); the padding past the
+        block counts in neither.
+        """
+        seg, n_seg, _ = edges.shape
+        steps, width = step_visits.shape
+        n_runs = len(run_visits)
+        # the keys are made in place, as blocks are large: a step's bin counts at
+        # step * width + bin, and a run's at run * width + bin
+        keys = self._buffer("keys", edges.shape, np.intp)
+        self.bins.take(edges, out=keys, mode="wrap")
+        at_step = (np.arange(n_seg) * seg + np.arange(seg)[:, None])[..., None] * width
+        keys += at_step
+        counts = np.bincount(keys.ravel(), minlength=steps * width)  # the padding counts past its end
+        step_visits += counts[:steps * width].reshape(steps, width)
+        keys -= at_step
+        by_run = keys.reshape(seg, n_seg, self.n_policies, n_runs)
+        by_run += np.arange(n_runs) * width
+        # an int32 one keeps add.at off its slow casting path; a bincount would spend
+        # most of a wide walk's short block on the zeros of run_visits
+        np.add.at(run_visits.reshape(-1), by_run[:, :-1], np.int32(1))
+        np.add.at(run_visits.reshape(-1), by_run[:steps - (n_seg - 1) * seg, -1], np.int32(1))
+
+    def walk(self, uniforms, base, step_visits, run_visits):
+        """Advance the lanes in base over uniforms (steps x runs), counting their visits.
+
+        base holds 2 x each lane's stacked state (start), and moves on in
+        place, so the next walk continues from where this one stops. Every
+        policy reads the same uniforms per run. Per step, each lane counts
+        a visit to its edge's bin and moves along the edge its uniform
+        selects. A block's visits are counted once its edges are final:
+        into step_visits (steps x stacked bins), per step over runs, and
+        into run_visits (runs x stacked bins), per run. Yields each block's
+        first step and its steps' edges (one array of lanes per step, in
+        time order) once they are counted; they are overwritten by the
+        next block.
+        """
+        block = self.block_steps(len(run_visits))
+        for b0 in range(0, len(uniforms), block):
+            steps = min(block, len(uniforms) - b0)
+            edges = self._block_edges(uniforms[b0:b0 + steps], base)
+            self._count(edges, step_visits[b0:b0 + steps], run_visits)
+            yield b0, itertools.islice(itertools.chain.from_iterable(edges.transpose(1, 0, 2)), steps)
 
     def visits(self, rows: int) -> np.ndarray:
         """A zero tally for walk: rows x stacked bins, int32."""
@@ -375,27 +404,46 @@ def _chunk_streams(seed: int, runs: int, parts: int):
 
 def _chain_reports(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalman,
                    cfg: SimConfig) -> list[SimReport]:
-    """simulate_chains without the saturation warnings."""
+    """simulate_chains without the saturation warnings.
+
+    The horizon is walked in windows; within a window, every chunk of
+    CHUNK_RUNS runs draws its uniforms and walks on from where the last
+    window left it, so the window's per-step counts are complete after
+    the last chunk and are reduced there to each step's cost, age and
+    saturation events.
+    """
     if cfg.mode != "analytic":
         raise ValueError("the chain simulation requires mode='analytic'")
     tables, initial_state, _ = _policy_chains(policies, m, sk, cfg.initial_q)
     horizon, runs = cfg.horizon, cfg.runs
-    children = np.random.SeedSequence(cfg.seed).spawn(runs)
-    step_visits, run_visits = tables.visits(horizon), tables.visits(runs)
-    for start in range(0, runs, CHUNK_RUNS):
-        # one Philox stream per run; the walk draws from it window by window
-        generators = [np.random.Generator(np.random.Philox(child))
-                      for child in children[start:start + CHUNK_RUNS]]
-        for _ in tables.walk(tables.windows(generators, horizon), initial_state,
-                             step_visits, run_visits[start:start + CHUNK_RUNS]):
-            pass
-    step_mse, step_aoi, step_saturated = tables.totals(step_visits)
+    # one Philox stream per run, drawn from window by window; a Generator is made at each
+    # draw, as keeping one per run would hold about 250 more bytes a run for the whole call
+    streams = [np.random.Philox(child) for child in np.random.SeedSequence(cfg.seed).spawn(runs)]
+    chunks = [(start, streams[start:start + CHUNK_RUNS],
+               tables.start(initial_state, min(CHUNK_RUNS, runs - start)))
+              for start in range(0, runs, CHUNK_RUNS)]
+    window = tables.window_steps(min(CHUNK_RUNS, runs))  # the first chunk's, the widest
+    uniforms = np.empty((min(CHUNK_RUNS, runs), min(window, horizon)))
+    run_visits = tables.visits(runs)
+    step_mse, step_aoi = np.empty((horizon, tables.n_policies)), np.empty((horizon, tables.n_policies))
+    saturated = np.zeros(tables.n_policies, dtype=np.int64)
+    for w0 in range(0, horizon, window):
+        steps = min(window, horizon - w0)
+        step_visits = tables.visits(steps)
+        for start, chunk, base in chunks:
+            drawn = uniforms[:len(chunk), :steps]
+            for row, stream in zip(drawn, chunk):
+                np.random.Generator(stream).random(out=row)
+            for _ in tables.walk(drawn.T, base, step_visits, run_visits[start:start + len(chunk)]):
+                pass
+        step_mse[w0:w0 + steps], step_aoi[w0:w0 + steps], step_saturated = tables.totals(step_visits)
+        saturated += step_saturated.sum(axis=0)
     run_mse, run_aoi, _ = tables.totals(run_visits)
     return [SimReport(label=policy.label, mode="analytic", seed=cfg.seed,
                       avg_mse_vs_k=_running_mean(step_mse[:, p], runs),
                       avg_aoi_vs_k=_running_mean(step_aoi[:, p], runs),
                       run_final_mse=run_mse[:, p] / horizon, run_final_aoi=run_aoi[:, p] / horizon,
-                      saturation_events=int(step_saturated[:, p].sum()))
+                      saturation_events=int(saturated[p]))
             for p, policy in enumerate(policies)]
 
 
@@ -491,7 +539,7 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     # what the state of each edge tells the errors: r = 0 restarts the packet's
     # error, q = r hands it to the receiver, and q_max saturates either age (r <= q)
     restarts, delivered, r_oldest, q_oldest = (
-        np.repeat(flags, tables.n_levels)
+        np.repeat(flags, 2)
         for flags in (mdp.r == 0, mdp.q == mdp.r, mdp.r == mdp.q_max, mdp.q == mdp.q_max))
 
     noise = np.empty((n, runs))  # w_k
@@ -505,7 +553,7 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     run_emp = np.zeros(runs)
     err_cov = np.zeros((n, n))
     step_visits, run_visits = tables.visits(horizon), tables.visits(runs)
-    for b0, edges in tables.walk([uniforms], initial_state, step_visits, run_visits):
+    for b0, edges in tables.walk(uniforms, tables.start(initial_state, runs), step_visits, run_visits):
         for k, edge in enumerate(edges, b0 + 1):
             np.matmul(lq, zw[k - 1], out=noise)
             np.matmul(a, es_ring[(k - 1) % oldest], out=fresh)

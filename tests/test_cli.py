@@ -428,20 +428,33 @@ class TestSolveCommand:
         assert summary["gain"] == mdp.evaluate_policy(model, load_policy_csv(out / "policy_mse.csv"))
 
     def test_visits_past_the_limit_is_a_config_error(self):
-        # q_max 644 needs a 208335 x 646 float64 visits array of 1.08 GB; the
+        # q_max 461 needs 1.00 GiB: two 106953 x 463 float64 arrays, visits and
+        # exits, 32.8 million floats of climb blocks and 24 words per state; the
         # error comes before it, or anything of its size, is allocated
-        model = mdp.build_mdp(None, HarqModel(0.8, 0.5, r_cap=644), 644, "delay")
-        grid = psi_policy(644)
+        model = mdp.build_mdp(None, HarqModel(0.8, 0.5, r_cap=461), 461, "delay")
+        grid = psi_policy(461)
         tracemalloc.start()
         try:
             for call in (lambda: mdp.solve(model), lambda: mdp.evaluate_policy(model, grid)):
-                with pytest.raises(ValueError, match="the largest q_max that fits is 643") as info:
+                with pytest.raises(ValueError, match="the largest q_max that fits is 460") as info:
                     call()
-                assert "1076675280 bytes" in str(info.value)
+                assert "1074952648 bytes" in str(info.value)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**24
+
+    def test_the_stated_bytes_cover_the_elimination(self):
+        # the bytes the limit counts bound what solve and evaluate_policy hold at once
+        model = mdp.build_mdp(None, HarqModel(0.8, 0.5, r_cap=100), 100, "delay")
+        for call in (lambda: mdp.solve(model), lambda: mdp.evaluate_policy(model, psi_policy(100))):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 0.9 * mdp._elimination_bytes(100) < peak <= mdp._elimination_bytes(100)
 
     def test_stability_gate_and_force(self, tmp_path):
         cfg = json.loads(json.dumps(SMALL_CONFIG))

@@ -23,16 +23,16 @@ from remest import (
     solve,
 )
 from remest.simulate import (
+    BLOCK_ELEMENTS,
     CHUNK_RUNS,
-    JUMP_ENTRIES,
-    JUMP_LANES,
+    LANES,
     _ChainTables,
     _policy_chains,
     _psd_factor,
     write_report_csv,
     write_report_json,
 )
-from remest.policies import enumerate_states, state_index
+from remest.policies import state_index
 
 Q_MAX = 20
 
@@ -194,13 +194,21 @@ def _short_table(system):
     return riccati_steady_state(system, q_max=2)
 
 
+def _cycle_policy():
+    """Retransmit everywhere but the corner: on a channel that never fails, the chain cycles
+    (0, 0), (1, 1), ..., (Q_MAX, Q_MAX), so two copies of it in different states never meet."""
+    actions = np.ones((Q_MAX + 1, Q_MAX + 1))
+    actions[Q_MAX, Q_MAX] = 0
+    return PolicyGrid(Q_MAX, actions, label="cycle")
+
+
 def _tables(stack, model, sk):
-    """The chain walk's tables for a stack of grids, which fix its k, block and window lengths."""
+    """The chain walk's tables for a stack of grids, which fix its block, segment and window lengths."""
     return _policy_chains(stack, model, sk, 0)[0]
 
 
 def _table_channel_case(sk):
-    """psi on the table channel, whose five levels give k = 3, over two blocks and a padded group."""
+    """psi on the table channel over two blocks, whose last segments are padded, and one step."""
     model = HarqModel.from_table([0.2, 0.1, 0.05, 0.025])
     horizon = 2 * _tables([psi_policy(Q_MAX)], model, sk).block_steps(5) + 1
     return psi_policy(Q_MAX), model, sk, SimConfig(horizon=horizon, runs=5, seed=43)
@@ -214,7 +222,7 @@ EXACT_CASES = {
         psi_policy(Q_MAX), channel, sk, SimConfig(horizon=40, runs=300, seed=11)),
     "single_run": lambda system, sk, channel: (
         arq_baseline_policy(Q_MAX), channel, sk, SimConfig(horizon=90, runs=1, seed=12)),
-    # crosses two block boundaries and ends mid-block, in a padded group of k = 2 steps
+    # two blocks, whose last segments are padded, and one step of a third
     "partial_time_block": lambda system, sk, channel: (
         psi_policy(Q_MAX), channel, sk,
         SimConfig(horizon=2 * _tables([psi_policy(Q_MAX)], channel, sk).block_steps(9) + 1,
@@ -228,25 +236,38 @@ EXACT_CASES = {
     "q_at_q_max": lambda system, sk, channel: (
         psi_policy(2), HarqModel(0.1, 1.0, r_cap=2), _short_table(system),
         SimConfig(horizon=150, runs=10, seed=16)),
-    # ARQ's two levels give k = 9: past one block, and not a whole number of 9-step groups
+    # past one block, and not a whole number of segments
     "arq_past_block": lambda system, sk, channel: (
         arq_baseline_policy(Q_MAX), channel, sk,
         SimConfig(horizon=_tables([arq_baseline_policy(Q_MAX)], channel, sk).block_steps(3) + 13,
                   runs=3, seed=41)),
-    # one group of 9 steps, 8 of them padding
+    # one segment of one step
     "horizon_1": lambda system, sk, channel: (
         arq_baseline_policy(Q_MAX), channel, sk, SimConfig(horizon=1, runs=4, seed=42)),
     "table_channel": lambda system, sk, channel: _table_channel_case(sk),
-    # a full chunk, which steps singly, whose second window of uniforms starts mid-run
+    # a full chunk, 16 segments side by side, whose second window of uniforms starts mid-run
     "window_boundary": lambda system, sk, channel: (
         arq_baseline_policy(Q_MAX), channel, sk,
         SimConfig(horizon=_tables([arq_baseline_policy(Q_MAX)], channel, sk).window_steps(CHUNK_RUNS)
                   + 100, runs=CHUNK_RUNS, seed=44)),
-    # the widest walk that jumps (k = 9), whose second window starts mid-run
+    # half a chunk, 32 segments side by side, whose second window starts mid-run
     "window_boundary_jump": lambda system, sk, channel: (
         arq_baseline_policy(Q_MAX), channel, sk,
-        SimConfig(horizon=_tables([arq_baseline_policy(Q_MAX)], channel, sk).window_steps(JUMP_LANES)
-                  + 100, runs=JUMP_LANES, seed=45)),
+        SimConfig(horizon=_tables([arq_baseline_policy(Q_MAX)], channel, sk).window_steps(64)
+                  + 100, runs=64, seed=45)),
+    # three segments, the last padded past the horizon
+    "padded_last_segment": lambda system, sk, channel: (
+        psi_policy(Q_MAX), channel, sk,
+        SimConfig(horizon=2 * _tables([psi_policy(Q_MAX)], channel, sk).segment_steps(7) + 7,
+                  runs=7, seed=46)),
+    # the first segment starts at (0, 9) and every other at (0, 0), past a block
+    "initial_q_past_block": lambda system, sk, channel: (
+        psi_policy(Q_MAX), channel, sk,
+        SimConfig(horizon=_tables([psi_policy(Q_MAX)], channel, sk).block_steps(4) + 50, runs=4,
+                  seed=47, initial_q=9)),
+    # copies of this chain never meet, so every block is walked again as one segment
+    "never_merging_cycle": lambda system, sk, channel: (
+        _cycle_policy(), HarqModel.from_table([0.0, 0.0]), sk, SimConfig(horizon=2000, runs=3, seed=48)),
 }
 
 
@@ -276,10 +297,10 @@ LONG_TRAJECTORY_CASES = {
     "arq": lambda system, sk, channel: (
         arq_baseline_policy(Q_MAX), channel, sk,
         SimConfig(horizon=300, runs=20, seed=35, mode="trajectory")),
-    # one run wider than the widest walk that jumps, so the walk steps singly
+    # ten segments side by side, stitched before the errors read the edges in time order
     "psi": lambda system, sk, channel: (
         psi_policy(Q_MAX), channel, sk,
-        SimConfig(horizon=300, runs=JUMP_LANES + 1, seed=36, mode="trajectory")),
+        SimConfig(horizon=300, runs=65, seed=36, mode="trajectory")),
     "arq_q_at_q_max": lambda system, sk, channel: (
         arq_baseline_policy(2), HarqModel(0.1, 1.0, r_cap=2), _short_table(system),
         SimConfig(horizon=300, runs=12, seed=37, mode="trajectory")),
@@ -302,7 +323,7 @@ def _table_stack(sk, q_max=Q_MAX, model=None):
 
 
 def _compare_zoo(sk, channel):
-    """The five policies `remest compare` stacks, in its order; their 1155 states keep k = 1."""
+    """The five policies `remest compare` stacks, in its order."""
     optimal, delay = (solve(build_mdp(sk, channel, Q_MAX, cost)).policy.relabeled(label)
                       for cost, label in (("mse", "optimal"), ("delay", "delay")))
     return [optimal, myopic_policy(sk, channel, Q_MAX), delay,
@@ -315,7 +336,7 @@ STACK_CASES = {
         *_table_stack(sk), sk, SimConfig(horizon=400, runs=9, seed=21)),
     "runs_past_chunk": lambda system, sk, channel: (
         *_table_stack(sk), sk, SimConfig(horizon=40, runs=300, seed=11)),
-    # crosses two block boundaries and ends mid-block, in a padded group of k = 3 steps
+    # two blocks, whose last segments are padded, and one step of a third
     "partial_time_block": lambda system, sk, channel: (
         *_table_stack(sk), sk,
         SimConfig(horizon=2 * _tables(*_table_stack(sk), sk).block_steps(9) + 1, runs=9, seed=13)),
@@ -324,9 +345,14 @@ STACK_CASES = {
     "q_at_q_max": lambda system, sk, channel: (
         *_table_stack(_short_table(system), 2, HarqModel(0.1, 1.0, r_cap=2)), _short_table(system),
         SimConfig(horizon=150, runs=10, seed=16)),
-    # compare's walk: one step per call in 12-step blocks, past a chunk, ending mid-block
+    # compare's walk: full chunks of three segments per block, past a chunk, ending mid-block
     "compare_zoo": lambda system, sk, channel: (
-        *_compare_zoo(sk, channel), sk, SimConfig(horizon=30, runs=CHUNK_RUNS + 2, seed=17)),
+        *_compare_zoo(sk, channel), sk,
+        SimConfig(horizon=_tables(*_compare_zoo(sk, channel), sk).block_steps(CHUNK_RUNS) + 30,
+                  runs=CHUNK_RUNS + 2, seed=17)),
+    # a few runs of the zoo: 61 segments side by side
+    "zoo_few_runs": lambda system, sk, channel: (
+        *_compare_zoo(sk, channel), sk, SimConfig(horizon=2000, runs=3, seed=18)),
 }
 
 
@@ -393,8 +419,8 @@ class TestChainSim:
         def walk(fail_prob):  # fresh per-run streams for each walk
             tables = _ChainTables.build(replace(mdp, fail_prob=fail_prob), actions)
             step_visits, run_visits = tables.visits(horizon), tables.visits(runs)
-            generators = [np.random.default_rng([0, i]) for i in range(runs)]
-            for _ in tables.walk(tables.windows(generators, horizon), start, step_visits, run_visits):
+            uniforms = np.stack([np.random.default_rng([0, i]).random(horizon) for i in range(runs)], axis=1)
+            for _ in tables.walk(uniforms, tables.start(start, runs), step_visits, run_visits):
                 pass
             return tables.totals(step_visits), tables.totals(run_visits)
 
@@ -408,40 +434,46 @@ class TestChainSim:
         expected_first = [sk.cost_table[min(k, q_max)] for k in range(horizon)]
         np.testing.assert_allclose(step_cost[:, 0] / runs, expected_first)
 
-    def test_jump_table_composes_next_base(self, system):
-        # jump_base[s * L**k + c] is k next_base steps from s along the base-L digits of c
-        q_max = 3
-        stack, model = _table_stack(riccati_steady_state(system, q_max=q_max), q_max)
-        mdp = build_mdp(None, model, q_max, "delay")
-        tables = _ChainTables.build(mdp, np.stack([g.actions[enumerate_states(mdp.q_max)]
-                                                   for g in stack]))
-        k, n_levels = tables.jump_steps, tables.n_levels
-        n_states = tables.n_policies * tables.n_states
-        assert k > 1
-        assert n_states * n_levels ** k == len(tables.jump_base) <= JUMP_ENTRIES
-        assert len(tables.jump_base) * n_levels > JUMP_ENTRIES  # k is the largest that fits
-        combos = np.arange(n_levels ** k)
-        for state in range(n_states):
-            base = np.full(len(combos), state * n_levels)
-            for j in range(k):
-                base = tables.next_base[base + combos // n_levels ** (k - 1 - j) % n_levels]
-            assert np.array_equal(tables.jump_base[state * n_levels ** k + combos],
-                                  base * n_levels ** (k - 1)), state
-
     def test_walk_sizes(self, sk, channel):
-        # pinned here because the block and window cases above read their horizons from these
+        # pinned here because the block, segment and window cases above read their horizons from these
         psi, arq = (_tables([grid(Q_MAX)], channel, sk) for grid in (psi_policy, arq_baseline_policy))
-        table = _tables([psi_policy(Q_MAX)], HarqModel.from_table([0.2, 0.1, 0.05, 0.025]), sk)
         zoo = _tables(*_compare_zoo(sk, channel), sk)
-        assert (psi.jump_steps, arq.jump_steps, table.jump_steps, zoo.jump_steps) == (2, 9, 3, 1)
-        # k steps per call up to JUMP_LANES lanes, one step on a full chunk
-        assert [arq.walk_steps(runs) for runs in (3, JUMP_LANES, JUMP_LANES + 1, CHUNK_RUNS)] == [9, 9, 1, 1]
-        assert psi.block_steps(9) == 910 and psi.block_steps(32) == 256 and table.block_steps(5) == 1638
-        assert arq.block_steps(3) == 2727 and arq.window_steps(JUMP_LANES) == 2016
-        # full chunks keep 64-step blocks for one policy and 12-step blocks for the zoo
-        assert arq.block_steps(CHUNK_RUNS) == psi.block_steps(CHUNK_RUNS) == 64
-        assert arq.window_steps(CHUNK_RUNS) == 1024
-        assert zoo.walk_steps(CHUNK_RUNS) == zoo.walk_steps(1) == 1 and zoo.block_steps(CHUNK_RUNS) == 12
+        # BLOCK_ELEMENTS lane-steps a block, cut into about LANES lanes of segments
+        assert [psi.block_steps(runs) for runs in (3, 4, 7, 9, 32, CHUNK_RUNS)] == [
+            21845, 16384, 9362, 7281, 2048, 512]
+        assert [psi.segment_steps(runs) for runs in (3, 7, 32, CHUNK_RUNS)] == [33, 33, 32, 32]
+        assert arq.window_steps(64) == 1024 and arq.window_steps(CHUNK_RUNS) == 512
+        # the zoo's full chunk is 640 lanes: three 34-step segments a 102-step block
+        assert (zoo.block_steps(CHUNK_RUNS), zoo.segment_steps(CHUNK_RUNS)) == (102, 34)
+        # a walk of LANES lanes or more, such as simulate-shapes' trajectories, is one segment a block
+        assert psi.segment_steps(LANES) == psi.block_steps(LANES) == BLOCK_ELEMENTS // LANES
+        assert psi.segment_steps(20000) == psi.block_steps(20000) == 3
+
+    @pytest.mark.parametrize("case", ["cycle", "short_segments"])
+    def test_walks_a_block_again_when_its_segments_do_not_meet(self, case, sk, channel, monkeypatch):
+        # the cycle's copies never meet; 5-step segments of psi often end before they meet
+        if case == "cycle":
+            grid, model, cfg = _cycle_policy(), HarqModel.from_table([0.0, 0.0]), \
+                SimConfig(horizon=3000, runs=7, seed=48)
+        else:
+            monkeypatch.setattr("remest.simulate.BLOCK_ELEMENTS", 2 ** 9)
+            monkeypatch.setattr("remest.simulate.LANES", 2 ** 7)
+            grid, model, cfg = psi_policy(Q_MAX), channel, SimConfig(horizon=3000, runs=7, seed=49)
+            assert _tables([grid], model, sk).segment_steps(7) == 5
+        stitched = []
+        stitch = _ChainTables._stitch
+        monkeypatch.setattr(_ChainTables, "_stitch",
+                            lambda self, *args: stitched.append(stitch(self, *args)) or stitched[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = simulate_chain(grid, model, sk, cfg)
+        assert False in stitched and (True in stitched) == (case == "short_segments")
+        ref_mse, ref_aoi, ref_run_mse, ref_run_aoi, ref_sat = reference_chain(grid, model, sk, cfg)
+        assert np.array_equal(report.avg_mse_vs_k, ref_mse)
+        assert np.array_equal(report.avg_aoi_vs_k, ref_aoi)
+        assert np.array_equal(report.run_final_mse, ref_run_mse)
+        assert np.array_equal(report.run_final_aoi, ref_run_aoi)
+        assert report.saturation_events == ref_sat
 
     def test_uniforms_drawn_in_windows(self, sk, channel):
         # the chunk's uniforms would take runs * horizon * 8 bytes if drawn at once
@@ -547,14 +579,39 @@ class TestStackedChains:
             assert np.array_equal(report.run_final_aoi, ref_run_aoi), grid.label
             assert report.saturation_events == ref_sat, grid.label
 
-    def test_stack_levels_differ(self, sk):
-        # the stack only tests the level union if its policies' own levels differ
+    def test_edge_table_matches_build_mdp(self, sk):
+        # edge 2 * s + failed of policy p's copy of state s steps within the copy, as the model does
         stack, model = _table_stack(sk)
         mdp = build_mdp(sk, model, Q_MAX)
-        rq = enumerate_states(mdp.q_max)
-        own = [set(_ChainTables.build(mdp, g.actions[rq][None]).g_values) for g in stack]
-        union = set(_ChainTables.build(mdp, np.stack([g.actions[rq] for g in stack])).g_values)
-        assert union == set.union(*own) and any(levels != union for levels in own)
+        actions = np.stack([g.actions[mdp.r, mdp.q] for g in stack])
+        tables = _ChainTables.build(mdp, actions)
+        states, n_bins = mdp.n_states, Q_MAX + 2
+        assert len(tables.next_base) == len(tables.bins) == len(tables.fail_prob) == 2 * len(stack) * states
+        for p, row in enumerate(actions):
+            for s, action in enumerate(row):
+                for failed, target in enumerate((mdp.succ_idx[action, s], mdp.fail_idx[action, s])):
+                    edge = 2 * (p * states + s) + failed
+                    assert tables.fail_prob[edge] == mdp.fail_prob[action, s]
+                    assert tables.next_base[edge] == 2 * (p * states + target)
+                    saturated = failed and mdp.q[s] == Q_MAX
+                    assert tables.bins[edge] == p * n_bins + (Q_MAX + 1 if saturated else mdp.q[s])
+        # the stack's policies step differently, so the stacked cases test more than one table
+        by_policy = tables.fail_prob.reshape(len(stack), -1)
+        assert all(not np.array_equal(by_policy[0], other) for other in by_policy[1:])
+
+    def test_stack_levels_differ(self, sk):
+        # the stack only tests several policies' failure levels if its policies' own levels differ
+        stack, model = _table_stack(sk)
+        mdp = build_mdp(sk, model, Q_MAX)
+        actions = np.stack([g.actions[mdp.r, mdp.q] for g in stack])
+        stacked = _ChainTables.build(mdp, actions)
+        own = [_ChainTables.build(mdp, row[None]) for row in actions]
+        # policy p's block of the stacked table is its own one-policy table
+        for tables, block in zip(own, stacked.fail_prob.reshape(len(stack), -1)):
+            assert np.array_equal(tables.fail_prob, block)
+        levels = [set(tables.fail_prob) for tables in own]
+        assert set(stacked.fail_prob) == set.union(*levels)
+        assert any(policy_levels != set(stacked.fail_prob) for policy_levels in levels)
 
     def test_one_policy_stack_is_simulate_chain(self, sk):
         stack, model = _table_stack(sk)
@@ -574,7 +631,7 @@ class TestStackedChains:
         assert np.array_equal(forward[1].run_final_mse, forward[3].run_final_mse)
 
     def test_reports_do_not_depend_on_walk_sizes(self, system, sk, monkeypatch):
-        # visits are counted as integers, so k and the block and window lengths move no float
+        # visits are counted as integers, so the block, segment and window lengths move no float
         stack, model = _table_stack(sk)
         chain_cfg = SimConfig(horizon=301, runs=CHUNK_RUNS + 5, seed=51)
         trajectory_cfg = SimConfig(horizon=61, runs=40, seed=52, mode="trajectory")
@@ -587,15 +644,15 @@ class TestStackedChains:
 
         chains, trajectory = simulate_both()
         tables = _tables(stack, model, sk)
-        sizes = [(tables.walk_steps(runs), tables.block_steps(runs), tables.window_steps(runs))
+        sizes = [(tables.block_steps(runs), tables.segment_steps(runs), tables.window_steps(runs))
                  for runs in (CHUNK_RUNS, 5)]
         monkeypatch.setattr("remest.simulate.BLOCK_ELEMENTS", 40)
         monkeypatch.setattr("remest.simulate.WINDOW", 700)
-        monkeypatch.setattr("remest.simulate.JUMP_LANES", 2)
-        # the last chunk no longer jumps, and every block and window shrinks
-        assert [(tables.walk_steps(runs), tables.block_steps(runs), tables.window_steps(runs))
-                for runs in (CHUNK_RUNS, 5)] == [(1, 1, 5), (1, 2, 140)]
-        assert sizes[1][0] > 1 and sizes[0][1:] == (21, 1008)
+        monkeypatch.setattr("remest.simulate.LANES", 30)
+        # every block and window shrinks, and the last chunk's segments are one step
+        assert [(tables.block_steps(runs), tables.segment_steps(runs), tables.window_steps(runs))
+                for runs in (CHUNK_RUNS, 5)] == [(1, 1, 5), (2, 1, 140)]
+        assert sizes == [(170, 34, 510), (4369, 33, 13107)]
         small_chains, small_trajectory = simulate_both()
         assert all(_same_report(a, b) for a, b in zip(chains, small_chains))
         assert _same_report(trajectory, small_trajectory)
