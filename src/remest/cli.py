@@ -5,7 +5,8 @@ Subcommands: stability, solve, simulate, compare, verify-policy. All take
 codes: 0 success, 1 usage/config error, 2 stability check failed,
 3 solver failure. The commands that solve the decision model apply the
 stability gate: solve and compare (unless --force), and simulate with
---policy optimal or delay.
+--policy optimal or delay. Every file a command writes goes through _write,
+which keeps the files whose suffix is in outputs.formats and names each.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import mdp, policies, simulate
@@ -77,10 +79,32 @@ def _solve_pipeline(cfg: ExperimentConfig, cost_kind: str, filt) -> mdp.MdpSolut
     return mdp.solve(model, tol=cfg.tol, max_iter=cfg.max_iter)
 
 
-def _outdir(cfg: ExperimentConfig) -> Path:
+def _write(cfg: ExperimentConfig, artifacts) -> None:
+    """Write the (file name, writer) pairs whose suffix is in outputs.formats, in order.
+
+    writer(path) writes one file into the output directory, made first; each is named on stdout.
+    """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, writer in artifacts:
+        path = out / name
+        if path.suffix[1:] in cfg.formats:
+            writer(path)
+            print(f"wrote {path}")
+
+
+def _write_json(data, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
+def _write_csv(rows, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: (_fmt(v) if isinstance(v, float) else v) for k, v in row.items()})
 
 
 def cmd_stability(args) -> int:
@@ -114,22 +138,12 @@ def cmd_solve(args) -> int:
     cfg = _apply_overrides(_load(args), args)
     _gate_stability(cfg, args.force)
     solution = _solve_pipeline(cfg, args.cost, _filter(cfg))
-    out = _outdir(cfg)
-    written = []
-    if "csv" in cfg.formats:
-        policy_path, bias_path = out / f"policy_{args.cost}.csv", out / f"bias_{args.cost}.csv"
-        policies.save_policy_csv(solution.policy, policy_path)
-        mdp.save_bias_csv(solution, bias_path)
-        written += [policy_path, bias_path]
-    if "json" in cfg.formats:
-        summary_path = out / f"solve_{args.cost}.json"
-        mdp.save_solution_json(solution, summary_path)
-        written.append(summary_path)
     print(f"gain = {_fmt(solution.gain)}  ({solution.iterations} policy-iteration rounds, "
           f"span residual {solution.span_residual:.3e}, "
           f"{solution.span_residual_rel:.1e} of max |bias|)")
-    for path in written:
-        print(f"wrote {path}")
+    _write(cfg, [(f"policy_{args.cost}.csv", partial(policies.save_policy_csv, solution.policy)),
+                 (f"bias_{args.cost}.csv", partial(mdp.save_bias_csv, solution)),
+                 (f"solve_{args.cost}.json", partial(mdp.save_solution_json, solution))])
     return EXIT_OK
 
 
@@ -169,16 +183,9 @@ def cmd_simulate(args) -> int:
         report = simulate.simulate_trajectory(grid, system, channel, sk, sim_cfg)
     else:
         report = simulate.simulate_chain(grid, channel, sk, sim_cfg)
-    out = _outdir(cfg)
     label = grid.label or "policy"
-    csv_path = out / f"report_{label}.csv"
-    json_path = out / f"report_{label}.json"
-    if "csv" in cfg.formats:
-        simulate.write_report_csv(report, csv_path)
-        print(f"wrote {csv_path}")
-    if "json" in cfg.formats:
-        simulate.write_report_json(report, json_path)
-        print(f"wrote {json_path}")
+    _write(cfg, [(f"report_{label}.csv", partial(simulate.write_report_csv, report)),
+                 (f"report_{label}.json", partial(simulate.write_report_json, report))])
     print(f"final average MSE = {_fmt(report.final_avg_mse)}  "
           f"final average AoI = {_fmt(report.final_avg_aoi)}")
     return EXIT_OK
@@ -195,12 +202,9 @@ def cmd_compare(args) -> int:
     zoo = [_resolve_policy(cfg, source, filt) for source in POLICY_SOURCES]
     model = mdp.build_mdp(sk, channel, cfg.q_max, "mse")
     reports = simulate.simulate_chains(zoo, channel, sk, cfg.make_sim_config())
-    out = _outdir(cfg)
 
     rows = []
     for grid, report in zip(zoo, reports):
-        if "csv" in cfg.formats:
-            simulate.write_report_csv(report, out / f"report_{grid.label}.csv")
         # the chain does not depend on the cost, so one pi gives every exact column
         pi = mdp.stationary_distribution(model, grid)
         rows.append({
@@ -228,21 +232,11 @@ def cmd_compare(args) -> int:
         "baseline_floor": floor,
         "policies": rows,
     }
-    if "json" in cfg.formats:
-        with open(out / "compare.json", "w") as fh:
-            json.dump(table, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {out / 'compare.json'}")
-    if "csv" in cfg.formats:
-        with open(out / "compare.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: (_fmt(v) if isinstance(v, float) else v) for k, v in row.items()})
-        print(f"wrote {out / 'compare.csv'}")
+    _write(cfg, [(f"report_{grid.label}.csv", partial(simulate.write_report_csv, report))
+                 for grid, report in zip(zoo, reports)]
+           + [("compare.json", partial(_write_json, table)), ("compare.csv", partial(_write_csv, rows))])
 
-    header = f"{'policy':>8} {'exact MSE':>12} {'sim MSE':>12} {'sim AoI':>10} {'switching':>9}"
-    print(header)
+    print(f"{'policy':>8} {'exact MSE':>12} {'sim MSE':>12} {'sim AoI':>10} {'switching':>9}")
     for row in rows:
         print(f"{row['policy']:>8} {_fmt(row['exact_avg_mse']):>12} "
               f"{_fmt(row['sim_final_mse']):>12} {_fmt(row['sim_final_aoi']):>10} "

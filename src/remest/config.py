@@ -149,15 +149,16 @@ class ExperimentConfig:
         bad = set(self.formats) - set(_FORMATS)
         if bad:
             raise ConfigError(f"unknown output formats: {sorted(bad)}")
-        self.make_system()
-        self.make_channel()
-        self.make_sim_config()
+        # checked first: the geometric channel would report a bad q_max as its r_cap
         if self.q_max < 1:
             raise ConfigError("mdp.q_max must be at least 1")
         if not 0 < self.tol < math.inf:
             raise ConfigError(f"mdp.tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"mdp.max_iter must be at least 1, got {self.max_iter}")
+        self.make_system()
+        self.make_channel()
+        self.make_sim_config()
         if self.initial_q > self.q_max:
             raise ConfigError(f"sim.initial_q={self.initial_q} exceeds mdp.q_max={self.q_max}")
         if self.mode == "trajectory" and self.initial_q != 0:

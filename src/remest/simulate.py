@@ -18,18 +18,19 @@ stream (_chunk_streams).
 Both modes take their edges from one walk (_ChainTables.walk), which
 moves many runs under every requested policy together in numpy: the
 policies' chains are stacked into one table of two-outcome edges and read
-the same uniforms. The chain mode walks the horizon in windows of at most
-WINDOW uniforms per CHUNK_RUNS-run chunk, every chunk in turn, so the
-uniforms and the per-step counts take no more memory at a longer horizon.
-The walk moves its lanes (policies x runs) in blocks of BLOCK_ELEMENTS
-lane-steps. A block of fewer than LANES lanes, such as a few long runs, is
-cut into time segments walked side by side and then stitched exactly
-where their paths meet, so every numpy call moves about LANES lanes. The
-walk counts each policy's visits, per step and per run, as integers in
-bins: q, or q_max + 1 for a failed step at q = q_max (a saturation
-event). The MSE and the AoI are the counts times each bin's staleness
-cost and age q + 1. Integer counts are exact, so no statistic depends on
-the walk's order or on the block, segment and window lengths.
+the same uniforms. The walk moves its lanes (policies x runs) in blocks
+of BLOCK_ELEMENTS lane-steps, and the chain mode walks the horizon in
+windows of as many whole blocks as BLOCK_ELEMENTS uniforms of a
+CHUNK_RUNS-run chunk hold, every chunk in turn, so the uniforms and the
+per-step counts take no more memory at a longer horizon. A block of fewer
+than LANES lanes, such as a few long runs, is cut into time segments
+walked side by side and then stitched exactly where their paths meet, so
+every numpy call moves about LANES lanes. The walk counts each policy's
+visits, per step and per run, as integers in bins: q, or q_max + 1 for a
+failed step at q = q_max (a saturation event). The MSE and the AoI are
+the counts times each bin's staleness cost and age q + 1. Integer counts
+are exact, so no statistic depends on the walk's order or on the block,
+segment and window lengths.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .policies import PolicyGrid, state_index
 CHUNK_RUNS = 128  # runs of a chain-walk chunk, and of a trajectory-mode stream
 BLOCK_ELEMENTS = 2 ** 16  # steps x lanes (policies x runs) per chain-walk block
 LANES = 2 ** 11  # a block of fewer lanes walks its time segments side by side, to about this width
-WINDOW = 2 ** 16  # most uniforms a chunk of the chain walk holds at once (512 KB)
 
 
 @dataclass(frozen=True)
@@ -203,9 +203,9 @@ class _ChainTables:
         return -(-self.block_steps(n_runs) // max(1, LANES // (self.n_policies * n_runs)))
 
     def window_steps(self, n_runs: int) -> int:
-        """Steps per window of drawn uniforms: as many whole blocks as WINDOW uniforms hold."""
+        """Steps per window: as many whole blocks as BLOCK_ELEMENTS uniforms of n_runs runs hold."""
         block = self.block_steps(n_runs)
-        return max(1, WINDOW // (n_runs * block)) * block
+        return max(1, BLOCK_ELEMENTS // (n_runs * block)) * block
 
     def _buffer(self, name: str, shape: tuple, dtype) -> np.ndarray:
         """An uninitialised array of shape in buffers[name], which grows as a walk needs."""

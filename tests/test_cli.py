@@ -40,6 +40,10 @@ def run_cli(*argv):
         return main(list(argv))
 
 
+def _wrote(stdout: str) -> list[str]:
+    return [line for line in stdout.splitlines() if line.startswith("wrote")]
+
+
 class TestConfig:
     def test_default_config_loads(self):
         cfg = default_config()
@@ -226,6 +230,38 @@ class TestConfig:
         assert "mdp.tol" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("channel", [{"lambda": 0.8, "h": 0.5}, {"lambda": 0.8, "g_table": [0.2, 0.1]}],
+                             ids=["geometric", "g_table"])
+    @pytest.mark.parametrize("q_max", [0, -3])
+    def test_q_max_below_one_is_a_config_error(self, tmp_path, capsys, channel, q_max):
+        # the geometric channel, built with r_cap=q_max, used to report it as r_cap
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["channel"] = channel
+        cfg["mdp"]["q_max"] = q_max
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("solve", "--config", str(path)) == 1
+        assert "mdp.q_max" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg.update(mdp=5), "section 'mdp' must be an object"),
+        (lambda cfg: cfg.pop("system"), "missing required key 'system' in 'config'"),
+        (lambda cfg: cfg["system"].pop("A"), "missing required key 'A' in 'system'"),
+    ], ids=["section_not_an_object", "missing_section", "missing_key"])
+    def test_malformed_layout_is_a_config_error(self, tmp_path, capsys, edit, message):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        edit(cfg)
+        path = tmp_path / "l.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("stability", "--config", str(path)) == 1
+        assert message in capsys.readouterr().err
+
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys):
+        assert run_cli("stability", "--config", str(tmp_path / "absent.json")) == 1
+        assert "cannot read config" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
@@ -393,8 +429,23 @@ class TestSolveCommand:
         for stale in ("policy_mse.csv", "bias_mse.csv"):
             (out / stale).write_text("")
         assert run_cli("solve", "--config", str(path)) == 0
-        wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote")]
-        assert wrote == [f"wrote {out / 'solve_mse.json'}"]
+        assert _wrote(capsys.readouterr().out) == [f"wrote {out / 'solve_mse.json'}"]
+
+    def test_out_overrides_the_config_directory(self, small_config, tmp_path, capsys):
+        path, out = small_config
+        other = tmp_path / "other"
+        assert run_cli("solve", "--config", str(path), "--out", str(other)) == 0
+        names = ("policy_mse.csv", "bias_mse.csv", "solve_mse.json")
+        assert sorted(p.name for p in other.iterdir()) == sorted(names)
+        assert not out.exists()
+        assert _wrote(capsys.readouterr().out) == [f"wrote {other / name}" for name in names]
+
+    def test_out_naming_a_file_is_a_config_error(self, small_config, tmp_path, capsys):
+        path, _ = small_config
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli("solve", "--config", str(path), "--out", str(taken)) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_overflowing_cost_table_is_a_config_error(self, tmp_path, capsys):
         # Tr f^(q+1)(p_bar0) ~ 1e6^(q+1) overflows at q = 51, inside the q_max + 5 table
@@ -488,6 +539,13 @@ class TestSimulateCommand:
         path, _ = small_config
         assert run_cli("simulate", "--config", str(path), "--policy", "nope.csv") == 1
 
+    def test_file_that_is_not_a_policy(self, small_config, tmp_path, capsys):
+        path, _ = small_config
+        other = tmp_path / "notes.csv"
+        other.write_text("a,b\n1,2\n")
+        assert run_cli("simulate", "--config", str(path), "--policy", str(other)) == 1
+        assert "cannot load policy file" in capsys.readouterr().err
+
     def test_seed_override_changes_output(self, small_config):
         path, out = small_config
         assert run_cli("simulate", "--config", str(path), "--policy", "arq", "--seed", "5") == 0
@@ -574,7 +632,23 @@ class TestCompareCommand:
             assert (out / f"report_{name}.csv").exists()
         csv_lines = (out / "compare.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 6
-        assert "policy" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "policy" in stdout
+        # every file is named, in the order written
+        assert _wrote(stdout) == [f"wrote {out / name}" for name in (
+            *(f"report_{label}.csv" for label in ("optimal", "myopic", "delay", "arq", "psi")),
+            "compare.json", "compare.csv")]
+
+    def test_formats_select_files_by_suffix(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["sim"].update(K=50, runs=20)
+        out = tmp_path / "o"
+        cfg["outputs"] = {"directory": str(out), "formats": ["json"]}
+        path = tmp_path / "j.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("compare", "--config", str(path)) == 0
+        assert [p.name for p in out.iterdir()] == ["compare.json"]
+        assert _wrote(capsys.readouterr().out) == [f"wrote {out / 'compare.json'}"]
 
     def test_boundary_mass(self, tmp_path):
         # exact, so a short simulation leaves it unchanged
@@ -641,6 +715,17 @@ class TestVerifyPolicyCommand:
         out = capsys.readouterr().out
         assert "switching-type: False" in out
         assert "violation" in out
+
+    def test_many_violations_are_summed_up(self, tmp_path, capsys):
+        r, q = enumerate_states(8)
+        path = tmp_path / "checker.csv"
+        path.write_text("r,q,action\n" + "".join(f"{a},{b},{(a + b) % 2}\n" for a, b in zip(r, q)))
+        violations = len(verify_switching(load_policy_csv(path)).violations)
+        assert violations > 20
+        assert run_cli("verify-policy", "--policy", str(path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum("violation [" in line for line in lines) == 20
+        assert lines[-1] == f"  ... {violations - 20} more"
 
     def test_unreadable_policy(self):
         assert run_cli("verify-policy", "--policy", "missing.csv") == 1

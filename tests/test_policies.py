@@ -239,15 +239,22 @@ class TestCsvRoundTrip:
 
     def test_rejects_bad_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("r,q,action\n2,1,0\n")
-        with pytest.raises(ValueError):
-            load_policy_csv(path)
-        path.write_text("r,q,action\n0,0,5\n")
-        with pytest.raises(ValueError):
-            load_policy_csv(path)
-        path.write_text("x,y,z\n0,0,0\n")
-        with pytest.raises(ValueError):
-            load_policy_csv(path)
+        for text, message in [
+            ("r,q,action\n2,1,0\n", "invalid state (2, 1)"),
+            ("r,q,action\n0,0,5\n", "invalid action 5"),
+            ("x,y,z\n0,0,0\n", "unexpected policy CSV header"),
+            ("r,q,action\n0,0\n", "malformed policy CSV row: ['0', '0']"),
+            ("r,q,action\n0,0,0\n0,0,1\n", "duplicate state (0, 0)"),
+            ("r,q,action\n", "contains no states"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_policy_csv(path)
+
+    def test_skips_blank_rows(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("r,q,action\n\n0,0,0\n0,1,1\n\n1,1,0\n\n")
+        assert np.array_equal(load_policy_csv(path).actions, psi_policy(1).actions)
 
     def test_serialization_order(self, tmp_path):
         path = tmp_path / "psi.csv"

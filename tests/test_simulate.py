@@ -647,11 +647,10 @@ class TestStackedChains:
         sizes = [(tables.block_steps(runs), tables.segment_steps(runs), tables.window_steps(runs))
                  for runs in (CHUNK_RUNS, 5)]
         monkeypatch.setattr("remest.simulate.BLOCK_ELEMENTS", 40)
-        monkeypatch.setattr("remest.simulate.WINDOW", 700)
         monkeypatch.setattr("remest.simulate.LANES", 30)
         # every block and window shrinks, and the last chunk's segments are one step
         assert [(tables.block_steps(runs), tables.segment_steps(runs), tables.window_steps(runs))
-                for runs in (CHUNK_RUNS, 5)] == [(1, 1, 5), (2, 1, 140)]
+                for runs in (CHUNK_RUNS, 5)] == [(1, 1, 1), (2, 1, 8)]
         assert sizes == [(170, 34, 510), (4369, 33, 13107)]
         small_chains, small_trajectory = simulate_both()
         assert all(_same_report(a, b) for a, b in zip(chains, small_chains))
