@@ -16,9 +16,15 @@ stream, and the trajectory mode gives every CHUNK_RUNS-run chunk one
 stream (_chunk_streams).
 
 Both modes take their edges from one walk (_ChainTables.walk), which
-moves many runs under every requested policy together in numpy: the
+moves many runs under one or more policies together in numpy: the
 policies' chains are stacked into one table of two-outcome edges and read
-the same uniforms. The walk moves its lanes (policies x runs) in blocks
+the same uniforms. In the chain mode, policies that act alike where their
+runs go share lanes (_ChainTables.walk_stack): each policy after the
+first has a leader, the earlier policy whose steps differ from its own at
+the fewest states, and over a chunk's window it is not walked when its
+runs start in its leader's states and its leader's path visits no state
+where the two step differently; its counts are then copies of its
+leader's. The walk moves its lanes (policies x runs) in blocks
 of BLOCK_ELEMENTS lane-steps, and the chain mode walks the horizon in
 windows of as many whole blocks as BLOCK_ELEMENTS uniforms of a
 CHUNK_RUNS-run chunk hold, every chunk in turn, so the uniforms and the
@@ -29,13 +35,13 @@ every numpy call moves about LANES lanes. The walk counts each policy's
 visits, per step and per run, as integers in bins: q, or q_max + 1 for a
 failed step at q = q_max (a saturation event). The MSE and the AoI are
 the counts times each bin's staleness cost and age q + 1. Integer counts
-are exact, so no statistic depends on the walk's order or on the block,
-segment and window lengths.
+are exact, so no statistic depends on the walk's order, on the block,
+segment and window lengths, or on which policies were walked and which
+copied.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import warnings
@@ -143,9 +149,10 @@ class _ChainTables:
     q = q_max (a saturation event); a visit to it accrues bin_cost[b], the
     staleness cost of its q, and bin_age[b] = q + 1.
 
-    A walk's lanes are its policies x runs, lane p * runs + i for run i of
-    policy p, and it moves them in blocks of BLOCK_ELEMENTS lane-steps. A
-    block of fewer than LANES lanes is cut into time segments walked side
+    A walk's lanes are its policies x runs, the runs of each policy in a
+    row, for the whole stack or for the subset of it that walk_stack
+    moves. It moves them in blocks of BLOCK_ELEMENTS lane-steps. A block
+    of fewer than LANES lanes is cut into time segments walked side
     by side, the first from the lanes' true states and every other from
     state (0, 0) of its lane's policy, and then stitched exactly: under
     common uniforms, copies of the chain started in different states soon
@@ -166,6 +173,8 @@ class _ChainTables:
     bins: np.ndarray
     bin_cost: np.ndarray  # per bin of one policy's copy
     bin_age: np.ndarray
+    leaders: tuple  # per policy, the earlier one whose steps differ from its own at the fewest states
+    diverges: np.ndarray  # policies x stacked edges: where a policy's step differs from its leader's
     # a walk's block arrays, kept from block to block: fresh ones of this size would be
     # mapped and unmapped by malloc block after block, tens of thousands of page faults a call
     buffers: dict = field(default_factory=dict, repr=False, compare=False)
@@ -177,30 +186,43 @@ class _ChainTables:
         rows = np.arange(n_states)
         offset = (np.arange(n_policies) * n_states)[:, None, None]
         next_state = np.stack([mdp.succ_idx[actions, rows], mdp.fail_idx[actions, rows]], axis=-1)
+        fail_prob = mdp.fail_prob[actions, rows]
         bin_q = np.minimum(np.arange(mdp.q_max + 2), mdp.q_max)
         failed = np.array([False, True])
         bins = np.where(failed & (mdp.q == mdp.q_max)[:, None], mdp.q_max + 1, mdp.q[:, None])
+        # the edges of a state where two policies' steps differ: the failure probability
+        # differs, or the edge's next state; each later policy's mask against its leader is
+        # tiled over the policies' copies, so it reads the edges of whichever copy it is given
+        leaders, diverges = [0], np.zeros((n_policies, n_policies * 2 * n_states), dtype=bool)
+        for p in range(1, n_policies):
+            differ = (next_state[:p] != next_state[p]) | (fail_prob[:p] != fail_prob[p])[..., None]
+            leaders.append(int(differ.any(axis=-1).sum(axis=-1).argmin()))
+            diverges[p] = np.tile(differ[leaders[-1]].ravel(), n_policies)
         return cls(
             n_policies=n_policies,
             n_states=n_states,
-            fail_prob=np.repeat(mdp.fail_prob[actions, rows].ravel(), 2),
+            fail_prob=np.repeat(fail_prob.ravel(), 2),
             next_base=(2 * (next_state + offset)).astype(np.intp).ravel(),
             bins=(bins + (np.arange(n_policies) * len(bin_q))[:, None, None]).astype(np.intp).ravel(),
             bin_cost=mdp.cost[state_index(0, bin_q)],
             bin_age=bin_q + 1.0,
+            leaders=tuple(leaders),
+            diverges=diverges,
         )
 
     def start(self, state: int, n_runs: int) -> np.ndarray:
         """A walk's base with every lane at model state state: 2 x its stacked state, per lane."""
         return np.repeat(2 * (np.arange(self.n_policies) * self.n_states + state), n_runs)
 
-    def block_steps(self, n_runs: int) -> int:
-        """Steps per block of a walk of n_runs runs: BLOCK_ELEMENTS lane-steps."""
-        return max(1, BLOCK_ELEMENTS // (self.n_policies * n_runs))
+    def block_steps(self, n_runs: int, n_policies: int | None = None) -> int:
+        """Steps per block of a walk of n_runs runs under n_policies of the stack (all by default):
+        BLOCK_ELEMENTS lane-steps."""
+        return max(1, BLOCK_ELEMENTS // ((n_policies or self.n_policies) * n_runs))
 
-    def segment_steps(self, n_runs: int) -> int:
+    def segment_steps(self, n_runs: int, n_policies: int | None = None) -> int:
         """Steps per time segment: a block cut into as many segments as LANES lanes hold, at least one."""
-        return -(-self.block_steps(n_runs) // max(1, LANES // (self.n_policies * n_runs)))
+        lanes = (n_policies or self.n_policies) * n_runs
+        return -(-self.block_steps(n_runs, n_policies) // max(1, LANES // lanes))
 
     def window_steps(self, n_runs: int) -> int:
         """Steps per window: as many whole blocks as BLOCK_ELEMENTS uniforms of n_runs runs hold."""
@@ -233,10 +255,10 @@ class _ChainTables:
             by_time[full, steps - full * seg:] = 1.0  # padding, which never fails
         edges = self._buffer("edges", (seg, n_seg, len(base)), np.intp)
         state = np.empty((n_seg, len(base)), dtype=np.intp)
-        state[0], state[1:] = base, self.start(0, n_runs)
+        state[0], state[1:] = base, base - base % (2 * self.n_states)  # (0, 0) of each lane's policy
         state, pf = state.reshape(-1), np.empty(state.size)
         # every policy's lane of a run reads the run's uniform
-        by_policy = pf.reshape(n_seg, self.n_policies, n_runs)
+        by_policy = pf.reshape(n_seg, -1, n_runs)
         failed = np.empty(by_policy.shape, dtype=bool)
         failed_lanes = failed.reshape(-1)
         for u, edge in zip(by_step[:, :, None], edges.reshape(seg, -1)):
@@ -258,7 +280,7 @@ class _ChainTables:
         seg, n_seg, lanes = edges.shape
         n_runs = by_step.shape[2]
         ends = self.next_base.take(edges[-1, :-1])
-        redo = np.flatnonzero(ends != self.start(0, n_runs))
+        redo = np.flatnonzero(ends % (2 * self.n_states))  # the ends not at (0, 0) of their policy
         state = ends.ravel()[redo]
         at = redo + lanes  # each lane's place in the next segment, in edges[t]
         read = at // lanes * n_runs + at % lanes % n_runs  # and its run's, in by_step[t]
@@ -280,12 +302,20 @@ class _ChainTables:
         _segments does: step j * seg + t of the block is edges[t, j].
         """
         steps, n_runs = uniforms.shape
-        edges, by_step = self._segments(uniforms, base, min(self.segment_steps(n_runs), steps))
+        seg = self.segment_steps(n_runs, len(base) // n_runs)
+        edges, by_step = self._segments(uniforms, base, min(seg, steps))
         if edges.shape[1] > 1 and not self._stitch(edges, by_step):
             edges, _ = self._segments(uniforms, base, steps)
         seg, n_seg, _ = edges.shape
         self.next_base.take(edges[steps - 1 - (n_seg - 1) * seg, -1], out=base, mode="wrap")
         return edges
+
+    @staticmethod
+    def _unpadded(edges, steps):
+        """A block's edges, laid out as _block_edges returns them, without the padding past its
+        steps: the full segments and the last segment's steps."""
+        seg, n_seg = edges.shape[:2]
+        return edges[:, :-1], edges[:steps - (n_seg - 1) * seg, -1]
 
     def _count(self, edges, step_visits, run_visits):
         """Count the visits of a block's edges, laid out as _block_edges returns them.
@@ -306,33 +336,107 @@ class _ChainTables:
         counts = np.bincount(keys.ravel(), minlength=steps * width)  # the padding counts past its end
         step_visits += counts[:steps * width].reshape(steps, width)
         keys -= at_step
-        by_run = keys.reshape(seg, n_seg, self.n_policies, n_runs)
+        by_run = keys.reshape(seg, n_seg, -1, n_runs)
         by_run += np.arange(n_runs) * width
         # an int32 one keeps add.at off its slow casting path; a bincount would spend
-        # most of a wide walk's short block on the zeros of run_visits
-        np.add.at(run_visits.reshape(-1), by_run[:, :-1], np.int32(1))
-        np.add.at(run_visits.reshape(-1), by_run[:steps - (n_seg - 1) * seg, -1], np.int32(1))
+        # most of a wide walk's short block on the zeros of run_visits, and even a
+        # 128-run chunk's is slower than add.at
+        for part in self._unpadded(by_run, steps):
+            np.add.at(run_visits.reshape(-1), part, np.int32(1))
 
     def walk(self, uniforms, base, step_visits, run_visits):
         """Advance the lanes in base over uniforms (steps x runs), counting their visits.
 
         base holds 2 x each lane's stacked state (start), and moves on in
-        place, so the next walk continues from where this one stops. Every
-        policy reads the same uniforms per run. Per step, each lane counts
-        a visit to its edge's bin and moves along the edge its uniform
-        selects. A block's visits are counted once its edges are final:
-        into step_visits (steps x stacked bins), per step over runs, and
-        into run_visits (runs x stacked bins), per run. Yields each block's
-        first step and its steps' edges (one array of lanes per step, in
-        time order) once they are counted; they are overwritten by the
-        next block.
+        place, so the next walk continues from where this one stops; its
+        lanes are those of one or more policies of the stack, each policy's
+        runs in a row, in any order. Every policy reads the same uniforms
+        per run. Per step, each lane counts a visit to its edge's bin and
+        moves along the edge its uniform selects. A block's visits are
+        counted once its edges are final: into step_visits (steps x stacked
+        bins), per step over runs, and into run_visits (runs x stacked
+        bins), per run. Yields each block's first step, its number of steps
+        and its edges, laid out as _block_edges returns them, once they are
+        counted; they are overwritten by the next block.
         """
-        block = self.block_steps(len(run_visits))
+        n_runs = len(run_visits)
+        block = self.block_steps(n_runs, len(base) // n_runs)
         for b0 in range(0, len(uniforms), block):
             steps = min(block, len(uniforms) - b0)
             edges = self._block_edges(uniforms[b0:b0 + steps], base)
             self._count(edges, step_visits[b0:b0 + steps], run_visits)
-            yield b0, itertools.islice(itertools.chain.from_iterable(edges.transpose(1, 0, 2)), steps)
+            yield b0, steps, edges
+
+    def walk_stack(self, uniforms, base, step_visits, run_visits, diverged):
+        """walk every policy of the stack over uniforms (steps x runs), moving only the lanes
+        whose paths can differ.
+
+        base holds every policy's lanes, as start lays them out, and
+        step_visits and run_visits take every policy's counts, as in walk.
+        Policy p is not walked when each of its runs starts in the model
+        state of its leader's run and its leader's path visits no edge
+        where the two step differently (diverges): under common uniforms
+        its path is then its leader's, so its counts are copies of its
+        leader's and its lanes end where its leader's do. Otherwise it is
+        walked from its own start, after its leader. diverged holds, per
+        policy, whether its last check found such an edge; the caller keeps
+        it from walk to walk, and a policy whose check failed is walked
+        beside its leader at once and checked again. A one-policy stack is
+        walked by walk alone, with no tallies of its own.
+        """
+        if self.n_policies == 1:
+            for _ in self.walk(uniforms, base, step_visits, run_visits):
+                pass
+            return
+        n_runs = len(run_visits)
+        lanes = base.reshape(self.n_policies, n_runs)
+        at = lanes % (2 * self.n_states)
+        # each policy's source is the policy whose lanes carry its path, itself if it is walked;
+        # a policy that starts where its leader does is watched on its leader's source's lanes
+        source, watched = list(range(self.n_policies)), {}
+        for p in range(1, self.n_policies):
+            leader = self.leaders[p]
+            if np.array_equal(at[p], at[leader]):
+                watched[p] = source[leader]
+                if not diverged[p]:
+                    source[p] = source[leader]
+        step_tally = self._buffer("step_tally", step_visits.shape, np.int32)
+        run_tally = self._buffer("run_tally", run_visits.shape, np.int32)
+        step_tally.fill(0)
+        run_tally.fill(0)
+
+        def walk_some(policies, watched):
+            """Walk policies from their own starts; returns the watched ones whose source's
+            path reached an edge where they step differently."""
+            moving, hits = lanes[policies].ravel(), set()
+            for _, steps, edges in self.walk(uniforms, moving, step_tally, run_tally):
+                for p, src in watched.items():
+                    if p not in hits:
+                        j = policies.index(src)
+                        seen = self.diverges[p].take(edges[..., j * n_runs:(j + 1) * n_runs])
+                        if any(part.any() for part in self._unpadded(seen, steps)):
+                            hits.add(p)
+            lanes[policies] = moving.reshape(-1, n_runs)
+            return hits
+
+        hits = walk_some([p for p in range(self.n_policies) if source[p] == p], watched)
+        again = []
+        for p, src in watched.items():
+            diverged[p] = p in hits
+            if source[p] == p:
+                continue
+            # a leader walked again left the path that p was checked on
+            if diverged[p] or self.leaders[p] in again:
+                again.append(p)
+                continue
+            for tally in (step_tally, run_tally):
+                by_policy = tally.reshape(len(tally), self.n_policies, -1)
+                by_policy[:, p] = by_policy[:, src]
+            lanes[p] = lanes[src] + 2 * self.n_states * (p - src)
+        if again:
+            walk_some(again, {})
+        step_visits += step_tally
+        run_visits += run_tally
 
     def visits(self, rows: int) -> np.ndarray:
         """A zero tally for walk: rows x stacked bins, int32."""
@@ -388,7 +492,7 @@ def _chunk_streams(seed: int, runs: int, parts: int):
     stream is keyed by the c-th child of SeedSequence(seed), whatever runs
     is. The stream's counter space is cut into parts segments, segment j
     starting at counter j * 2**128 (the draws of Philox(child).jumped(j),
-    built directly from the child's key). The caller fills one array per
+    built directly at that counter). The caller fills one array per
     segment, run by run in run order, so run i's draws are rows
     i % CHUNK_RUNS of its chunk's arrays and depend only on the seed, i and
     the row shapes, never on runs. Yields (start, stop, generators), one
@@ -396,10 +500,11 @@ def _chunk_streams(seed: int, runs: int, parts: int):
     """
     children = np.random.SeedSequence(seed).spawn(-(-runs // CHUNK_RUNS))
     for c, child in enumerate(children):
-        key = child.generate_state(2, np.uint64)
         start = c * CHUNK_RUNS
+        # keyed by child.generate_state(2, uint64); a key= argument would also seed a
+        # throwaway SeedSequence from OS entropy
         yield (start, min(start + CHUNK_RUNS, runs),
-               [np.random.Generator(np.random.Philox(key=key, counter=j << 128)) for j in range(parts)])
+               [np.random.Generator(np.random.Philox(child, counter=j << 128)) for j in range(parts)])
 
 
 def _chain_reports(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalman,
@@ -427,6 +532,7 @@ def _chain_reports(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalma
     run_visits = tables.visits(runs)
     step_mse, step_aoi = np.empty((horizon, tables.n_policies)), np.empty((horizon, tables.n_policies))
     saturated = np.zeros(tables.n_policies, dtype=np.int64)
+    diverged = np.zeros(tables.n_policies, dtype=bool)
     for w0 in range(0, horizon, window):
         steps = min(window, horizon - w0)
         step_visits = tables.visits(steps)
@@ -434,8 +540,7 @@ def _chain_reports(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalma
             drawn = uniforms[:len(chunk), :steps]
             for row, stream in zip(drawn, chunk):
                 np.random.Generator(stream).random(out=row)
-            for _ in tables.walk(drawn.T, base, step_visits, run_visits[start:start + len(chunk)]):
-                pass
+            tables.walk_stack(drawn.T, base, step_visits, run_visits[start:start + len(chunk)], diverged)
         step_mse[w0:w0 + steps], step_aoi[w0:w0 + steps], step_saturated = tables.totals(step_visits)
         saturated += step_saturated.sum(axis=0)
     run_mse, run_aoi, _ = tables.totals(run_visits)
@@ -457,10 +562,18 @@ def simulate_chains(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalm
     is drawn with probability 1 - g(r), and the state advances. q
     saturates at q_max as in the model, with one warning per policy that
     counts the failed steps taken there. Every policy walks the same
-    uniforms (common random numbers), drawn once, so each report is
-    bit-identical to a one-policy call and the differences between
-    policies are paired run by run. Returns one SimReport per grid, in
-    order. An empty sequence, grids with different q_max, a cost table
+    uniforms (common random numbers), drawn once, so the differences
+    between policies are paired run by run. Policies share lanes: a
+    policy whose runs start where its leader's do (the earlier policy
+    whose steps differ from its own at the fewest states, ties to the
+    earliest), and whose leader's path over a chunk's window reaches no
+    state where the two step differently, walks that path too, so its
+    integer visit counts there are copied from its leader's. Each report
+    is therefore bit-identical to a one-policy call. On compare's default
+    zoo, myopic and ARQ are copied in most windows; a policy that leaves
+    its leader's path in every window is walked beside it, at about the
+    cost of walking every policy (README). Returns one SimReport per grid,
+    in order. An empty sequence, grids with different q_max, a cost table
     shorter than q_max or an initial_q above it raise ValueError.
     Identical seed and config give bit-identical reports.
     """
@@ -553,8 +666,9 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     run_emp = np.zeros(runs)
     err_cov = np.zeros((n, n))
     step_visits, run_visits = tables.visits(horizon), tables.visits(runs)
-    for b0, edges in tables.walk(uniforms, tables.start(initial_state, runs), step_visits, run_visits):
-        for k, edge in enumerate(edges, b0 + 1):
+    for b0, steps, edges in tables.walk(uniforms, tables.start(initial_state, runs), step_visits, run_visits):
+        in_time_order = itertools.chain.from_iterable(edges.transpose(1, 0, 2))
+        for k, edge in enumerate(itertools.islice(in_time_order, steps), b0 + 1):
             np.matmul(lq, zw[k - 1], out=noise)
             np.matmul(a, es_ring[(k - 1) % oldest], out=fresh)
             fresh += noise
@@ -598,11 +712,9 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
 
 def write_report_csv(report: SimReport, path):
     """Plot-ready per-step running averages, one row per time step."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "avg_mse", "avg_aoi"])
-        for k in range(report.horizon):
-            writer.writerow([k + 1, f"{report.avg_mse_vs_k[k]:.6g}", f"{report.avg_aoi_vs_k[k]:.6g}"])
+    rows = zip(range(1, report.horizon + 1), report.avg_mse_vs_k.tolist(), report.avg_aoi_vs_k.tolist())
+    with open(path, "w", newline="") as fh:  # the lines and CRLF endings of csv.writer
+        fh.writelines(["k,avg_mse,avg_aoi\r\n", *(f"{k},{mse:.6g},{aoi:.6g}\r\n" for k, mse, aoi in rows)])
 
 
 def write_report_json(report: SimReport, path):

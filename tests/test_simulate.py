@@ -356,6 +356,68 @@ STACK_CASES = {
 }
 
 
+def _flipped(grid, r, q):
+    """grid with its action at (r, q) turned the other way."""
+    actions = grid.actions.copy()
+    actions[r, q] = 1 - actions[r, q]
+    return PolicyGrid(grid.q_max, actions, label=f"{grid.label} flipped at ({r}, {q})")
+
+
+def _optimal(sk, channel):
+    return solve(build_mdp(sk, channel, Q_MAX, "mse")).policy.relabeled("optimal")
+
+
+def _leader_chain(sk, channel):
+    """Delay, ARQ and ARQ flipped at (0, 5): ARQ's leader is delay, and the third grid's is ARQ."""
+    arq = arq_baseline_policy(Q_MAX)
+    return [solve(build_mdp(sk, channel, Q_MAX, "delay")).policy.relabeled("delay"), arq, _flipped(arq, 0, 5)]
+
+
+# name -> (stack, config, BLOCK_ELEMENTS, shared): shared(copied, calls) holds when policy p's
+# counts were copied from another's in copied[p] of the walk's calls (chunk-windows)
+SHARED_CASES = {
+    # optimal's path reaches (0, 1) in every chunk-window
+    "diverges_often": lambda sk, channel: (
+        [_optimal(sk, channel), _flipped(_optimal(sk, channel), 0, 1)],
+        SimConfig(horizon=600, runs=20, seed=61), 2 ** 12, lambda copied, calls: copied[1] == 0),
+    "never_diverges": lambda sk, channel: (
+        [psi_policy(Q_MAX), psi_policy(Q_MAX).relabeled("psi again")],
+        SimConfig(horizon=600, runs=20, seed=62), 2 ** 12, lambda copied, calls: copied[1] == calls),
+    # the third grid is checked on delay's lanes while ARQ follows delay
+    "chained_leaders": lambda sk, channel: (
+        _leader_chain(sk, channel), SimConfig(horizon=600, runs=20, seed=63), 2 ** 12,
+        lambda copied, calls: copied[1] == calls and 0 < copied[2] < calls),
+    # the follower leaves optimal's path in the first chunk's first window only: copied counts
+    # meet walked ones across a chunk and a window boundary
+    "window_and_chunk_boundary": lambda sk, channel: (
+        [_optimal(sk, channel), _flipped(_optimal(sk, channel), 0, 4)],
+        SimConfig(horizon=_tables([_optimal(sk, channel)] * 2, channel, sk).window_steps(CHUNK_RUNS) + 40,
+                  runs=CHUNK_RUNS + 5, seed=64), BLOCK_ELEMENTS, lambda copied, calls: 0 < copied[1] < calls),
+    # delay and ARQ differ at q >= 9, so ARQ leaves delay's path at once, and the third grid with it
+    "initial_q": lambda sk, channel: (
+        _leader_chain(sk, channel), SimConfig(horizon=600, runs=20, seed=63, initial_q=9), 2 ** 12,
+        lambda copied, calls: 0 < copied[1] < calls and 0 < copied[2] < calls),
+}
+
+
+def _record_walks(monkeypatch):
+    """Per walk_stack call, the set of policies of each walk it made."""
+    calls = []
+    walk, walk_stack = _ChainTables.walk, _ChainTables.walk_stack
+
+    def recorded_walk(self, uniforms, base, *args):
+        calls[-1].append(set((base // (2 * self.n_states)).tolist()))
+        return walk(self, uniforms, base, *args)
+
+    def recorded_walk_stack(self, *args):
+        calls.append([])
+        return walk_stack(self, *args)
+
+    monkeypatch.setattr(_ChainTables, "walk", recorded_walk)
+    monkeypatch.setattr(_ChainTables, "walk_stack", recorded_walk_stack)
+    return calls
+
+
 def _same_report(a, b):
     return (a.label == b.label
             and np.array_equal(a.avg_mse_vs_k, b.avg_mse_vs_k)
@@ -657,6 +719,36 @@ class TestStackedChains:
         assert _same_report(trajectory, small_trajectory)
         for name in ("analytic_avg_mse_vs_k", "run_final_analytic_mse", "empirical_error_cov"):
             assert np.array_equal(getattr(trajectory, name), getattr(small_trajectory, name)), name
+
+    @pytest.mark.parametrize("case", list(SHARED_CASES))
+    def test_shared_lanes_match_own_walk_and_reference(self, case, sk, channel, monkeypatch):
+        stack, cfg, block_elements, shared = SHARED_CASES[case](sk, channel)
+        monkeypatch.setattr("remest.simulate.BLOCK_ELEMENTS", block_elements)
+        calls = _record_walks(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            reports = simulate_chains(stack, channel, sk, cfg)
+            copied = [sum(p not in set().union(*walks) for walks in calls) for p in range(len(stack))]
+            assert len(calls) > 1 and shared(copied, len(calls)), (copied, len(calls))
+            for grid, report in zip(stack, reports):
+                assert _same_report(report, simulate_chain(grid, channel, sk, cfg)), grid.label
+                ref_mse, ref_aoi, ref_run_mse, ref_run_aoi, ref_sat = reference_chain(grid, channel, sk, cfg)
+                assert np.array_equal(report.avg_mse_vs_k, ref_mse), grid.label
+                assert np.array_equal(report.avg_aoi_vs_k, ref_aoi), grid.label
+                assert np.array_equal(report.run_final_mse, ref_run_mse), grid.label
+                assert np.array_equal(report.run_final_aoi, ref_run_aoi), grid.label
+                assert report.saturation_events == ref_sat, grid.label
+
+    def test_identical_grids_walk_one_lane_per_run(self, sk, channel, monkeypatch):
+        # the reports cannot show whether the second grid was walked or copied; the lanes can
+        lanes_per_run = []
+        segments = _ChainTables._segments
+        monkeypatch.setattr(_ChainTables, "_segments", lambda self, uniforms, base, seg: (
+            lanes_per_run.append(len(base) / uniforms.shape[1]) or segments(self, uniforms, base, seg)))
+        grid = psi_policy(Q_MAX)
+        simulate_chains([grid, grid.relabeled("psi again")], channel, sk,
+                        SimConfig(horizon=700, runs=CHUNK_RUNS + 3, seed=66))
+        assert lanes_per_run and set(lanes_per_run) == {1}
 
     def test_empty_stack_rejected(self, sk, channel):
         with pytest.raises(ValueError, match="no policies"):
