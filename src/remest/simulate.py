@@ -38,12 +38,26 @@ the counts times each bin's staleness cost and age q + 1. Integer counts
 are exact, so no statistic depends on the walk's order, on the block,
 segment and window lengths, or on which policies were walked and which
 copied.
+
+The trajectory mode draws, walks and steps its runs one group of
+GROUP_CHUNKS whole chunks at a time, each over the whole horizon, so a
+call holds one group's draws and sensor-error ring, about
+(group runs) x (horizon x (n + m + 1) + (q_max + 1) x n) x 8 bytes,
+whatever the number of runs. The draws cannot be cut into time windows
+instead, as standard_normal rejects some samples, so where a later
+step's draws start in the stream is not known until the earlier steps
+are drawn. A run's values depend on its own draws and counts only, so no
+per-run or counted value depends on the grouping. The per-step sums of
+the squared errors, and the error covariance, sum each chunk's runs and
+then add the chunks' sums in chunk order, so they depend on CHUNK_RUNS
+only.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -58,6 +72,9 @@ from .policies import PolicyGrid, state_index
 CHUNK_RUNS = 128  # runs of a chain-walk chunk, and of a trajectory-mode stream
 BLOCK_ELEMENTS = 2 ** 16  # steps x lanes (policies x runs) per chain-walk block
 LANES = 2 ** 11  # a block of fewer lanes walks its time segments side by side, to about this width
+# chunks a trajectory-mode group draws and steps at a time, 4096 runs: at 16 a step's Python
+# overhead showed (about 10% slower a call), and 64 were no faster while holding twice the draws
+GROUP_CHUNKS = 2 * LANES // CHUNK_RUNS
 
 
 @dataclass(frozen=True)
@@ -69,6 +86,11 @@ class SimConfig:
     mode: str = "analytic"
 
     def __post_init__(self):
+        for name in ("horizon", "runs", "seed", "initial_q"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer becomes a plain int
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.runs < 1:
@@ -176,7 +198,8 @@ class _ChainTables:
     leaders: tuple  # per policy, the earlier one whose steps differ from its own at the fewest states
     diverges: np.ndarray  # policies x stacked edges: where a policy's step differs from its leader's
     # a walk's block arrays, kept from block to block: fresh ones of this size would be
-    # mapped and unmapped by malloc block after block, tens of thousands of page faults a call
+    # mapped and unmapped by malloc block after block, tens of thousands of page faults a call;
+    # a trajectory call keeps its group's draws here too, from group to group
     buffers: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
@@ -496,11 +519,12 @@ def _chunk_streams(seed: int, runs: int, parts: int):
     segment, run by run in run order, so run i's draws are rows
     i % CHUNK_RUNS of its chunk's arrays and depend only on the seed, i and
     the row shapes, never on runs. Yields (start, stop, generators), one
-    generator per segment.
+    generator per segment, a chunk at a time: each child is spawned as it
+    is reached, the c-th spawn being the c-th child.
     """
-    children = np.random.SeedSequence(seed).spawn(-(-runs // CHUNK_RUNS))
-    for c, child in enumerate(children):
-        start = c * CHUNK_RUNS
+    parent = np.random.SeedSequence(seed)
+    for start in range(0, runs, CHUNK_RUNS):
+        child, = parent.spawn(1)
         # keyed by child.generate_state(2, uint64); a key= argument would also seed a
         # throwaway SeedSequence from OS entropy
         yield (start, min(start + CHUNK_RUNS, runs),
@@ -623,7 +647,19 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     at q_max + 1 products for each run at that age. (A recursion for it,
     with A as its homogeneous part, would grow its own rounding like the
     state and lose all precision within 60 steps of an expansive process.)
-    Every per-run quantity is stored component-major, (n, runs).
+
+    The runs are simulated one group of GROUP_CHUNKS chunks at a time,
+    each over the whole horizon: the group's chunks draw from their
+    streams, the walk moves the group's lanes, adding their visits into
+    the call's per-step counts and the group's per-run counts, and the
+    errors step the group's runs. A call holds one group's draws and ring,
+    about (group runs) x (horizon x (n + m + 1) + (q_max + 1) x n) x 8
+    bytes, whatever the number of runs. Every per-run quantity is stored
+    component-major, (n, group runs). Each step's squared errors are
+    summed per chunk, and each run's error outer products in time order
+    and then per chunk; the chunks' sums are added in chunk order, so
+    avg_mse_vs_k and empirical_error_cov depend on CHUNK_RUNS but not on
+    the group or walk sizes.
     """
     if cfg.mode != "trajectory":
         raise ValueError("simulate_trajectory requires mode='trajectory'")
@@ -637,73 +673,91 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     l0, lq, lr = (_psd_factor(cov) for cov in (sk.p_bar0, sys.Q, sys.R))
     # es_k = (I - KC) E(k, 1) - K v_k, one product with E(k, 1) stacked on zv_k
     filter_step = np.hstack([np.eye(n) - sk.gain @ sys.C, -sk.gain @ lr])
-    # the draws, component-major: step k's standard normals are zw[k - 1] and zv[k - 1]
-    es_ring = np.empty((oldest, n, runs))  # sensor error es_j in slot j % oldest; es_0 = x_0
-    zw = np.empty((horizon, n, runs))
-    zv = np.empty((horizon, sys.m, runs))
-    uniforms = np.empty((horizon, runs))
-    for start, stop, (g0, gw, gv, gu) in _chunk_streams(cfg.seed, runs, 4):
-        rows = stop - start
-        es_ring[0, :, start:stop] = l0 @ g0.standard_normal((rows, n)).T
-        zw[..., start:stop] = gw.standard_normal((rows, horizon, n)).transpose(1, 2, 0)
-        zv[..., start:stop] = gv.standard_normal((rows, horizon, sys.m)).transpose(1, 2, 0)
-        uniforms[:, start:stop] = gu.random((rows, horizon)).T
-
     # what the state of each edge tells the errors: r = 0 restarts the packet's
     # error, q = r hands it to the receiver, and q_max saturates either age (r <= q)
     restarts, delivered, r_oldest, q_oldest = (
         np.repeat(flags, 2)
         for flags in (mdp.r == 0, mdp.q == mdp.r, mdp.r == mdp.q_max, mdp.q == mdp.q_max))
 
-    noise = np.empty((n, runs))  # w_k
-    filter_in = np.empty((n + sys.m, runs))
-    fresh = filter_in[:n]  # E(k, 1)
-    packet = np.zeros((n, runs))  # both become E(1, 1) at step 1: the start state has r = q = 0
-    error = np.zeros((n, runs))  # the receiver's
-    aged = np.empty((n, runs))
-    sq = np.empty(runs)
-    step_emp = np.zeros(horizon)
-    run_emp = np.zeros(runs)
+    step_emp = np.zeros(horizon)  # summed chunk by chunk, in chunk order
+    run_emp, run_ana, run_aoi = np.zeros(runs), np.empty(runs), np.empty(runs)
     err_cov = np.zeros((n, n))
-    step_visits, run_visits = tables.visits(horizon), tables.visits(runs)
-    for b0, steps, edges in tables.walk(uniforms, tables.start(initial_state, runs), step_visits, run_visits):
-        in_time_order = itertools.chain.from_iterable(edges.transpose(1, 0, 2))
-        for k, edge in enumerate(itertools.islice(in_time_order, steps), b0 + 1):
-            np.matmul(lq, zw[k - 1], out=noise)
-            np.matmul(a, es_ring[(k - 1) % oldest], out=fresh)
-            fresh += noise
-            np.matmul(a, packet, out=aged)
-            np.add(aged, noise, out=packet)
-            np.copyto(packet, fresh, where=restarts[edge])
-            np.matmul(a, error, out=aged)
-            np.add(aged, noise, out=error)
-            np.copyto(error, packet, where=delivered[edge])
-            cols = np.flatnonzero(q_oldest[edge])
-            if len(cols):
-                # E(k, oldest) from es_(k - oldest), before slot k % oldest is overwritten
-                lagged = es_ring[k % oldest][:, cols]
-                for j in range(k - oldest, k):
-                    lagged = a @ lagged + lq @ zw[j][:, cols]
-                error[:, cols] = lagged
-                # else a packet held at r = q_max would grow like the state
-                np.copyto(packet, error, where=r_oldest[edge])
-            filter_in[n:] = zv[k - 1]
-            np.matmul(filter_step, filter_in, out=es_ring[k % oldest])
+    step_visits = tables.visits(horizon)
+    chunks = _chunk_streams(cfg.seed, runs, 4)
+    while group := list(itertools.islice(chunks, GROUP_CHUNKS)):
+        begin, end = group[0][0], group[-1][1]
+        width = end - begin
+        at_chunk = np.arange(0, width, CHUNK_RUNS)  # each chunk's first column
+        # the group's draws, component-major: step k's standard normals are zw[k - 1] and zv[k - 1];
+        # kept in the walk's buffers, so every group after the first reuses the first one's pages
+        es_ring = tables._buffer("es_ring", (oldest, n, width), float)  # es_j in slot j % oldest; es_0 = x_0
+        zw = tables._buffer("zw", (horizon, n, width), float)
+        zv = tables._buffer("zv", (horizon, sys.m, width), float)
+        uniforms = tables._buffer("draws", (horizon, width), float)
+        for start, stop, (g0, gw, gv, gu) in group:
+            rows, at = stop - start, slice(start - begin, stop - begin)
+            es_ring[0, :, at] = l0 @ g0.standard_normal((rows, n)).T
+            zw[..., at] = gw.standard_normal((rows, horizon, n)).transpose(1, 2, 0)
+            zv[..., at] = gv.standard_normal((rows, horizon, sys.m)).transpose(1, 2, 0)
+            uniforms[:, at] = gu.random((rows, horizon)).T
 
-            np.einsum("ir,ir->r", error, error, out=sq)
-            err_cov += error @ error.T
-            step_emp[k - 1] = sq.sum()
-            run_emp += sq
+        noise = np.empty((n, width))  # w_k
+        filter_in = np.empty((n + sys.m, width))
+        fresh = filter_in[:n]  # E(k, 1)
+        packet = np.zeros((n, width))  # both become E(1, 1) at step 1: the start state has r = q = 0
+        error = np.zeros((n, width))  # the receiver's
+        aged = np.empty((n, width))
+        sq = np.empty(width)
+        outer = np.empty((n, n, width))
+        run_cov = np.zeros((n, n, width))  # per run, the error outer products summed in time order
+        chunk_emp = np.empty((horizon, len(at_chunk)))  # per step, each chunk's squared errors summed
+        group_emp, group_visits = run_emp[begin:end], tables.visits(width)
+        walk = tables.walk(uniforms, tables.start(initial_state, width), step_visits, group_visits)
+        for b0, steps, edges in walk:
+            in_time_order = itertools.chain.from_iterable(edges.transpose(1, 0, 2))
+            for k, edge in enumerate(itertools.islice(in_time_order, steps), b0 + 1):
+                np.matmul(lq, zw[k - 1], out=noise)
+                np.matmul(a, es_ring[(k - 1) % oldest], out=fresh)
+                fresh += noise
+                np.matmul(a, packet, out=aged)
+                np.add(aged, noise, out=packet)
+                np.copyto(packet, fresh, where=restarts[edge])
+                np.matmul(a, error, out=aged)
+                np.add(aged, noise, out=error)
+                np.copyto(error, packet, where=delivered[edge])
+                cols = np.flatnonzero(q_oldest[edge])
+                if len(cols):
+                    # E(k, oldest) from es_(k - oldest), before slot k % oldest is overwritten
+                    lagged = es_ring[k % oldest][:, cols]
+                    for j in range(k - oldest, k):
+                        lagged = a @ lagged + lq @ zw[j][:, cols]
+                    error[:, cols] = lagged
+                    # else a packet held at r = q_max would grow like the state
+                    np.copyto(packet, error, where=r_oldest[edge])
+                filter_in[n:] = zv[k - 1]
+                np.matmul(filter_step, filter_in, out=es_ring[k % oldest])
+
+                np.einsum("ir,ir->r", error, error, out=sq)
+                np.multiply(error[:, None], error, out=outer)
+                run_cov += outer
+                np.add.reduceat(sq, at_chunk, out=chunk_emp[k - 1])
+                group_emp += sq
+        # chunk sums added in chunk order, so no sum depends on how the chunks are grouped
+        for chunk_sums in chunk_emp.T:
+            step_emp += chunk_sums
+        for chunk_cov in np.moveaxis(np.add.reduceat(run_cov, at_chunk, axis=-1), -1, 0):
+            err_cov += chunk_cov
+        group_ana, group_aoi, _ = tables.totals(group_visits)
+        run_ana[begin:end], run_aoi[begin:end] = group_ana[:, 0], group_aoi[:, 0]
 
     step_ana, step_aoi, step_saturated = tables.totals(step_visits)
-    run_ana, run_aoi, _ = tables.totals(run_visits)
     report = TrajectoryReport(
         label=policy.label, mode="trajectory", seed=cfg.seed,
         avg_mse_vs_k=_running_mean(step_emp, runs), avg_aoi_vs_k=_running_mean(step_aoi[:, 0], runs),
-        run_final_mse=run_emp / horizon, run_final_aoi=run_aoi[:, 0] / horizon,
+        run_final_mse=run_emp / horizon, run_final_aoi=run_aoi / horizon,
         saturation_events=int(step_saturated.sum()),
         analytic_avg_mse_vs_k=_running_mean(step_ana[:, 0], runs),
-        run_final_analytic_mse=run_ana[:, 0] / horizon,
+        run_final_analytic_mse=run_ana / horizon,
         empirical_error_cov=err_cov / (runs * horizon),
     )
     _warn_saturation([report], policy.q_max)

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -25,6 +26,7 @@ from remest import (
 from remest.simulate import (
     BLOCK_ELEMENTS,
     CHUNK_RUNS,
+    GROUP_CHUNKS,
     LANES,
     _ChainTables,
     _policy_chains,
@@ -112,8 +114,10 @@ def reference_trajectory(policy, system, model, sk, cfg, coordinates="state"):
     q + 1 steps ago, and the (r, q) chain with the rules of
     reference_chain, whose visit counts give the analytic MSE and the AoI
     as they do there. The empirical squared errors are summed per step over
-    runs with numpy's sum in run order, as the simulator sums them, and
-    per run over time in order. Returns the report's fields by name, and
+    all runs with one numpy sum, where the simulator sums each chunk's runs
+    and adds the chunks' sums in chunk order, so the two agree to rounding,
+    not bit for bit; per run they are summed over time in order, as the
+    simulator sums them. Returns the report's fields by name, and
     the number of steps taken at r = q_max.
 
     coordinates="state" steps the process x and the sensor's estimates xs
@@ -439,6 +443,21 @@ class TestSimConfig:
             SimConfig(horizon=1, runs=1, seed=0, initial_q=-1)
         with pytest.raises(ValueError, match="seed"):
             SimConfig(horizon=1, runs=1, seed=-1)
+        # the first bad field is named, before any range check reads it
+        with pytest.raises(ValueError, match="horizon must be an integer, got True"):
+            SimConfig(horizon=True, runs=2.5, seed=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("horizon", True), ("runs", 2.5), ("seed", 3.0), ("initial_q", "1"), ("runs", np.float64(4)),
+        ("seed", None)])
+    def test_integer_fields_reject_other_types(self, name, value):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            SimConfig(**{"horizon": 1, "runs": 1, "seed": 0, name: value})
+
+    def test_numpy_integers_accepted_as_ints(self):
+        cfg = SimConfig(horizon=np.int64(5), runs=np.int32(2), seed=np.uint64(3), initial_q=np.int8(1))
+        values = (cfg.horizon, cfg.runs, cfg.seed, cfg.initial_q)
+        assert values == (5, 2, 3, 1) and all(type(value) is int for value in values)
 
 
 class TestChainSim:
@@ -836,6 +855,39 @@ class TestTrajectorySim:
                      for runs in (200, 300))
         for name in ("run_final_mse", "run_final_aoi", "run_final_analytic_mse"):
             assert np.array_equal(getattr(few, name), getattr(more, name)[:200]), name
+
+    def test_reports_do_not_depend_on_group_size(self, system, sk, channel, monkeypatch):
+        # 3 chunks and a partial one, walked a chunk at a time, two at a time and as one group:
+        # the per-step sums and the covariance add per-chunk sums in chunk order, whatever the group
+        grid, cfg = psi_policy(Q_MAX), SimConfig(horizon=30, runs=3 * CHUNK_RUNS + 5, seed=61,
+                                                 mode="trajectory")
+        reports = {}
+        for chunks in (1, 2, 4):
+            monkeypatch.setattr("remest.simulate.GROUP_CHUNKS", chunks)
+            reports[chunks] = simulate_trajectory(grid, system, channel, sk, cfg)
+        fields = ("avg_mse_vs_k", "avg_aoi_vs_k", "run_final_mse", "run_final_aoi", "saturation_events",
+                  "analytic_avg_mse_vs_k", "run_final_analytic_mse", "empirical_error_cov")
+        for chunks in (1, 2):
+            for name in fields:
+                assert np.array_equal(getattr(reports[chunks], name), getattr(reports[4], name)), name
+        ref = reference_trajectory(grid, system, channel, sk, cfg, coordinates="error")
+        for name in ("analytic_avg_mse_vs_k", "run_final_analytic_mse", "avg_aoi_vs_k",
+                     "run_final_aoi", "saturation_events"):
+            assert np.array_equal(getattr(reports[1], name), ref[name]), name
+        for name in ("avg_mse_vs_k", "run_final_mse", "empirical_error_cov"):
+            np.testing.assert_allclose(getattr(reports[1], name), ref[name], rtol=1e-12, err_msg=name)
+
+    def test_draws_held_one_group_at_a_time(self, system, sk, channel):
+        # 10000 runs are three groups; drawing every run's horizon at once peaked at 39.9 MB
+        cfg = SimConfig(horizon=100, runs=10000, seed=5, mode="trajectory")
+        tracemalloc.start()
+        try:
+            simulate_trajectory(arq_baseline_policy(Q_MAX), system, channel, sk, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg.runs > 2 * GROUP_CHUNKS * CHUNK_RUNS
+        assert peak < 24e6
 
     def test_noiseless_observable_system_has_zero_error(self):
         with warnings.catch_warnings():
