@@ -73,10 +73,11 @@ def _filter(cfg: ExperimentConfig):
     return system, channel, sk
 
 
-def _solve_pipeline(cfg: ExperimentConfig, cost_kind: str, filt) -> mdp.MdpSolution:
+def _solve_pipeline(cfg: ExperimentConfig, cost_kind: str, filt):
+    """The cost_kind model and its MdpSolution; filt is _filter(cfg)."""
     _, channel, sk = filt
     model = mdp.build_mdp(sk if cost_kind == "mse" else None, channel, cfg.q_max, cost_kind)
-    return mdp.solve(model, tol=cfg.tol, max_iter=cfg.max_iter)
+    return model, mdp.solve(model, tol=cfg.tol, max_iter=cfg.max_iter)
 
 
 def _write(cfg: ExperimentConfig, artifacts) -> None:
@@ -137,7 +138,7 @@ class _StabilityGateError(RuntimeError):
 def cmd_solve(args) -> int:
     cfg = _apply_overrides(_load(args), args)
     _gate_stability(cfg, args.force)
-    solution = _solve_pipeline(cfg, args.cost, _filter(cfg))
+    _, solution = _solve_pipeline(cfg, args.cost, _filter(cfg))
     print(f"gain = {_fmt(solution.gain)}  ({solution.iterations} policy-iteration rounds, "
           f"span residual {solution.span_residual:.3e}, "
           f"{solution.span_residual_rel:.1e} of max |bias|)")
@@ -151,7 +152,7 @@ def _resolve_policy(cfg: ExperimentConfig, source: str, filt):
     """Build or load the requested policy grid; filt is _filter(cfg)."""
     if source in ("optimal", "delay"):
         cost_kind = "mse" if source == "optimal" else "delay"
-        return _solve_pipeline(cfg, cost_kind, filt).policy.relabeled(source)
+        return _solve_pipeline(cfg, cost_kind, filt)[1].policy.relabeled(source)
     if source == "myopic":
         _, channel, sk = filt
         return policies.myopic_policy(sk, channel, cfg.q_max)
@@ -199,14 +200,16 @@ def cmd_compare(args) -> int:
     _gate_stability(cfg, args.force)
     filt = _filter(cfg)
     _, channel, sk = filt
-    zoo = [_resolve_policy(cfg, source, filt) for source in POLICY_SOURCES]
-    model = mdp.build_mdp(sk, channel, cfg.q_max, "mse")
+    model, optimal = _solve_pipeline(cfg, "mse", filt)
+    solved = {"optimal": optimal, "delay": _solve_pipeline(cfg, "delay", filt)[1]}
+    zoo = [solved[source].policy.relabeled(source) if source in solved
+           else _resolve_policy(cfg, source, filt) for source in POLICY_SOURCES]
     reports = simulate.simulate_chains(zoo, channel, sk, cfg.make_sim_config())
 
     rows = []
-    for grid, report in zip(zoo, reports):
-        # the chain does not depend on the cost, so one pi gives every exact column
-        pi = mdp.stationary_distribution(model, grid)
+    for source, grid, report in zip(POLICY_SOURCES, zoo, reports):
+        # the chain is the same under either cost, so a solved policy's final-round pi gives its row
+        pi = solved[source].pi if source in solved else mdp.stationary_distribution(model, grid)
         rows.append({
             "policy": grid.label,
             "exact_avg_mse": float(pi @ model.cost),
@@ -225,7 +228,7 @@ def cmd_compare(args) -> int:
         row["mse_reduction_vs_arq_excess"] = (
             1.0 - (mse - floor) / (baseline - floor) if baseline > floor else 0.0
         )
-    # solve reports its policy's gain as pi . cost, so these are the solver's gains, bit for bit
+    # pi . cost of the solver's final round: the solver's gains, bit for bit
     table = {
         "gain_mse_optimal": by_label["optimal"]["exact_avg_mse"],
         "gain_delay_optimal": by_label["delay"]["exact_avg_aoi"],

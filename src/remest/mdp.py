@@ -14,11 +14,12 @@ a grid's action per state. The succ_idx, fail_idx and fail_prob arrays
 of a TruncatedMdp are the one definition of how the chain moves: _chain
 reads from them the chain of a policy, and both simulators walk them.
 One level elimination (_excursions, then _gth on the q_max + 2 kept
-states) solves that chain with nothing subtracted: _stationary takes from
-it the stationary distribution pi (the exact evaluation), and _poisson
-also the bias, as the cost to go until the reference state less the gain
-times the time to go, for each policy-iteration round of solve. No S x S
-matrix is built; the largest arrays are S x (q_max + 2).
+states) solves that chain with nothing subtracted, and _evaluate is its
+one entry point: it gives the stationary distribution pi and the gain
+pi . cost (the exact evaluation), and on request the bias, as the cost to
+go until the reference state less the gain times the time to go, for each
+policy-iteration round of solve. No S x S matrix is built; the largest
+arrays are S x (q_max + 2).
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ class TruncatedMdp:
 class MdpSolution:
     gain: float
     bias: np.ndarray
+    pi: np.ndarray  # the final round's stationary distribution, by state
     policy: PolicyGrid
     iterations: int
     span_residual: float
@@ -265,51 +267,38 @@ def _excursions(mdp: TruncatedMdp, actions: np.ndarray):
     return probs, targets, kept, where[ref], visits, visits.T @ exits
 
 
-def _stationary(mdp: TruncatedMdp, actions: np.ndarray) -> np.ndarray:
-    """Stationary distribution, by state, of the chain that takes action actions[i] in state i.
+def _evaluate(mdp: TruncatedMdp, actions: np.ndarray, bias: bool = False):
+    """One level elimination of the chain that takes action actions[i] in state i.
 
-    Level elimination: GTH solves the chain of _excursions, watched on its
-    q_max + 2 kept states, and the expected visits per excursion spread its
-    solution over every state. Nothing is ever subtracted, so every entry
-    of pi, however small, keeps full relative accuracy.
+    GTH solves the chain of _excursions, watched on its q_max + 2 kept
+    states, and the expected visits per excursion spread its solution over
+    every state as the stationary distribution pi, with nothing subtracted,
+    so every entry keeps full relative accuracy. The gain is pi . cost.
 
-    Raises SolverError unless the chain has one recurrent class.
-    """
-    _, _, _, first, visits, censored = _excursions(mdp, actions)
-    x, _ = _gth(censored, first)
-    pi = visits @ x
-    return pi / pi.sum()
+    With bias, GTH also carries each kept state's excursion cost and length
+    to C and T, the expected cost paid and steps taken until the chain
+    enters ref (0 at ref), and one backward sweep fills in the other
+    states, along level q_max in decreasing r and then down the levels,
+    since each of their successors is kept or filled in before them. The
+    bias h = C - g T, h(ref) = 0, solves (I - P) h + g 1 = c with one
+    subtraction per state, made last, so h keeps its accuracy where a dense
+    LU solve loses it, in states that reach ref only with a tiny
+    probability. Without bias, neither the carry nor the sweep runs.
 
-
-def _poisson(mdp: TruncatedMdp, actions: np.ndarray):
-    """Gain and bias of the chain that takes action actions[i] in state i.
-
-    The bias h with h(ref) = 0 solves the Poisson equation (I - P) h + g 1
-    = c: h(s) is C(s) - g T(s), where C(s) is the expected cost paid from
-    s until the chain enters ref and T(s) the expected number of steps,
-    both 0 at ref. The level elimination of _stationary gives both with
-    nothing subtracted: GTH carries each kept state's excursion cost and
-    length to its C and T, and one backward sweep fills in the other
-    states, along level q_max in decreasing r and then level by level
-    down to level 1, since each of their successors is kept, further along
-    level q_max or on the next level up. The one subtraction per state
-    comes last, so h is as accurate as a dense solve, and stays so where
-    the other states reach ref only with a tiny probability, which a dense
-    LU solve loses. The gain is pi . c of the same elimination, as
-    evaluate_policy computes it: the excursion cost over the excursion
-    length, averaged over the kept chain. Raises SolverError when the
-    chain is not unichain, or when the gain leaves the range of the stage
-    costs.
+    Returns pi, gain and h (None without bias). Raises SolverError unless
+    the chain is unichain with a gain in the range of the stage costs.
     """
     probs, targets, kept, first, visits, censored = _excursions(mdp, actions)
     stage = np.stack([mdp.cost, np.ones(mdp.n_states)], axis=1)  # paid per visit: cost, one step
-    x, kept_togo = _gth(censored, first, visits.T @ stage)
+    x, kept_togo = _gth(censored, first, visits.T @ stage if bias else None)
     pi = visits @ x
-    gain = float(pi / pi.sum() @ mdp.cost)
+    pi /= pi.sum()
+    gain = float(pi @ mdp.cost)
     # a unichain gain averages the stage costs over the stationary distribution
     if not mdp.cost.min() * (1 - 1e-9) <= gain <= mdp.cost.max() * (1 + 1e-9):
-        raise SolverError(f"the policy's Poisson equation gave gain {gain!r}, outside the "
-                          "range of the stage costs")
+        raise SolverError(f"the policy's chain gave gain {gain!r}, outside the range of the stage costs")
+    if not bias:
+        return pi, gain, None
     togo = np.zeros_like(stage)
     togo[kept] = kept_togo
     n = mdp.q_max
@@ -318,7 +307,7 @@ def _poisson(mdp: TruncatedMdp, actions: np.ndarray):
     for s in along + levels:
         togo[s] = (stage[s] + probs[0, s, None] * togo[targets[0, s]]
                    + probs[1, s, None] * togo[targets[1, s]])
-    return gain, togo[:, 0] - gain * togo[:, 1]
+    return pi, gain, togo[:, 0] - gain * togo[:, 1]
 
 
 def solve(mdp: TruncatedMdp, tol: float = 1e-9, max_iter: int = 100000) -> MdpSolution:
@@ -328,12 +317,12 @@ def solve(mdp: TruncatedMdp, tol: float = 1e-9, max_iter: int = 100000) -> MdpSo
     section 8.6): start from all-fresh, evaluate the policy exactly, and
     switch a state's action only when that lowers its Q-value by more
     than tol * max(1, |Q|); stop when no state switches. Each round is
-    one level elimination (_poisson), which gives pi, the gain and the
+    one level elimination (_evaluate), which gives pi, the gain and the
     bias with no S x S matrix; every round improves the gain or the bias,
     so no policy repeats, and 2-4 rounds suffice on the models tested. The
-    returned gain is pi . cost of the final policy from its round's
-    elimination, as evaluate_policy computes it, so the two agree bit for
-    bit. span_residual is the span of Bellman(h) - h at the returned bias,
+    returned gain and pi are the final round's, which evaluate_policy and
+    stationary_distribution give for the returned policy bit for bit.
+    span_residual is the span of Bellman(h) - h at the returned bias,
     zero in exact arithmetic.
 
     Raises ValueError before it allocates anything when the level
@@ -347,7 +336,7 @@ def solve(mdp: TruncatedMdp, tol: float = 1e-9, max_iter: int = 100000) -> MdpSo
     rows = np.arange(mdp.n_states)
     actions = np.zeros(mdp.n_states, dtype=np.intp)
     for iterations in range(1, max_iter + 1):
-        gain, h = _poisson(mdp, actions)
+        pi, gain, h = _evaluate(mdp, actions, bias=True)
         pf = mdp.fail_prob
         q = mdp.cost + (1.0 - pf) * h[mdp.succ_idx] + pf * h[mdp.fail_idx]  # (2, S) Q-values
         current = q[actions, rows]
@@ -360,33 +349,38 @@ def solve(mdp: TruncatedMdp, tol: float = 1e-9, max_iter: int = 100000) -> MdpSo
     delta = q.min(axis=0) - h
     grid = np.zeros((mdp.q_max + 1, mdp.q_max + 1), dtype=np.int8)
     grid[mdp.r, mdp.q] = actions
-    h.flags.writeable = False
+    h.flags.writeable = pi.flags.writeable = False
     return MdpSolution(
-        gain=gain, bias=h, policy=PolicyGrid(mdp.q_max, grid, label=f"optimal-{mdp.cost_kind}"),
+        gain=gain, bias=h, pi=pi, policy=PolicyGrid(mdp.q_max, grid, label=f"optimal-{mdp.cost_kind}"),
         iterations=iterations, span_residual=float(delta.max() - delta.min()),
         cost_kind=mdp.cost_kind,
     )
+
+
+def _actions(mdp: TruncatedMdp, policy: PolicyGrid) -> np.ndarray:
+    if policy.q_max != mdp.q_max:
+        raise ValueError(f"policy grid q_max={policy.q_max} does not match model q_max={mdp.q_max}")
+    return policy.actions[mdp.r, mdp.q]
 
 
 def stationary_distribution(mdp: TruncatedMdp, policy: PolicyGrid) -> np.ndarray:
     """The stationary distribution of the chain induced by a policy, by state.
 
     pi[i] is the long-run share of steps spent in state (mdp.r[i],
-    mdp.q[i]), found by level elimination (_stationary). The chain must be
-    unichain (one recurrent class), else SolverError is raised.
+    mdp.q[i]), found by level elimination (_evaluate). The chain must be
+    unichain (one recurrent class) with a gain in the range of the stage
+    costs, else SolverError is raised.
     """
-    if policy.q_max != mdp.q_max:
-        raise ValueError(f"policy grid q_max={policy.q_max} does not match model q_max={mdp.q_max}")
-    return _stationary(mdp, policy.actions[mdp.r, mdp.q])
+    return _evaluate(mdp, _actions(mdp, policy))[0]
 
 
 def evaluate_policy(mdp: TruncatedMdp, policy: PolicyGrid) -> float:
     """Exact long-run average cost of the chain induced by a policy: pi . cost.
 
-    The chain must be unichain (one recurrent class), else SolverError is
-    raised.
+    The chain must be unichain (one recurrent class), and its gain must lie
+    in the range of the stage costs, else SolverError is raised.
     """
-    return float(stationary_distribution(mdp, policy) @ mdp.cost)
+    return _evaluate(mdp, _actions(mdp, policy))[1]
 
 
 def save_bias_csv(solution: MdpSolution, path):

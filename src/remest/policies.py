@@ -127,7 +127,9 @@ def verify_switching(p: PolicyGrid) -> SwitchingReport:
     (ii) action 1 at (r, q) forces action 1 at (r, q+z) for every in-grid z.
     Violations are reported as (state, state, condition) triples, ordered
     by the first state's q, then its r, then z. States at the q = q_max
-    boundary have no (ii)-successors and pass vacuously.
+    boundary have no (ii)-successors and pass vacuously. The paper proves
+    the structure for the geometric channel; on a g_table channel the flag
+    is an observation, not a theorem.
     """
     a = p.actions.astype(bool)  # [r, q]; False off the grid, r > q
     a_qr = a.T

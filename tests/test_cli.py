@@ -639,6 +639,16 @@ class TestCompareCommand:
             *(f"report_{label}.csv" for label in ("optimal", "myopic", "delay", "arq", "psi")),
             "compare.json", "compare.csv")]
 
+    def test_gains_are_the_solve_command_gains(self, small_config):
+        # compare solves each model as solve does, so the gains match solve_*.json exactly
+        path, out = small_config
+        assert run_cli("compare", "--config", str(path)) == 0
+        table = json.loads((out / "compare.json").read_text())
+        for cost in ("mse", "delay"):
+            assert run_cli("solve", "--config", str(path), "--cost", cost) == 0
+            solved = json.loads((out / f"solve_{cost}.json").read_text())
+            assert table[f"gain_{cost}_optimal"] == solved["gain"]
+
     def test_formats_select_files_by_suffix(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(SMALL_CONFIG))
         cfg["sim"].update(K=50, runs=20)

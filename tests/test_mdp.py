@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from remest import (
     stationary_distribution,
     verify_switching,
 )
-from remest.mdp import _chain, _poisson
+from remest.mdp import _chain, _evaluate
 from remest.policies import enumerate_states, state_index
 
 Q_MAX = 20
@@ -403,11 +404,15 @@ class TestEvaluatePolicy:
             evaluate_policy(mse_mdp, arq_baseline_policy(5))
 
 
+def level_channel(q_max, table):
+    """The geometric channel at q_max, or the table channel, whose r_cap of 3
+    lies below q_max from q_max = 20 on."""
+    return HarqModel.from_table([0.2, 0.1, 0.05, 0.025]) if table else HarqModel(0.8, 0.5, r_cap=q_max)
+
+
 def level_model(system, q_max, table):
-    """The MSE model at q_max on the geometric channel, or on the table
-    channel, whose r_cap of 3 lies below q_max from q_max = 20 on."""
-    m = HarqModel.from_table([0.2, 0.1, 0.05, 0.025]) if table else HarqModel(0.8, 0.5, r_cap=q_max)
-    return build_mdp(riccati_steady_state(system, q_max=q_max), m, q_max, "mse")
+    """The MSE model at q_max on level_channel(q_max, table)."""
+    return build_mdp(riccati_steady_state(system, q_max=q_max), level_channel(q_max, table), q_max, "mse")
 
 
 def zoo_of(model, name):
@@ -456,11 +461,41 @@ class TestStationary:
         model = level_model(system, q_max, table)
         for grid in [zoo_of(model, name) for name in ("optimal", "arq", "psi")]:
             gain = float(stationary_distribution(model, grid) @ model.cost)
-            assert _poisson(model, grid.actions[model.r, model.q])[0] == pytest.approx(gain, rel=1e-12)
+            assert _evaluate(model, grid.actions[model.r, model.q], bias=True)[1] == gain
 
     def test_solved_gain_is_pi_cost(self, mse_mdp, mse_solution):
         pi = stationary_distribution(mse_mdp, mse_solution.policy)
         assert mse_solution.gain == float(pi @ mse_mdp.cost)
+
+    def test_solved_pi_is_the_final_round(self, mse_mdp, mse_solution):
+        pi = stationary_distribution(mse_mdp, mse_solution.policy)
+        assert mse_solution.pi.tobytes() == pi.tobytes()
+        assert not mse_solution.pi.flags.writeable
+
+    @pytest.mark.parametrize("table", [False, True], ids=["geometric", "table"])
+    @pytest.mark.parametrize("q_max", [8, 20])
+    def test_pi_does_not_depend_on_cost_or_bias(self, system, q_max, table):
+        # compare takes a solved policy's pi from its own model, MSE or delay, and solve asks
+        # for the bias: every one of these evaluations must give the same pi, bit for bit
+        channel = level_channel(q_max, table)
+        mse = level_model(system, q_max, table)
+        delay = build_mdp(None, channel, q_max, "delay")
+        zoo = [solve(mse).policy, solve(delay).policy, arq_baseline_policy(q_max), psi_policy(q_max),
+               myopic_policy(riccati_steady_state(system, q_max=q_max + 1), channel, q_max)]
+        for grid in zoo:
+            actions = grid.actions[mse.r, mse.q]
+            pi = _evaluate(mse, actions)[0]
+            for model in (mse, delay):
+                plain, with_bias = _evaluate(model, actions), _evaluate(model, actions, bias=True)
+                assert plain[0].tobytes() == with_bias[0].tobytes() == pi.tobytes()
+                assert plain[1] == with_bias[1] == float(pi @ model.cost)
+                assert plain[2] is None and with_bias[2].shape == pi.shape
+
+    def test_nan_gain_raises(self, mse_mdp, mse_solution):
+        model = dataclasses.replace(mse_mdp, cost=np.full(mse_mdp.n_states, np.nan))
+        for call in (evaluate_policy, stationary_distribution):
+            with pytest.raises(SolverError, match="outside the range"):
+                call(model, mse_solution.policy)
 
     @pytest.mark.parametrize("table", [False, True], ids=["geometric", "table"])
     @pytest.mark.parametrize("q_max", [1, 2, 20, 40])
@@ -543,11 +578,11 @@ SWEEP_MODELS = (
 
 
 class TestPoisson:
-    """_poisson's bias, from the level elimination, against dense and exact solves."""
+    """_evaluate's bias, from the level elimination, against dense and exact solves."""
 
     @staticmethod
     def assert_matches(model, grid, want_gain, want_h):
-        gain, h = _poisson(model, grid.actions[model.r, model.q])
+        _, gain, h = _evaluate(model, grid.actions[model.r, model.q], bias=True)
         assert gain == pytest.approx(want_gain, rel=1e-13)
         want_h = np.asarray(want_h, dtype=float)
         assert np.all(np.abs(h - want_h) <= 1e-13 * np.maximum(1.0, np.abs(want_h)))

@@ -16,7 +16,7 @@ from remest import (
     solve,
     verify_switching,
 )
-from remest.policies import enumerate_states
+from remest.policies import enumerate_states, state_index
 
 Q_MAX = 20
 
@@ -210,6 +210,22 @@ class TestVerifySwitching:
         assert verify_switching(grid_h09).ok
         # worse combining: the fresh region can only grow
         assert fresh_states(grid_h05) <= fresh_states(grid_h09)
+
+    def test_table_channel_counterexample(self):
+        # the switching structure is proven for the geometric channel; on this g_table
+        # channel the delay-optimal policy breaks (i) at q = 7 and q = 8
+        model = build_mdp(None, HarqModel.from_table([0.33, 0.28, 0.06]), 8, "delay")
+        solution = solve(model)
+        assert verify_switching(solution.policy).violations == [
+            ((0, 7), (1, 7), "monotone-in-r"), ((0, 8), (1, 8), "monotone-in-r")]
+        # not ties: Q(retransmit) - Q(fresh) is well away from 0 on both sides of the pair
+        pf, h = model.fail_prob, solution.bias
+        q_values = model.cost + (1.0 - pf) * h[model.succ_idx] + pf * h[model.fail_idx]
+        gap = q_values[1] - q_values[0]
+        assert gap[state_index(0, 7)] == pytest.approx(0.4525, abs=1e-4)
+        assert gap[state_index(1, 7)] == pytest.approx(-0.2202, abs=1e-4)
+        # the optimal chain never visits (1, 7)
+        assert solution.pi[state_index(1, 7)] == 0.0
 
 
 class TestCsvRoundTrip:
