@@ -36,8 +36,6 @@ from .simulate import (
     simulate_chain,
     simulate_chains,
     simulate_trajectory,
-    write_report_csv,
-    write_report_json,
 )
 
 __version__ = "0.1.0"

@@ -5,7 +5,10 @@ Subcommands: stability, solve, simulate, compare, verify-policy. All take
 codes: 0 success, 1 usage/config error, 2 stability check failed,
 3 solver failure. The commands that solve the decision model apply the
 stability gate: solve and compare (unless --force), and simulate with
---policy optimal or delay. Every file a command writes goes through _write,
+--policy optimal or delay. This module builds every output file: it picks
+what each holds, formats it and writes it with _write_json or _write_csv,
+except the policy CSV, which policies.save_policy_csv writes because
+policies.load_policy_csv reads it back. Every file goes through _write,
 which keeps the files whose suffix is in outputs.formats and names each.
 """
 
@@ -100,12 +103,19 @@ def _write_json(data, path) -> None:
         fh.write("\n")
 
 
-def _write_csv(rows, path) -> None:
+def _write_csv(header, rows, path) -> None:
+    """One header row, then rows whose float entries the caller has already formatted."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (_fmt(v) if isinstance(v, float) else v) for k, v in row.items()})
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _report_csv(report: simulate.SimReport):
+    """The writer of a report's per-step running averages, one row per time step."""
+    rows = zip(range(1, report.horizon + 1), map(_fmt, report.avg_mse_vs_k.tolist()),
+               map(_fmt, report.avg_aoi_vs_k.tolist()))
+    return partial(_write_csv, ["k", "avg_mse", "avg_aoi"], rows)
 
 
 def cmd_stability(args) -> int:
@@ -142,9 +152,14 @@ def cmd_solve(args) -> int:
     print(f"gain = {_fmt(solution.gain)}  ({solution.iterations} policy-iteration rounds, "
           f"span residual {solution.span_residual:.3e}, "
           f"{solution.span_residual_rel:.1e} of max |bias|)")
+    r, q = policies.enumerate_states(solution.policy.q_max)
+    bias = zip(r.tolist(), q.tolist(), map("{:.17g}".format, solution.bias.tolist()))
+    summary = {"gain": solution.gain, "iterations": solution.iterations,
+               "span_residual": solution.span_residual, "span_residual_rel": solution.span_residual_rel,
+               "q_max": solution.policy.q_max, "cost_kind": solution.cost_kind}
     _write(cfg, [(f"policy_{args.cost}.csv", partial(policies.save_policy_csv, solution.policy)),
-                 (f"bias_{args.cost}.csv", partial(mdp.save_bias_csv, solution)),
-                 (f"solve_{args.cost}.json", partial(mdp.save_solution_json, solution))])
+                 (f"bias_{args.cost}.csv", partial(_write_csv, ["r", "q", "bias"], bias)),
+                 (f"solve_{args.cost}.json", partial(_write_json, summary))])
     return EXIT_OK
 
 
@@ -184,9 +199,15 @@ def cmd_simulate(args) -> int:
         report = simulate.simulate_trajectory(grid, system, channel, sk, sim_cfg)
     else:
         report = simulate.simulate_chain(grid, channel, sk, sim_cfg)
+    summary = {"label": report.label, "mode": report.mode, "horizon": report.horizon,
+               "runs": report.runs, "seed": report.seed, "final_avg_mse": report.final_avg_mse,
+               "final_avg_aoi": report.final_avg_aoi, "mse_ci95_halfwidth": report.mse_ci95,
+               "aoi_ci95_halfwidth": report.aoi_ci95, "saturation_events": report.saturation_events}
+    if isinstance(report, simulate.TrajectoryReport):
+        summary["final_analytic_mse"] = report.final_analytic_mse
     label = grid.label or "policy"
-    _write(cfg, [(f"report_{label}.csv", partial(simulate.write_report_csv, report)),
-                 (f"report_{label}.json", partial(simulate.write_report_json, report))])
+    _write(cfg, [(f"report_{label}.csv", _report_csv(report)),
+                 (f"report_{label}.json", partial(_write_json, summary))])
     print(f"final average MSE = {_fmt(report.final_avg_mse)}  "
           f"final average AoI = {_fmt(report.final_avg_aoi)}")
     return EXIT_OK
@@ -224,7 +245,7 @@ def cmd_compare(args) -> int:
     floor = float(sk.cost_table[0])
     for row in rows:
         mse = row["sim_final_mse"]
-        row["mse_reduction_vs_arq_raw"] = 1.0 - mse / baseline
+        row["mse_reduction_vs_arq_raw"] = 1.0 - mse / baseline if baseline > 0 else 0.0
         row["mse_reduction_vs_arq_excess"] = (
             1.0 - (mse - floor) / (baseline - floor) if baseline > floor else 0.0
         )
@@ -235,9 +256,10 @@ def cmd_compare(args) -> int:
         "baseline_floor": floor,
         "policies": rows,
     }
-    _write(cfg, [(f"report_{grid.label}.csv", partial(simulate.write_report_csv, report))
-                 for grid, report in zip(zoo, reports)]
-           + [("compare.json", partial(_write_json, table)), ("compare.csv", partial(_write_csv, rows))])
+    cells = [[_fmt(v) if isinstance(v, float) else v for v in row.values()] for row in rows]
+    _write(cfg, [(f"report_{grid.label}.csv", _report_csv(report)) for grid, report in zip(zoo, reports)]
+           + [("compare.json", partial(_write_json, table)),
+              ("compare.csv", partial(_write_csv, list(rows[0]), cells))])
 
     print(f"{'policy':>8} {'exact MSE':>12} {'sim MSE':>12} {'sim AoI':>10} {'switching':>9}")
     for row in rows:

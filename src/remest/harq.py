@@ -87,9 +87,10 @@ class HarqModel:
     def stability_check(self, rho_sq: float, unseen_modes=()) -> StabilityReport:
         """Whether (1 - lambda') * rho^2 < 1, i.e. retransmission reliability
         outruns the process expansion so the long-term MSE stays bounded,
-        and LtiSystem.unseen_modes() found no unstable mode hidden from C."""
-        if rho_sq <= 0:
-            raise ValueError("rho_sq must be positive")
+        and LtiSystem.unseen_modes() found no unstable mode hidden from C.
+        rho_sq may be 0 (a zero or nilpotent A); a negative, NaN or infinite one is a ValueError."""
+        if not 0.0 <= rho_sq < np.inf:
+            raise ValueError(f"rho_sq must be finite and non-negative, got {rho_sq!r}")
         lp = self.lambda_prime()
         margin = (1.0 - lp) * rho_sq
         return StabilityReport(stable=margin < 1.0 and not unseen_modes, margin=margin,

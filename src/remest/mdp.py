@@ -24,8 +24,6 @@ arrays are S x (q_max + 2).
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -381,24 +379,3 @@ def evaluate_policy(mdp: TruncatedMdp, policy: PolicyGrid) -> float:
     in the range of the stage costs, else SolverError is raised.
     """
     return _evaluate(mdp, _actions(mdp, policy))[1]
-
-
-def save_bias_csv(solution: MdpSolution, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "q", "bias"])
-        r, q = enumerate_states(solution.policy.q_max)
-        writer.writerows(zip(r.tolist(), q.tolist(), map("{:.17g}".format, solution.bias.tolist())))
-
-
-def save_solution_json(solution: MdpSolution, path):
-    with open(path, "w") as fh:
-        json.dump({
-            "gain": solution.gain,
-            "iterations": solution.iterations,
-            "span_residual": solution.span_residual,
-            "span_residual_rel": solution.span_residual_rel,
-            "q_max": solution.policy.q_max,
-            "cost_kind": solution.cost_kind,
-        }, fh, indent=2)
-        fh.write("\n")

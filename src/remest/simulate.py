@@ -56,7 +56,6 @@ only.
 from __future__ import annotations
 
 import itertools
-import json
 import numbers
 import warnings
 from collections.abc import Sequence
@@ -762,30 +761,3 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     )
     _warn_saturation([report], policy.q_max)
     return report
-
-
-def write_report_csv(report: SimReport, path):
-    """Plot-ready per-step running averages, one row per time step."""
-    rows = zip(range(1, report.horizon + 1), report.avg_mse_vs_k.tolist(), report.avg_aoi_vs_k.tolist())
-    with open(path, "w", newline="") as fh:  # the lines and CRLF endings of csv.writer
-        fh.writelines(["k,avg_mse,avg_aoi\r\n", *(f"{k},{mse:.6g},{aoi:.6g}\r\n" for k, mse, aoi in rows)])
-
-
-def write_report_json(report: SimReport, path):
-    out = {
-        "label": report.label,
-        "mode": report.mode,
-        "horizon": report.horizon,
-        "runs": report.runs,
-        "seed": report.seed,
-        "final_avg_mse": report.final_avg_mse,
-        "final_avg_aoi": report.final_avg_aoi,
-        "mse_ci95_halfwidth": report.mse_ci95,
-        "aoi_ci95_halfwidth": report.aoi_ci95,
-        "saturation_events": report.saturation_events,
-    }
-    if isinstance(report, TrajectoryReport):
-        out["final_analytic_mse"] = report.final_analytic_mse
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=2)
-        fh.write("\n")

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from remest import HarqModel, load_policy_csv, mdp, psi_policy, riccati_steady_state, verify_switching
+from remest import (HarqModel, load_policy_csv, mdp, psi_policy, riccati_steady_state, simulate_chain,
+                    verify_switching)
 from remest.cli import main
 from remest.config import _LAYOUT, ConfigError, ExperimentConfig, default_config, load_config
 from remest.policies import enumerate_states
@@ -42,6 +43,14 @@ def run_cli(*argv):
 
 def _wrote(stdout: str) -> list[str]:
     return [line for line in stdout.splitlines() if line.startswith("wrote")]
+
+
+def _solved(path, cost):
+    """The config at path, its filter and the solution of remest solve --cost on it."""
+    cfg = load_config(path)
+    sk = riccati_steady_state(cfg.make_system(), tol=cfg.tol, max_iter=cfg.max_iter, q_max=cfg.q_max)
+    model = mdp.build_mdp(sk if cost == "mse" else None, cfg.make_channel(), cfg.q_max, cost)
+    return cfg, sk, mdp.solve(model, tol=cfg.tol, max_iter=cfg.max_iter)
 
 
 class TestConfig:
@@ -337,6 +346,20 @@ class TestStabilityCommand:
             assert "g_table entries must lie in [0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("a", [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]],
+                             ids=["zero", "nilpotent"])
+    def test_zero_spectral_radius(self, tmp_path, capsys, a):
+        # rho(A) = 0 meets the boundedness condition with margin 0; every command used to reject it
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["system"]["A"] = a
+        cfg["sim"].update(K=50, runs=20)
+        cfg["outputs"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(cfg))
+        for argv in (["stability"], ["solve"], ["simulate", "--policy", "optimal"], ["compare"]):
+            assert run_cli(*argv, "--config", str(path)) == 0
+        assert "(1-l')*rho^2  = 0\n" in capsys.readouterr().out
+
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -362,6 +385,24 @@ class TestSolveCommand:
         assert set(summary) == {"gain", "iterations", "span_residual", "span_residual_rel", "q_max",
                                 "cost_kind"}
         assert "gain" in capsys.readouterr().out
+
+    def test_bias_csv_and_summary(self, small_config):
+        path, out = small_config
+        assert run_cli("solve", "--config", str(path)) == 0
+        _, _, solution = _solved(path, "mse")
+        lines = (out / "bias_mse.csv").read_text().strip().splitlines()
+        assert lines[0] == "r,q,bias"
+        assert len(lines) == 1 + len(list(zip(*enumerate_states(8))))
+        # 17 significant digits give back every float64 of the bias
+        assert [float(line.split(",")[2]) for line in lines[1:]] == solution.bias.tolist()
+        summary = json.loads((out / "solve_mse.json").read_text())
+        assert summary["q_max"] == 8
+        assert summary["cost_kind"] == "mse"
+        assert summary["span_residual"] < 1e-3
+        assert summary["span_residual_rel"] == solution.span_residual_rel
+        assert solution.span_residual_rel == pytest.approx(
+            solution.span_residual / np.abs(solution.bias).max(), rel=1e-15)
+        assert summary["gain"] == solution.gain
 
     def test_delay_policy_differs_with_more_fresh_states(self, small_config):
         path, out = small_config
@@ -528,6 +569,43 @@ class TestSimulateCommand:
             summary = json.loads((out / f"report_{source}.json").read_text())
             assert summary["runs"] == 120
 
+    def test_report_csv_format(self, small_config):
+        path, out = small_config
+        assert run_cli("simulate", "--config", str(path), "--policy", "arq") == 0
+        lines = (out / "report_arq.csv").read_text().strip().splitlines()
+        assert lines[0] == "k,avg_mse,avg_aoi"
+        assert len(lines) == 301
+        assert lines[1].startswith("1,")
+
+    def test_report_summary_fields(self, small_config, tmp_path):
+        path, out = small_config
+        assert run_cli("simulate", "--config", str(path), "--policy", "arq") == 0
+        summary = json.loads((out / "report_arq.json").read_text())
+        assert summary["runs"] == 120
+        assert summary["seed"] == 5
+        assert "mse_ci95_halfwidth" in summary
+        # a trajectory report adds the analytic MSE of its realized staleness
+        cfg = json.loads(path.read_text())
+        cfg["sim"].update(mode="trajectory", K=30, runs=40)
+        out = tmp_path / "o"
+        cfg["outputs"]["directory"] = str(out)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(path), "--policy", "arq") == 0
+        trajectory = json.loads((out / "report_arq.json").read_text())
+        assert set(trajectory) == set(summary) | {"final_analytic_mse"}
+
+    @pytest.mark.parametrize("source, cost", [("optimal", "mse"), ("delay", "delay")])
+    def test_solved_policy_source(self, small_config, source, cost):
+        path, out = small_config
+        assert run_cli("simulate", "--config", str(path), "--policy", source) == 0
+        assert (out / f"report_{source}.csv").exists()
+        summary = json.loads((out / f"report_{source}.json").read_text())
+        cfg, sk, solution = _solved(path, cost)
+        report = simulate_chain(solution.policy, cfg.make_channel(), sk, cfg.make_sim_config())
+        assert summary["label"] == source
+        assert summary["final_avg_mse"] == report.final_avg_mse
+
     def test_policy_from_file(self, small_config):
         path, out = small_config
         assert run_cli("solve", "--config", str(path)) == 0
@@ -674,6 +752,21 @@ class TestCompareCommand:
         assert rows["optimal"]["boundary_mass"] < 1e-3
         # always-fresh sits at q = q_max after q_max failures in a row: (1 - lambda)^q_max
         assert rows["arq"]["boundary_mass"] == pytest.approx(0.2**20, rel=1e-12)
+
+    def test_zero_process_noise(self, tmp_path):
+        # Q = 0 is a valid covariance: every MSE is 0, so there is nothing to reduce against arq
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["system"]["Q"] = [[0.0, 0.0], [0.0, 0.0]]
+        cfg["sim"].update(K=50, runs=20)
+        out = tmp_path / "o"
+        cfg["outputs"]["directory"] = str(out)
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("compare", "--config", str(path)) == 0
+        for row in json.loads((out / "compare.json").read_text())["policies"]:
+            assert row["exact_avg_mse"] == 0.0
+            assert row["mse_reduction_vs_arq_raw"] == 0.0
+            assert row["mse_reduction_vs_arq_excess"] == 0.0
 
     def test_perfect_channel_equalizes(self, tmp_path):
         cfg = json.loads(json.dumps(SMALL_CONFIG))

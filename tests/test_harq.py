@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,10 @@ class TestStabilityCheck:
         assert not report.stable
 
     def test_rho_validation(self):
-        with pytest.raises(ValueError):
-            HarqModel(0.8, 0.5).stability_check(0.0)
+        # rho(A) = 0, a zero or nilpotent A, is bounded with margin 0
+        report = HarqModel(0.8, 0.5).stability_check(0.0)
+        assert report.stable and report.margin == 0.0
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+                HarqModel(0.8, 0.5).stability_check(bad)
 

@@ -626,27 +626,3 @@ class TestPoisson:
         assert np.array_equal(solution.policy.actions[model.r, model.q], actions)
         assert solution.iterations == iterations
         assert solution.gain == pytest.approx(gain, rel=1e-13)
-
-
-class TestExports:
-    def test_bias_csv_and_summary(self, tmp_path, mse_solution):
-        from remest.mdp import save_bias_csv, save_solution_json
-
-        bias_path = tmp_path / "bias.csv"
-        save_bias_csv(mse_solution, bias_path)
-        lines = bias_path.read_text().strip().splitlines()
-        assert lines[0] == "r,q,bias"
-        assert len(lines) == 1 + len(list(zip(*enumerate_states(Q_MAX))))
-
-        json_path = tmp_path / "solve.json"
-        save_solution_json(mse_solution, json_path)
-        import json
-
-        summary = json.loads(json_path.read_text())
-        assert summary["q_max"] == Q_MAX
-        assert summary["cost_kind"] == "mse"
-        assert summary["span_residual"] < 1e-3
-        assert summary["span_residual_rel"] == mse_solution.span_residual_rel
-        assert mse_solution.span_residual_rel == pytest.approx(
-            mse_solution.span_residual / np.abs(mse_solution.bias).max(), rel=1e-15)
-        assert summary["gain"] == mse_solution.gain

@@ -1,4 +1,3 @@
-import json
 import re
 import tracemalloc
 import warnings
@@ -31,8 +30,6 @@ from remest.simulate import (
     _ChainTables,
     _policy_chains,
     _psd_factor,
-    write_report_csv,
-    write_report_json,
 )
 from remest.policies import state_index
 
@@ -955,25 +952,3 @@ class TestTrajectorySim:
         with pytest.raises(ValueError):
             simulate_trajectory(arq_baseline_policy(Q_MAX), system, channel, sk,
                                 SimConfig(horizon=10, runs=2, seed=0, mode="trajectory", initial_q=1))
-
-
-class TestReportOutputs:
-    def test_csv_format(self, tmp_path, sk, channel):
-        cfg = SimConfig(horizon=12, runs=3, seed=0)
-        report = simulate_chain(arq_baseline_policy(Q_MAX), channel, sk, cfg)
-        path = tmp_path / "report.csv"
-        write_report_csv(report, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "k,avg_mse,avg_aoi"
-        assert len(lines) == 13
-        assert lines[1].startswith("1,")
-
-    def test_summary_fields(self, tmp_path, sk, channel):
-        cfg = SimConfig(horizon=12, runs=3, seed=0)
-        report = simulate_chain(arq_baseline_policy(Q_MAX), channel, sk, cfg)
-        path = tmp_path / "report.json"
-        write_report_json(report, path)
-        summary = json.loads(path.read_text())
-        assert summary["runs"] == 3
-        assert summary["seed"] == 0
-        assert "mse_ci95_halfwidth" in summary
