@@ -11,8 +11,8 @@ TruncatedMdp holds its states as the two index arrays r and q of
 policies.enumerate_states, which defines the state order; state_index(r, q)
 maps a state back to its position, and policy.actions[mdp.r, mdp.q] reads
 a grid's action per state. The succ_idx, fail_idx and fail_prob arrays
-of a TruncatedMdp are the one definition of how the chain moves: _chain
-reads from them the chain of a policy, and both simulators walk them.
+of a TruncatedMdp are the one definition of how the chain moves: _edges
+reads from them the policy chains that _chain and both simulators walk.
 One level elimination (_excursions, then _gth on the q_max + 2 kept
 states) solves that chain with nothing subtracted, and _evaluate is its
 one entry point: it gives the stationary distribution pi and the gain
@@ -127,12 +127,20 @@ def _reached_by_all(successors: np.ndarray, target: int) -> bool:
         seen |= grow
 
 
+def _edges(mdp: TruncatedMdp, actions: np.ndarray):
+    """fail_prob and targets of the chains that take action actions[..., i] in state i, for (S,)
+    or (P, S) action rows: state i fails with probability fail_prob[..., i], and goes to
+    targets[0, ..., i] on success and to targets[1, ..., i] on failure."""
+    rows = np.arange(mdp.n_states)
+    targets = np.stack([mdp.succ_idx[actions, rows], mdp.fail_idx[actions, rows]])
+    return mdp.fail_prob[actions, rows], targets
+
+
 def _chain(mdp: TruncatedMdp, actions: np.ndarray):
     """The chain that takes action actions[i] in state i, and its reference state.
 
-    This is the one definition of how the (r, q) chain moves: state i goes
-    to targets[0, i] with probability probs[0, i] = 1 - fail_prob and to
-    targets[1, i] with probs[1, i] = fail_prob, under the chosen action.
+    State i goes to targets[0, i] with probability probs[0, i] =
+    1 - fail_prob and to targets[1, i] with probs[1, i] = fail_prob (_edges).
 
     The chain has a unique stationary distribution only when it has one
     recurrent class, i.e. some state is reachable from every state. A
@@ -142,10 +150,8 @@ def _chain(mdp: TruncatedMdp, actions: np.ndarray):
     state reaches it, as under every policy that sends fresh at the
     corner, else the corner. Raises SolverError when neither qualifies.
     """
-    rows = np.arange(mdp.n_states)
-    pf = mdp.fail_prob[actions, rows]
+    pf, targets = _edges(mdp, actions)
     probs = np.stack([1.0 - pf, pf])
-    targets = np.stack([mdp.succ_idx[actions, rows], mdp.fail_idx[actions, rows]])
     # successors along edges of positive probability
     successors = np.where(probs > 0.0, targets, targets[::-1])
     for ref in (0, mdp.n_states - 1):  # (0, 0), then the corner

@@ -48,9 +48,8 @@ instead, as standard_normal rejects some samples, so where a later
 step's draws start in the stream is not known until the earlier steps
 are drawn. A run's values depend on its own draws and counts only, so no
 per-run or counted value depends on the grouping. The per-step sums of
-the squared errors, and the error covariance, sum each chunk's runs and
-then add the chunks' sums in chunk order, so they depend on CHUNK_RUNS
-only.
+the squared errors sum each chunk's runs and then add the chunks' sums in
+chunk order, so they depend on CHUNK_RUNS only.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ import numpy as np
 
 from .harq import HarqModel
 from .lti import LtiSystem, SteadyKalman
-from .mdp import TruncatedMdp, build_mdp
+from .mdp import TruncatedMdp, _edges, build_mdp
 from .policies import PolicyGrid, state_index
 
 CHUNK_RUNS = 128  # runs of a chain-walk chunk, and of a trajectory-mode stream
@@ -133,13 +132,11 @@ class TrajectoryReport(SimReport):
 
     avg_mse_vs_k / final_avg_mse hold the empirical squared error; the
     analytic_* fields and final_analytic_mse hold the cost-table values for
-    the same realized staleness states, and empirical_error_cov averages
-    the receiver error outer products over all steps and runs.
+    the same realized staleness states.
     """
 
     analytic_avg_mse_vs_k: np.ndarray
     run_final_analytic_mse: np.ndarray
-    empirical_error_cov: np.ndarray
     final_analytic_mse = property(lambda self: float(self.analytic_avg_mse_vs_k[-1]))
 
 
@@ -159,16 +156,16 @@ class _ChainTables:
     """Per-edge tables of the decision model's chain under a stack of policies.
 
     Policy p's copy of model state s is the stacked state p * n_states + s,
-    and every transition is read from the model's succ_idx, fail_idx and
-    fail_prob arrays, so no edge leaves its policy's copy. A step has two
-    outcomes, and its edge 2 * state + failed fixes it: failed is whether
-    the step's uniform u is below fail_prob[2 * state], the state's failure
-    probability (fail_prob holds it for both of the state's edges), which
-    is the reference rule u < g. next_base[e] is 2 times the next stacked
-    state, and bins[e] is the stacked bin p * n_bins + b that counts the
-    step's visit. Bin b is the state's q, or q_max + 1 for a failed step at
-    q = q_max (a saturation event); a visit to it accrues bin_cost[b], the
-    staleness cost of its q, and bin_age[b] = q + 1.
+    and every transition is read from the model by mdp._edges, so no edge
+    leaves its policy's copy. A step has two outcomes, and its edge
+    2 * state + failed fixes it: failed is whether the step's uniform u is
+    below fail_prob[2 * state], the state's failure probability (fail_prob
+    holds it for both of the state's edges), which is the reference rule
+    u < g. next_base[e] is 2 times the next stacked state, and bins[e] is
+    the stacked bin p * n_bins + b that counts the step's visit. Bin b is
+    the state's q, or q_max + 1 for a failed step at q = q_max (a
+    saturation event); a visit to it accrues bin_cost[b], the staleness
+    cost of its q, and bin_age[b] = q + 1.
 
     A walk's lanes are its policies x runs, the runs of each policy in a
     row, for the whole stack or for the subset of it that walk_stack
@@ -205,10 +202,9 @@ class _ChainTables:
     def build(cls, mdp: TruncatedMdp, actions: np.ndarray):
         """Tables of the chains that take action actions[p, s] in model state s, one per row p."""
         n_policies, n_states = actions.shape
-        rows = np.arange(n_states)
         offset = (np.arange(n_policies) * n_states)[:, None, None]
-        next_state = np.stack([mdp.succ_idx[actions, rows], mdp.fail_idx[actions, rows]], axis=-1)
-        fail_prob = mdp.fail_prob[actions, rows]
+        fail_prob, targets = _edges(mdp, actions)
+        next_state = np.moveaxis(targets, 0, -1)  # policies x states x (success, failure)
         bin_q = np.minimum(np.arange(mdp.q_max + 2), mdp.q_max)
         failed = np.array([False, True])
         bins = np.where(failed & (mdp.q == mdp.q_max)[:, None], mdp.q_max + 1, mdp.q[:, None])
@@ -404,7 +400,9 @@ class _ChainTables:
         policy, whether its last check found such an edge; the caller keeps
         it from walk to walk, and a policy whose check failed is walked
         beside its leader at once and checked again. A one-policy stack is
-        walked by walk alone, with no tallies of its own.
+        walked by walk alone: it has nothing to copy, and tallies of its own
+        would add a zero fill and a sum of the window's counts per call,
+        about 2% of a 32-run, 1e5-step simulate_chain call.
         """
         if self.n_policies == 1:
             for _ in self.walk(uniforms, base, step_visits, run_visits):
@@ -655,10 +653,8 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
     about (group runs) x (horizon x (n + m + 1) + (q_max + 1) x n) x 8
     bytes, whatever the number of runs. Every per-run quantity is stored
     component-major, (n, group runs). Each step's squared errors are
-    summed per chunk, and each run's error outer products in time order
-    and then per chunk; the chunks' sums are added in chunk order, so
-    avg_mse_vs_k and empirical_error_cov depend on CHUNK_RUNS but not on
-    the group or walk sizes.
+    summed per chunk, and the chunks' sums are added in chunk order, so
+    avg_mse_vs_k depends on CHUNK_RUNS but not on the group or walk sizes.
     """
     if cfg.mode != "trajectory":
         raise ValueError("simulate_trajectory requires mode='trajectory'")
@@ -680,7 +676,6 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
 
     step_emp = np.zeros(horizon)  # summed chunk by chunk, in chunk order
     run_emp, run_ana, run_aoi = np.zeros(runs), np.empty(runs), np.empty(runs)
-    err_cov = np.zeros((n, n))
     step_visits = tables.visits(horizon)
     chunks = _chunk_streams(cfg.seed, runs, 4)
     while group := list(itertools.islice(chunks, GROUP_CHUNKS)):
@@ -707,8 +702,6 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
         error = np.zeros((n, width))  # the receiver's
         aged = np.empty((n, width))
         sq = np.empty(width)
-        outer = np.empty((n, n, width))
-        run_cov = np.zeros((n, n, width))  # per run, the error outer products summed in time order
         chunk_emp = np.empty((horizon, len(at_chunk)))  # per step, each chunk's squared errors summed
         group_emp, group_visits = run_emp[begin:end], tables.visits(width)
         walk = tables.walk(uniforms, tables.start(initial_state, width), step_visits, group_visits)
@@ -737,15 +730,11 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
                 np.matmul(filter_step, filter_in, out=es_ring[k % oldest])
 
                 np.einsum("ir,ir->r", error, error, out=sq)
-                np.multiply(error[:, None], error, out=outer)
-                run_cov += outer
                 np.add.reduceat(sq, at_chunk, out=chunk_emp[k - 1])
                 group_emp += sq
         # chunk sums added in chunk order, so no sum depends on how the chunks are grouped
         for chunk_sums in chunk_emp.T:
             step_emp += chunk_sums
-        for chunk_cov in np.moveaxis(np.add.reduceat(run_cov, at_chunk, axis=-1), -1, 0):
-            err_cov += chunk_cov
         group_ana, group_aoi, _ = tables.totals(group_visits)
         run_ana[begin:end], run_aoi[begin:end] = group_ana[:, 0], group_aoi[:, 0]
 
@@ -757,7 +746,6 @@ def simulate_trajectory(policy: PolicyGrid, sys: LtiSystem, m: HarqModel, sk: St
         saturation_events=int(step_saturated.sum()),
         analytic_avg_mse_vs_k=_running_mean(step_ana[:, 0], runs),
         run_final_analytic_mse=run_ana / horizon,
-        empirical_error_cov=err_cov / (runs * horizon),
     )
     _warn_saturation([report], policy.q_max)
     return report

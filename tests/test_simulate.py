@@ -1,7 +1,7 @@
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -135,7 +135,6 @@ def reference_trajectory(policy, system, model, sk, cfg, coordinates="state"):
     run_emp = np.zeros(runs)
     step_visits = np.zeros((horizon, q_max + 2), dtype=np.int64)
     run_visits = np.zeros((runs, q_max + 2), dtype=np.int64)
-    err_cov = np.zeros((system.n, system.n))
     r_at_q_max = 0
     for i in range(runs):
         z0, zw, zv, u = _trajectory_draws(cfg.seed, i, horizon, system.n, system.m)
@@ -162,7 +161,6 @@ def reference_trajectory(policy, system, model, sk, cfg, coordinates="state"):
                 err = a_pow[age] @ sensor_errors[k - age]
                 for j in range(age):
                     err = err + a_pow[j] @ noise[k - j]
-            err_cov += np.outer(err, err)
             step_emp[k - 1, i] = err @ err
             run_emp[i] += step_emp[k - 1, i]
             r_at_q_max += r == q_max
@@ -185,7 +183,6 @@ def reference_trajectory(policy, system, model, sk, cfg, coordinates="state"):
         "run_final_mse": run_emp / horizon,
         "run_final_analytic_mse": np.array([_bin_dot(row, cost) for row in run_visits]) / horizon,
         "run_final_aoi": np.array([_bin_dot(row, ages) for row in run_visits]) / horizon,
-        "empirical_error_cov": err_cov / (runs * horizon),
         "saturation_events": int(step_visits[:, q_max + 1].sum()),
         "r_at_q_max": r_at_q_max,
     }
@@ -290,6 +287,23 @@ TRAJECTORY_CASES = {
         arq_baseline_policy(2), HarqModel(0.1, 1.0, r_cap=2), _short_table(system),
         SimConfig(horizon=10, runs=50, seed=34, mode="trajectory")),
 }
+
+
+# the fields a trajectory report is checked on: the chain's counts, which the oracles match bit
+# for bit, and the drawn errors, which they match to rounding (reference_trajectory)
+TRAJECTORY_CHAIN_FIELDS = ("analytic_avg_mse_vs_k", "run_final_analytic_mse", "avg_aoi_vs_k",
+                           "run_final_aoi", "saturation_events")
+TRAJECTORY_ERROR_FIELDS = ("avg_mse_vs_k", "run_final_mse")
+
+
+def _assert_matches_trajectory_reference(report, ref):
+    # no array field of the report escapes the oracle
+    arrays = {f.name for f in fields(report) if isinstance(getattr(report, f.name), np.ndarray)}
+    assert arrays <= {*TRAJECTORY_CHAIN_FIELDS, *TRAJECTORY_ERROR_FIELDS}, arrays
+    for name in TRAJECTORY_CHAIN_FIELDS:
+        assert np.array_equal(getattr(report, name), ref[name]), name
+    for name in TRAJECTORY_ERROR_FIELDS:
+        np.testing.assert_allclose(getattr(report, name), ref[name], rtol=1e-12, err_msg=name)
 
 
 # name -> (policy, channel, cost table, config) for the trajectory oracle in error coordinates,
@@ -732,8 +746,7 @@ class TestStackedChains:
         assert sizes == [(170, 34, 510), (4369, 33, 13107)]
         small_chains, small_trajectory = simulate_both()
         assert all(_same_report(a, b) for a, b in zip(chains, small_chains))
-        assert _same_report(trajectory, small_trajectory)
-        for name in ("analytic_avg_mse_vs_k", "run_final_analytic_mse", "empirical_error_cov"):
+        for name in (*TRAJECTORY_CHAIN_FIELDS, *TRAJECTORY_ERROR_FIELDS):
             assert np.array_equal(getattr(trajectory, name), getattr(small_trajectory, name)), name
 
     @pytest.mark.parametrize("case", list(SHARED_CASES))
@@ -811,12 +824,8 @@ class TestTrajectorySim:
             warnings.simplefilter("ignore", RuntimeWarning)
             report = simulate_trajectory(grid, system, model, table, cfg)
         ref = reference_trajectory(grid, system, model, table, cfg)
-        for name in ("analytic_avg_mse_vs_k", "run_final_analytic_mse", "avg_aoi_vs_k",
-                     "run_final_aoi", "saturation_events"):
-            assert np.array_equal(getattr(report, name), ref[name]), name
+        _assert_matches_trajectory_reference(report, ref)
         assert (ref["saturation_events"] > 0) == (case == "q_at_q_max")
-        for name in ("avg_mse_vs_k", "run_final_mse", "empirical_error_cov"):
-            np.testing.assert_allclose(getattr(report, name), ref[name], rtol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("case", list(LONG_TRAJECTORY_CASES))
     def test_matches_error_coordinate_reference(self, case, system, sk, channel):
@@ -825,13 +834,9 @@ class TestTrajectorySim:
             warnings.simplefilter("ignore", RuntimeWarning)
             report = simulate_trajectory(grid, system, model, table, cfg)
         ref = reference_trajectory(grid, system, model, table, cfg, coordinates="error")
-        for name in ("analytic_avg_mse_vs_k", "run_final_analytic_mse", "avg_aoi_vs_k",
-                     "run_final_aoi", "saturation_events"):
-            assert np.array_equal(getattr(report, name), ref[name]), name
+        _assert_matches_trajectory_reference(report, ref)
         assert (ref["saturation_events"] > 0) == (grid.q_max == 2)
         assert (ref["r_at_q_max"] > 0) == (case in ("psi_r_at_q_max", "retransmit_at_q_max"))
-        for name in ("avg_mse_vs_k", "run_final_mse", "empirical_error_cov"):
-            np.testing.assert_allclose(getattr(report, name), ref[name], rtol=1e-12, err_msg=name)
 
     def test_retransmission_at_q_max_stays_finite(self, system):
         # r stays at q_max from step 3 on; the packet's error is formed afresh at the oldest
@@ -855,24 +860,18 @@ class TestTrajectorySim:
 
     def test_reports_do_not_depend_on_group_size(self, system, sk, channel, monkeypatch):
         # 3 chunks and a partial one, walked a chunk at a time, two at a time and as one group:
-        # the per-step sums and the covariance add per-chunk sums in chunk order, whatever the group
+        # the per-step sums add per-chunk sums in chunk order, whatever the group
         grid, cfg = psi_policy(Q_MAX), SimConfig(horizon=30, runs=3 * CHUNK_RUNS + 5, seed=61,
                                                  mode="trajectory")
         reports = {}
         for chunks in (1, 2, 4):
             monkeypatch.setattr("remest.simulate.GROUP_CHUNKS", chunks)
             reports[chunks] = simulate_trajectory(grid, system, channel, sk, cfg)
-        fields = ("avg_mse_vs_k", "avg_aoi_vs_k", "run_final_mse", "run_final_aoi", "saturation_events",
-                  "analytic_avg_mse_vs_k", "run_final_analytic_mse", "empirical_error_cov")
         for chunks in (1, 2):
-            for name in fields:
+            for name in (*TRAJECTORY_CHAIN_FIELDS, *TRAJECTORY_ERROR_FIELDS):
                 assert np.array_equal(getattr(reports[chunks], name), getattr(reports[4], name)), name
-        ref = reference_trajectory(grid, system, channel, sk, cfg, coordinates="error")
-        for name in ("analytic_avg_mse_vs_k", "run_final_analytic_mse", "avg_aoi_vs_k",
-                     "run_final_aoi", "saturation_events"):
-            assert np.array_equal(getattr(reports[1], name), ref[name]), name
-        for name in ("avg_mse_vs_k", "run_final_mse", "empirical_error_cov"):
-            np.testing.assert_allclose(getattr(reports[1], name), ref[name], rtol=1e-12, err_msg=name)
+        _assert_matches_trajectory_reference(
+            reports[1], reference_trajectory(grid, system, channel, sk, cfg, coordinates="error"))
 
     def test_draws_held_one_group_at_a_time(self, system, sk, channel):
         # 10000 runs are three groups; drawing every run's horizon at once peaked at 39.9 MB
@@ -914,23 +913,13 @@ class TestTrajectorySim:
         assert report.analytic_avg_mse_vs_k.max() <= sk_short.cost_table[2]
         assert report.saturation_events > 0
 
-    def test_empirical_covariance_shape_and_trace(self, system, sk, channel):
-        cfg = SimConfig(horizon=30, runs=400, seed=4, mode="trajectory")
-        report = simulate_trajectory(arq_baseline_policy(Q_MAX), system, channel, sk, cfg)
-        cov = report.empirical_error_cov
-        assert cov.shape == (2, 2)
-        mean_step_mse = report.avg_mse_vs_k[-1]
-        # trace of the averaged outer products is the mean squared error
-        assert np.trace(cov) == pytest.approx(mean_step_mse, rel=1e-9)
-
     def test_long_horizon_empirical_matches_analytic(self, system, sk, channel):
         # the state of this expansive process would leave float64 near step 1160; the
         # simulator never forms it, so 2000 steps give finite reports that still agree
         grid = solve(build_mdp(sk, channel, Q_MAX, "mse")).policy
         cfg = SimConfig(horizon=2000, runs=200, seed=31, mode="trajectory")
         report = simulate_trajectory(grid, system, channel, sk, cfg)
-        for name in ("avg_mse_vs_k", "run_final_mse", "analytic_avg_mse_vs_k",
-                     "run_final_analytic_mse", "empirical_error_cov"):
+        for name in ("avg_mse_vs_k", "run_final_mse", "analytic_avg_mse_vs_k", "run_final_analytic_mse"):
             assert np.all(np.isfinite(getattr(report, name))), name
         diff = report.run_final_mse - report.run_final_analytic_mse
         se = diff.std(ddof=1) / np.sqrt(report.runs)
