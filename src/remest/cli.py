@@ -72,7 +72,7 @@ def _filter(cfg: ExperimentConfig):
     """The process, the channel and the sensor's steady-state filter."""
     system = cfg.make_system()
     channel = cfg.make_channel()
-    sk = riccati_steady_state(system, tol=cfg.tol, max_iter=cfg.max_iter, q_max=cfg.q_max)
+    sk = riccati_steady_state(system, q_max=cfg.q_max)
     return system, channel, sk
 
 

@@ -10,6 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# the Riccati step's stop is never stricter than this fraction of max |P|, a few float64 ulps
+_ROUNDING = 4 * np.finfo(float).eps
+
+
 class RiccatiError(RuntimeError):
     """Riccati iteration failed to converge; carries the last iterate."""
 
@@ -141,26 +145,34 @@ def riccati_steady_state(
     """Iterate the filter recursion to its steady state.
 
     Starting from the process-noise covariance, alternate prediction and
-    measurement update until the posterior covariance changes by less than
-    tol elementwise. The returned cost table has q_max + 5 entries so that
-    one-step-lookahead policies and the saturating boundary of the
-    truncated decision model stay inside it.
+    measurement update until a step changes the posterior covariance P by
+    at most max(tol * min(1, s), 4 eps s) elementwise, where s = max |P|
+    after the step and eps is float64's machine epsilon: tol is absolute
+    for a covariance of unit size or more, relative to s for a smaller
+    one, and never stricter than rounding. With Q = 0 the iterate stays 0
+    and the first step stops. The returned cost table has q_max + 5
+    entries so that one-step-lookahead policies and the saturating
+    boundary of the truncated decision model stay inside it.
 
-    Raises RiccatiError (carrying the last iterate) when the recursion
-    diverges to non-finite values or does not settle within max_iter,
-    which signals an undetectable or otherwise unstabilizable configuration.
+    Raises RiccatiError (carrying the last iterate, and naming the
+    iterations run and the last step's change relative to s) when the
+    recursion diverges to non-finite values or does not settle within
+    max_iter, which signals an undetectable or otherwise unstabilizable
+    configuration.
     Raises ValueError naming the first q whose staleness cost overflows
     float64; a smaller q_max keeps the table finite.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     ident = np.eye(sys.n)
     P = sys.Q.copy()
     gain = None
     # a diverging iterate overflows on its way to the non-finite check,
     # which reports it as a RiccatiError; numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for iterations in range(1, max_iter + 1):
             P_pred = sys.A @ P @ sys.A.T + sys.Q
             innov = sys.C @ P_pred @ sys.C.T + sys.R
             # K = P_pred C^T S^-1, solved as S^T K^T = (P_pred C^T)^T; S = innov
@@ -172,14 +184,19 @@ def riccati_steady_state(
             P_new = ikc @ P_pred @ ikc.T + gain @ sys.R @ gain.T
             P_new = 0.5 * (P_new + P_new.T)
             if not np.all(np.isfinite(P_new)):
-                raise RiccatiError("Riccati iteration diverged to non-finite values", P)
-            if float(np.abs(P_new - P).max()) < tol:
-                P = P_new
-                break
+                raise RiccatiError(
+                    f"Riccati iteration diverged to non-finite values at iteration {iterations}", P
+                )
+            size = float(np.abs(P_new).max())
+            step = float(np.abs(P_new - P).max())
             P = P_new
+            if step <= max(tol * min(1.0, size), _ROUNDING * size):
+                break
         else:
             raise RiccatiError(
-                f"Riccati iteration did not converge within {max_iter} iterations", P
+                f"Riccati iteration did not converge within {max_iter} iterations: the last "
+                f"step changed P by {step / size:.3g} of max |P| = {size:.3g}",
+                P,
             )
 
     n_entries = q_max + 5

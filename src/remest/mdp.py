@@ -320,11 +320,14 @@ def solve(mdp: TruncatedMdp, tol: float = 1e-9, max_iter: int = 100000) -> MdpSo
     Howard's policy iteration (Puterman, Markov Decision Processes, 1994,
     section 8.6): start from all-fresh, evaluate the policy exactly, and
     switch a state's action only when that lowers its Q-value by more
-    than tol * max(1, |Q|); stop when no state switches. Each round is
-    one level elimination (_evaluate), which gives pi, the gain and the
-    bias with no S x S matrix; every round improves the gain or the bias,
-    so no policy repeats, and 2-4 rounds suffice on the models tested. The
-    returned gain and pi are the final round's, which evaluate_policy and
+    than tol * max(min(1, c_min), |Q|), c_min being the cheapest stage
+    cost: relative to |Q|, with a floor that is absolute on a model whose
+    costs are all 1 or more and scales with the costs on a cheaper one;
+    stop when no state switches. Each round is one level elimination
+    (_evaluate), which gives pi, the gain and the bias with no S x S
+    matrix; every round improves the gain or the bias, so no policy
+    repeats, and 2-4 rounds suffice on the models tested. The returned
+    gain and pi are the final round's, which evaluate_policy and
     stationary_distribution give for the returned policy bit for bit.
     span_residual is the span of Bellman(h) - h at the returned bias,
     zero in exact arithmetic.
@@ -338,13 +341,14 @@ def solve(mdp: TruncatedMdp, tol: float = 1e-9, max_iter: int = 100000) -> MdpSo
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     rows = np.arange(mdp.n_states)
+    floor = min(1.0, float(mdp.cost.min()))
     actions = np.zeros(mdp.n_states, dtype=np.intp)
     for iterations in range(1, max_iter + 1):
         pi, gain, h = _evaluate(mdp, actions, bias=True)
         pf = mdp.fail_prob
         q = mdp.cost + (1.0 - pf) * h[mdp.succ_idx] + pf * h[mdp.fail_idx]  # (2, S) Q-values
         current = q[actions, rows]
-        switch = q[1 - actions, rows] < current - tol * np.maximum(1.0, np.abs(current))
+        switch = q[1 - actions, rows] < current - tol * np.maximum(floor, np.abs(current))
         if not switch.any():
             break
         actions = np.where(switch, 1 - actions, actions)

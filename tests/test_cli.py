@@ -48,7 +48,7 @@ def _wrote(stdout: str) -> list[str]:
 def _solved(path, cost):
     """The config at path, its filter and the solution of remest solve --cost on it."""
     cfg = load_config(path)
-    sk = riccati_steady_state(cfg.make_system(), tol=cfg.tol, max_iter=cfg.max_iter, q_max=cfg.q_max)
+    sk = riccati_steady_state(cfg.make_system(), q_max=cfg.q_max)
     model = mdp.build_mdp(sk if cost == "mse" else None, cfg.make_channel(), cfg.q_max, cost)
     return cfg, sk, mdp.solve(model, tol=cfg.tol, max_iter=cfg.max_iter)
 
@@ -513,8 +513,7 @@ class TestSolveCommand:
         assert run_cli("solve", "--config", str(path)) == 0
         assert "of max |bias|" in capsys.readouterr().out
         loaded = load_config(path)
-        sk = riccati_steady_state(loaded.make_system(), tol=loaded.tol, max_iter=loaded.max_iter,
-                                  q_max=151)
+        sk = riccati_steady_state(loaded.make_system(), q_max=151)
         model = mdp.build_mdp(sk, loaded.make_channel(), 151, "mse")
         summary = json.loads((out / "solve_mse.json").read_text())
         assert summary["gain"] == mdp.evaluate_policy(model, load_policy_csv(out / "policy_mse.csv"))
@@ -556,6 +555,47 @@ class TestSolveCommand:
         path.write_text(json.dumps(cfg))
         assert run_cli("solve", "--config", str(path)) == 2
         assert run_cli("solve", "--config", str(path), "--force") == 0
+
+
+def _solve_default(tmp_path, edit):
+    """remest solve on the default config after edit(cfg dict): its exit code, gain and policy CSV."""
+    cfg = default_config().to_dict()
+    edit(cfg)
+    out = tmp_path / "o"
+    cfg["outputs"]["directory"] = str(out)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    status = run_cli("solve", "--config", str(path))
+    if status:
+        return status, None, None
+    gain = json.loads((out / "solve_mse.json").read_text())["gain"]
+    return status, gain, (out / "policy_mse.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def default_solve(tmp_path_factory):
+    return _solve_default(tmp_path_factory.mktemp("default"), lambda cfg: None)
+
+
+class TestSolverKeys:
+    """mdp.tol and mdp.max_iter configure policy iteration; a change of units changes no answer."""
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-6, 1e3, 1e10])
+    def test_units_of_q_and_r_change_no_answer(self, tmp_path, default_solve, s):
+        # the Riccati step's absolute stop gave gain / s 30% low at s = 1e-9 and exit 3 at 1e10
+        def scale(cfg):
+            for key in ("Q", "R"):
+                cfg["system"][key] = [[s * x for x in row] for row in cfg["system"][key]]
+        status, gain, policy = _solve_default(tmp_path, scale)
+        assert status == 0
+        assert gain / s == pytest.approx(default_solve[1], rel=1e-8)
+        assert policy == default_solve[2]
+
+    @pytest.mark.parametrize("key, value", [("max_iter", 10), ("tol", 1e-4)])
+    def test_solver_keys_leave_the_filter_alone(self, tmp_path, default_solve, key, value):
+        # they reached the Riccati step: max_iter 10 exited 3 and tol 1e-4 moved the gain to 17.308488
+        status, gain, policy = _solve_default(tmp_path, lambda cfg: cfg["mdp"].update({key: value}))
+        assert (status, gain, policy) == default_solve
 
 
 class TestSimulateCommand:

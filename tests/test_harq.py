@@ -51,6 +51,8 @@ class TestFailureProb:
             HarqModel(0.8, 0.0)
         with pytest.raises(ValueError):
             HarqModel(0.8, 1.5)
+        with pytest.raises(ValueError, match="r_cap"):
+            HarqModel(0.8, 0.5, r_cap=0)
 
 
 class TestTableOverride:
@@ -60,6 +62,11 @@ class TestTableOverride:
         assert m.r_cap == 2
         assert m.failure_prob(2) == 0.01
         assert m.lambda_prime() == pytest.approx(0.95)
+
+    @pytest.mark.parametrize("table", [[0.2], [[0.2, 0.1], [0.1, 0.05]]], ids=["one-entry", "2-D"])
+    def test_table_shape_rejected(self, table):
+        with pytest.raises(ValueError, match="1-D sequence with at least two entries"):
+            HarqModel.from_table(table)
 
     def test_increasing_table_rejected(self):
         with pytest.raises(ValueError):
@@ -99,7 +106,7 @@ class TestLambdaPrime:
 class TestStabilityCheck:
     def test_benchmark_setting(self):
         report = HarqModel(0.8, 0.5).stability_check(3.3801)
-        assert report.stable
+        assert report.stable and report
         assert report.margin == pytest.approx(0.338, abs=1e-3)
 
     def test_exact_boundary_fails(self):
@@ -110,7 +117,7 @@ class TestStabilityCheck:
 
     def test_bad_channel_fails(self):
         report = HarqModel(0.01, 0.99).stability_check(3.3801)
-        assert not report.stable
+        assert not report.stable and not report
 
     def test_monotonicity(self):
         rho = 3.3801

@@ -28,12 +28,16 @@ class TestLtiSystem:
             LtiSystem(np.eye(2) * 2, [[1.0]], np.eye(2), [[1.0]])
         with pytest.raises(ValueError):
             LtiSystem(np.eye(2) * 2, [[1.0, 1.0]], np.eye(3), [[1.0]])
+        with pytest.raises(ValueError, match="R must be square"):
+            LtiSystem(np.eye(2) * 2, [[1.0, 1.0]], np.eye(2), np.eye(2))
 
     def test_noise_validation(self):
         with pytest.raises(ValueError):
             LtiSystem(np.eye(2) * 2, [[1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]], [[1.0]])
         with pytest.raises(ValueError):
             LtiSystem(np.eye(2) * 2, [[1.0, 1.0]], np.eye(2), [[0.0]])
+        with pytest.raises(ValueError, match="Q must be symmetric"):
+            LtiSystem(np.eye(2) * 2, [[1.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]], [[1.0]])
 
     def test_warns_when_not_expansive(self):
         with pytest.warns(RuntimeWarning, match="not expansive"):
@@ -147,6 +151,38 @@ class TestRiccati:
         with pytest.raises(RiccatiError) as err:
             riccati_steady_state(sys3, max_iter=200, q_max=2)
         assert err.value.last_covariance.shape == (2, 2)
+
+    @pytest.mark.parametrize("a, q", [(1.8, 1e-10), (1.5, 1e-12), (1.8, 1.0)])
+    def test_scalar_closed_form_at_any_noise_scale(self, a, q):
+        # an absolute stop at 1e-9 returned 4.24e-10 and 3.25e-12 for the small-q cases
+        out = riccati_steady_state(LtiSystem([[a]], [[1.0]], [[q]], [[1.0]]), q_max=2)
+        # with c = r = 1 the prior M solves M^2 + b M - q = 0 with b = 1 - a^2 - q
+        b = 1.0 - a * a - q
+        prior = (-b + math.sqrt(b * b + 4.0 * q)) / 2
+        assert out.p_bar0[0, 0] == pytest.approx(prior / (prior + 1.0), rel=1e-9)
+
+    def test_unconverged_error_says_how_far_it_got(self, system):
+        with pytest.raises(RiccatiError) as err9:
+            riccati_steady_state(system, max_iter=9)
+        with pytest.raises(RiccatiError, match="within 10 iterations") as err10:
+            riccati_steady_state(system, max_iter=10)
+        last, previous = err10.value.last_covariance, err9.value.last_covariance
+        size = np.abs(last).max()
+        assert str(err10.value).endswith(
+            f"changed P by {np.abs(last - previous).max() / size:.3g} of max |P| = {size:.3g}")
+
+    def test_diverging_error_names_the_iteration(self):
+        sys4 = LtiSystem(np.diag([20.0, 0.5]), [[0.0, 1.0]], np.eye(2), [[1.0]])
+        with pytest.raises(RiccatiError, match="non-finite values at iteration") as err:
+            riccati_steady_state(sys4, q_max=2)
+        iterations = int(str(err.value).rsplit(" ", 1)[1])
+        # the hidden mode's variance grows like 400^k and passes float64's 1.8e308 near k = 118
+        assert 110 < iterations < 125
+        assert np.all(np.isfinite(err.value.last_covariance))
+
+    def test_max_iter_below_one_rejected(self, system):
+        with pytest.raises(ValueError, match="max_iter"):
+            riccati_steady_state(system, max_iter=0)
 
 
 class TestFApply:

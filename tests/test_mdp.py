@@ -6,9 +6,11 @@ import pytest
 
 from remest import (
     HarqModel,
+    LtiSystem,
     PolicyGrid,
     SimConfig,
     SolverError,
+    SteadyKalman,
     arq_baseline_policy,
     build_mdp,
     evaluate_policy,
@@ -306,6 +308,29 @@ class TestRvi:
         assert solution.gain == evaluate_policy(model, solution.policy)
         assert verify_switching(solution.policy).ok
         assert solution.policy != arq_baseline_policy(q_max)  # the policy switches
+
+
+SCALES = [1e-12, 1e-9, 1e-6, 1e3, 1e10]
+
+
+class TestUnits:
+    """Scaling Q and R by s scales the filter and every cost by s: gain / s and the policy stay."""
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_scaled_filter_keeps_policy_and_gain(self, sk, channel, mse_solution, s):
+        # an absolute switching floor of tol picked a policy 7.8% worse at s = 1e-12
+        scaled = SteadyKalman(p_bar0=sk.p_bar0 * s, gain=sk.gain, cost_table=sk.cost_table * s)
+        solution = solve(build_mdp(scaled, channel, Q_MAX, "mse"))
+        assert solution.policy == mse_solution.policy
+        assert solution.gain / s == pytest.approx(mse_solution.gain, rel=1e-12)
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_scaled_noise_keeps_policy_and_gain(self, system, channel, mse_solution, s):
+        # an absolute Riccati stop gave gain / s 30% low at s = 1e-9 and never stopped at 1e10
+        scaled = LtiSystem(system.A, system.C, system.Q * s, system.R * s)
+        solution = solve(build_mdp(riccati_steady_state(scaled, q_max=Q_MAX), channel, Q_MAX, "mse"))
+        assert solution.policy == mse_solution.policy
+        assert solution.gain / s == pytest.approx(mse_solution.gain, rel=1e-8)
 
 
 class TestEvaluatePolicy:

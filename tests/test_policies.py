@@ -39,6 +39,8 @@ class TestPolicyGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             PolicyGrid(2, np.zeros((2, 2), dtype=np.int8))
+        with pytest.raises(ValueError, match="non-negative"):
+            PolicyGrid(-1, np.zeros((0, 0), dtype=np.int8))
         bad = np.zeros((3, 3), dtype=np.int8)
         bad[0, 1] = 7
         with pytest.raises(ValueError):
@@ -60,6 +62,7 @@ class TestPolicyGrid:
         b = a.relabeled("other")
         assert a == b
         assert a != psi_policy(4)
+        assert (a == 5) is False  # a non-grid compares by identity
 
     def test_invalid_region_normalized(self):
         actions = np.ones((3, 3), dtype=np.int8)  # junk below the diagonal too

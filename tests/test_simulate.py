@@ -653,6 +653,9 @@ class TestChainSim:
         report = simulate_chain(arq_baseline_policy(Q_MAX), channel, sk, cfg)
         expected = 1.96 * report.run_final_mse.std(ddof=1) / np.sqrt(200)
         assert report.mse_ci95 == pytest.approx(expected)
+        # one run has no spread to estimate
+        one = simulate_chain(arq_baseline_policy(Q_MAX), channel, sk, replace(cfg, runs=1))
+        assert one.mse_ci95 == 0.0
 
 
 class TestStackedChains:
