@@ -79,7 +79,7 @@ def _filter(cfg: ExperimentConfig):
 def _solve_pipeline(cfg: ExperimentConfig, cost_kind: str, filt):
     """The cost_kind model and its MdpSolution; filt is _filter(cfg)."""
     _, channel, sk = filt
-    model = mdp.build_mdp(sk if cost_kind == "mse" else None, channel, cfg.q_max, cost_kind)
+    model = mdp.build_mdp(sk, channel, cfg.q_max, cost_kind)
     return model, mdp.solve(model, tol=cfg.tol, max_iter=cfg.max_iter)
 
 
@@ -148,12 +148,11 @@ class _StabilityGateError(RuntimeError):
 def cmd_solve(args) -> int:
     cfg = _apply_overrides(_load(args), args)
     _gate_stability(cfg, args.force)
-    _, solution = _solve_pipeline(cfg, args.cost, _filter(cfg))
+    model, solution = _solve_pipeline(cfg, args.cost, _filter(cfg))
     print(f"gain = {_fmt(solution.gain)}  ({solution.iterations} policy-iteration rounds, "
           f"span residual {solution.span_residual:.3e}, "
           f"{solution.span_residual_rel:.1e} of max |bias|)")
-    r, q = policies.enumerate_states(solution.policy.q_max)
-    bias = zip(r.tolist(), q.tolist(), map("{:.17g}".format, solution.bias.tolist()))
+    bias = zip(model.r.tolist(), model.q.tolist(), map("{:.17g}".format, solution.bias.tolist()))
     summary = {"gain": solution.gain, "iterations": solution.iterations,
                "span_residual": solution.span_residual, "span_residual_rel": solution.span_residual_rel,
                "q_max": solution.policy.q_max, "cost_kind": solution.cost_kind}
@@ -234,7 +233,7 @@ def cmd_compare(args) -> int:
         rows.append({
             "policy": grid.label,
             "exact_avg_mse": float(pi @ model.cost),
-            "exact_avg_aoi": float(pi @ (model.q + 1.0)),
+            "exact_avg_aoi": float(pi @ model.age),
             "boundary_mass": float(pi[model.q == model.q_max].sum()),
             "sim_final_mse": report.final_avg_mse,
             "sim_final_aoi": report.final_avg_aoi,
@@ -242,7 +241,7 @@ def cmd_compare(args) -> int:
         })
     by_label = {row["policy"]: row for row in rows}
     baseline = by_label["arq"]["sim_final_mse"]
-    floor = float(sk.cost_table[0])
+    floor = float(model.cost[0])  # the one-step floor: the MSE cost of state (0, 0)
     for row in rows:
         mse = row["sim_final_mse"]
         row["mse_reduction_vs_arq_raw"] = 1.0 - mse / baseline if baseline > 0 else 0.0

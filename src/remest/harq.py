@@ -41,12 +41,7 @@ class HarqModel:
             raise ValueError(f"h must be in (0, 1], got {h}")
         if r_cap < 1:
             raise ValueError("r_cap must be a positive integer")
-        self.lam = float(lam)
-        self.h = float(h)
-        self.r_cap = int(r_cap)
-        g = (1.0 - lam) * self.h ** np.arange(self.r_cap + 1, dtype=float)
-        g.flags.writeable = False
-        self._g = g
+        self._finish((1.0 - lam) * float(h) ** np.arange(int(r_cap) + 1, dtype=float), lam, h)
 
     @classmethod
     def from_table(cls, g_table) -> "HarqModel":
@@ -58,17 +53,19 @@ class HarqModel:
             raise ValueError("g_table entries must lie in [0, 1]")
         if np.any(np.diff(g) > 0.0):
             raise ValueError("g_table must be non-increasing in r")
-        lam = 1.0 - float(g[0])
-        if lam <= 0.0:
+        if g[0] >= 1.0:
             raise ValueError("g_table[0] must be < 1 (new transmissions must sometimes succeed)")
         model = cls.__new__(cls)
-        model.lam = lam
-        model.h = None
-        model.r_cap = len(g) - 1
-        g = g.copy()
-        g.flags.writeable = False
-        model._g = g
+        model._finish(g.copy(), 1.0 - float(g[0]), None)
         return model
+
+    def _finish(self, g: np.ndarray, lam: float, h: float | None) -> None:
+        """Set lam, h and r_cap = len(g) - 1, and make g, read-only, the table g(0..r_cap)."""
+        self.lam = float(lam)
+        self.h = None if h is None else float(h)
+        self.r_cap = len(g) - 1
+        g.flags.writeable = False
+        self._g = g
 
     def failure_prob(self, r: int) -> float:
         """g(r), the probability that a transmission with count r is not detected."""

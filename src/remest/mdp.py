@@ -9,9 +9,11 @@ is closed (a standard approximating construction), and the detection
 probability of a retransmission saturates at the channel's r_cap. A
 TruncatedMdp holds its states as the two index arrays r and q of
 policies.enumerate_states, which defines the state order; state_index(r, q)
-maps a state back to its position, and policy.actions[mdp.r, mdp.q] reads
-a grid's action per state. The succ_idx, fail_idx and fail_prob arrays
-of a TruncatedMdp are the one definition of how the chain moves: _edges
+maps a state back to its position, and _actions reads a grid's action per
+state for the exact evaluation and both simulators. The model alone says
+what a state costs: cost, and age = q + 1, which the delay model takes as
+its cost and the walk and compare read. Its succ_idx, fail_idx and
+fail_prob arrays are the one definition of how the chain moves: _edges
 reads from them the policy chains that _chain and both simulators walk.
 One level elimination (_excursions, then _gth on the q_max + 2 kept
 states) solves that chain with nothing subtracted, and _evaluate is its
@@ -56,7 +58,8 @@ class TruncatedMdp:
     cost_kind: str
     r: np.ndarray  # (S,) retransmission count of each state
     q: np.ndarray  # (S,) age of each state's newest delivered estimate
-    cost: np.ndarray
+    cost: np.ndarray  # (S,) stage cost: Tr f^(q+1)(P_bar) for mse, age for delay
+    age: np.ndarray  # (S,) q + 1, the age of information a visit accrues
     succ_idx: np.ndarray  # (2, S) next-state index on detection success
     fail_idx: np.ndarray  # (2, S) next-state index on detection failure
     fail_prob: np.ndarray  # (2, S)
@@ -90,8 +93,9 @@ def build_mdp(sk: SteadyKalman | None, m: HarqModel, q_max: int, cost_kind: str 
     failure, with failure probability g(0). Action 1 leads to (r', r') on
     success and (r', min(q+1, q_max)) on failure with r' = min(r+1, q_max)
     and failure probability g(min(r+1, r_cap)), r_cap being the channel's.
-    The stage cost depends on the state only: the staleness MSE
-    table at q, or q+1 for the age-minimizing variant.
+    The stage cost depends on the state only: sk's staleness MSE table
+    at q, or for the age-minimizing variant, which reads no sk, the age
+    q + 1, which the model holds as age under either cost.
     """
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
@@ -104,15 +108,16 @@ def build_mdp(sk: SteadyKalman | None, m: HarqModel, q_max: int, cost_kind: str 
             raise ValueError(f"cost table covers q up to {sk.n_max}, need {q_max}")
     r, q = enumerate_states(q_max)
     q_next, r_next = np.minimum(q + 1, q_max), np.minimum(r + 1, q_max)
-    cost = sk.cost_table[q] if cost_kind == "mse" else q + 1.0
+    age = q + 1.0
+    cost = sk.cost_table[q] if cost_kind == "mse" else age
     succ = np.stack([np.zeros_like(q), state_index(r_next, r_next)]).astype(np.int32)
     fail = np.stack([state_index(0, q_next), state_index(r_next, q_next)]).astype(np.int32)
     pfail = np.stack([np.full(len(q), m.failure_prob(0)), m.failure_prob_clamped(r + 1)])
-    for arr in (cost, succ, fail, pfail):
+    for arr in (age, cost, succ, fail, pfail):
         arr.flags.writeable = False
     return TruncatedMdp(
         q_max=q_max, cost_kind=cost_kind, r=r, q=q,
-        cost=cost, succ_idx=succ, fail_idx=fail, fail_prob=pfail,
+        cost=cost, age=age, succ_idx=succ, fail_idx=fail, fail_prob=pfail,
     )
 
 

@@ -34,10 +34,10 @@ walked side by side and then stitched exactly where their paths meet, so
 every numpy call moves about LANES lanes. The walk counts each policy's
 visits, per step and per run, as integers in bins: q, or q_max + 1 for a
 failed step at q = q_max (a saturation event). The MSE and the AoI are
-the counts times each bin's staleness cost and age q + 1. Integer counts
-are exact, so no statistic depends on the walk's order, on the block,
-segment and window lengths, or on which policies were walked and which
-copied.
+the counts times the model's cost and age at each bin's state (0, q).
+Integer counts are exact, so no statistic depends on the walk's order,
+on the block, segment and window lengths, or on which policies were
+walked and which copied.
 
 The trajectory mode draws, walks and steps its runs one group of
 GROUP_CHUNKS whole chunks at a time, each over the whole horizon, so a
@@ -64,7 +64,7 @@ import numpy as np
 
 from .harq import HarqModel
 from .lti import LtiSystem, SteadyKalman
-from .mdp import TruncatedMdp, _edges, build_mdp
+from .mdp import TruncatedMdp, _actions, _edges, build_mdp
 from .policies import PolicyGrid, state_index
 
 CHUNK_RUNS = 128  # runs of a chain-walk chunk, and of a trajectory-mode stream
@@ -164,8 +164,8 @@ class _ChainTables:
     u < g. next_base[e] is 2 times the next stacked state, and bins[e] is
     the stacked bin p * n_bins + b that counts the step's visit. Bin b is
     the state's q, or q_max + 1 for a failed step at q = q_max (a
-    saturation event); a visit to it accrues bin_cost[b], the staleness
-    cost of its q, and bin_age[b] = q + 1.
+    saturation event); a visit to it accrues bin_cost[b] and bin_age[b],
+    the model's cost and age at state (0, q).
 
     A walk's lanes are its policies x runs, the runs of each policy in a
     row, for the whole stack or for the subset of it that walk_stack
@@ -205,7 +205,7 @@ class _ChainTables:
         offset = (np.arange(n_policies) * n_states)[:, None, None]
         fail_prob, targets = _edges(mdp, actions)
         next_state = np.moveaxis(targets, 0, -1)  # policies x states x (success, failure)
-        bin_q = np.minimum(np.arange(mdp.q_max + 2), mdp.q_max)
+        bin_state = state_index(0, np.minimum(np.arange(mdp.q_max + 2), mdp.q_max))  # (0, q) of each bin
         failed = np.array([False, True])
         bins = np.where(failed & (mdp.q == mdp.q_max)[:, None], mdp.q_max + 1, mdp.q[:, None])
         # the edges of a state where two policies' steps differ: the failure probability
@@ -221,9 +221,9 @@ class _ChainTables:
             n_states=n_states,
             fail_prob=np.repeat(fail_prob.ravel(), 2),
             next_base=(2 * (next_state + offset)).astype(np.intp).ravel(),
-            bins=(bins + (np.arange(n_policies) * len(bin_q))[:, None, None]).astype(np.intp).ravel(),
-            bin_cost=mdp.cost[state_index(0, bin_q)],
-            bin_age=bin_q + 1.0,
+            bins=(bins + (np.arange(n_policies) * len(bin_state))[:, None, None]).astype(np.intp).ravel(),
+            bin_cost=mdp.cost[bin_state],
+            bin_age=mdp.age[bin_state],
             leaders=tuple(leaders),
             diverges=diverges,
         )
@@ -479,17 +479,14 @@ class _ChainTables:
 
 def _policy_chains(policies: Sequence[PolicyGrid], m: HarqModel, sk: SteadyKalman, initial_q: int):
     """The MSE decision model's chains under a stack of policies, the start state (0, initial_q)
-    and the model."""
+    and the model, built at the first grid's q_max; mdp._actions rejects any other q_max."""
     if not policies:
         raise ValueError("no policies to simulate")
     q_max = policies[0].q_max
-    if any(policy.q_max != q_max for policy in policies):
-        raise ValueError("the policies' grids have different q_max: "
-                         f"{[policy.q_max for policy in policies]}")
     if initial_q > q_max:
         raise ValueError(f"initial_q={initial_q} outside the grid's q range 0..{q_max}")
     mdp = build_mdp(sk, m, q_max, "mse")
-    actions = np.stack([policy.actions[mdp.r, mdp.q] for policy in policies])
+    actions = np.stack([_actions(mdp, policy) for policy in policies])
     return _ChainTables.build(mdp, actions), state_index(0, initial_q), mdp
 
 

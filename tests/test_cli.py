@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -872,3 +876,22 @@ class TestVerifyPolicyCommand:
 
     def test_unreadable_policy(self):
         assert run_cli("verify-policy", "--policy", "missing.csv") == 1
+
+
+class TestReadme:
+    def test_library_example_runs(self, tmp_path):
+        # the python block after "Library use mirrors the CLI", run as a script in a fresh interpreter
+        root = Path(__file__).resolve().parents[1]
+        text = (root / "README.md").read_text()
+        block = text[text.index("Library use mirrors the CLI"):].split("```python\n", 1)[1].split("```", 1)[0]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
+                                                                      os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        (gain, final_mse), (aoi, final_aoi), (reduction,) = (
+            list(map(float, line.split())) for line in done.stdout.splitlines())
+        assert gain == pytest.approx(final_mse, rel=0.05)
+        assert aoi == pytest.approx(final_aoi, rel=0.05)
+        assert 0.0 < reduction < 1.0
+        assert not list(tmp_path.iterdir())  # the library writes no files

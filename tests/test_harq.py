@@ -92,6 +92,34 @@ class TestTableOverride:
         assert m.lambda_prime() == pytest.approx(0.8)
 
 
+class TestAttributes:
+    """Both constructors set the same attributes, to these values bit for bit."""
+
+    @pytest.mark.parametrize("lam, h, r_cap", [(0.8, 0.5, 20), (1, 1, 1), (np.float64(0.3), 0.9, np.int64(7))])
+    def test_geometric(self, lam, h, r_cap):
+        m = HarqModel(lam, h, r_cap=r_cap)
+        assert type(m.lam) is float and m.lam == float(lam)  # the given lambda, not 1 - g(0)
+        assert type(m.h) is float and m.h == float(h)
+        assert type(m.r_cap) is int and m.r_cap == int(r_cap)
+        expected = (1.0 - lam) * float(h) ** np.arange(int(r_cap) + 1, dtype=float)
+        assert m._g.dtype == np.float64 and np.array_equal(m._g, expected)
+        assert not m._g.flags.writeable
+
+    @pytest.mark.parametrize("table", [[0.2, 0.1, 0.05, 0.025], [0.7, 0.7], [0.0, 0.0, 0.0]])
+    def test_table(self, table):
+        given = np.array(table)
+        m = HarqModel.from_table(given)
+        assert type(m.lam) is float and m.lam == 1.0 - table[0]
+        assert m.h is None
+        assert type(m.r_cap) is int and m.r_cap == len(table) - 1
+        assert m._g.dtype == np.float64 and m._g.tolist() == table
+        assert not m._g.flags.writeable
+        # a copy: the caller's array stays writeable, and writing to it leaves the model alone
+        assert given.flags.writeable and not np.shares_memory(m._g, given)
+        given[:] = 0.5
+        assert m._g.tolist() == table
+
+
 class TestLambdaPrime:
     def test_geometric(self):
         assert HarqModel(0.8, 0.5).lambda_prime() == pytest.approx(0.9)

@@ -192,6 +192,15 @@ class TestBuild:
         for i, (r, q) in enumerate(zip(*enumerate_states(delay.q_max))):
             assert delay.cost[i] == q + 1
 
+    def test_delay_model_does_not_read_sk(self, sk, channel):
+        with_sk, without = build_mdp(sk, channel, Q_MAX, "delay"), build_mdp(None, channel, Q_MAX, "delay")
+        for field in dataclasses.fields(with_sk):
+            a, b = getattr(with_sk, field.name), getattr(without, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name
+
     @pytest.mark.parametrize("cost_kind", ["mse", "delay"])
     @pytest.mark.parametrize("table", [False, True], ids=["geometric", "table"])
     @pytest.mark.parametrize("q_max", [1, 2, 20, 40])
@@ -205,11 +214,14 @@ class TestBuild:
         assert np.array_equal(model.fail_idx, fail)
         assert np.array_equal(model.fail_prob, pfail)
         assert np.array_equal(model.cost, cost)
+        # the age q + 1 under either cost, which the delay model takes as its cost
+        assert model.age.dtype == np.float64 and np.array_equal(model.age, model.q + 1.0)
+        assert cost_kind == "mse" or np.array_equal(model.cost, model.age)
         states = list(zip(*enumerate_states(q_max)))
         assert [state_index(r, q) for r, q in states] == list(range(len(states)))
         assert np.array_equal(state_index(model.r, model.q), np.arange(len(states)))
         assert list(zip(model.r.tolist(), model.q.tolist())) == list(states)
-        for arr in (model.r, model.q):
+        for arr in (model.r, model.q, model.age):
             with pytest.raises(ValueError):
                 arr[0] = 1
 

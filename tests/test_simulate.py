@@ -708,6 +708,17 @@ class TestStackedChains:
         assert set(stacked.fail_prob) == set.union(*levels)
         assert any(policy_levels != set(stacked.fail_prob) for policy_levels in levels)
 
+    @pytest.mark.parametrize("cost_kind", ["mse", "delay"])
+    def test_bins_read_the_models_cost_and_age(self, sk, cost_kind):
+        # bin q, and the saturation bin q_max + 1, accrue the model's cost and age at (0, q)
+        stack, model = _table_stack(sk)
+        mdp = build_mdp(sk, model, Q_MAX, cost_kind)
+        tables = _ChainTables.build(mdp, np.stack([g.actions[mdp.r, mdp.q] for g in stack]))
+        at = [state_index(0, min(b, Q_MAX)) for b in range(Q_MAX + 2)]
+        assert np.array_equal(tables.bin_cost, mdp.cost[at])
+        assert np.array_equal(tables.bin_age, mdp.age[at])
+        assert tables.bin_age[-1] == tables.bin_age[-2] == Q_MAX + 1.0
+
     def test_one_policy_stack_is_simulate_chain(self, sk):
         stack, model = _table_stack(sk)
         cfg = SimConfig(horizon=90, runs=5, seed=3)
@@ -787,7 +798,7 @@ class TestStackedChains:
             simulate_chains([], channel, sk, SimConfig(horizon=5, runs=2, seed=0))
 
     def test_different_q_max_rejected(self, sk, channel):
-        with pytest.raises(ValueError, match="q_max"):
+        with pytest.raises(ValueError, match=f"q_max={Q_MAX - 1} does not match model q_max={Q_MAX}"):
             simulate_chains([psi_policy(Q_MAX), arq_baseline_policy(Q_MAX - 1)], channel, sk,
                             SimConfig(horizon=5, runs=2, seed=0))
 
