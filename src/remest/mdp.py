@@ -15,13 +15,14 @@ what a state costs: cost, and age = q + 1, which the delay model takes as
 its cost and the walk and compare read. Its succ_idx, fail_idx and
 fail_prob arrays are the one definition of how the chain moves: _edges
 reads from them the policy chains that _chain and both simulators walk.
-One level elimination (_excursions, then _gth on the q_max + 2 kept
-states) solves that chain with nothing subtracted, and _evaluate is its
-one entry point: it gives the stationary distribution pi and the gain
-pi . cost (the exact evaluation), and on request the bias, as the cost to
-go until the reference state less the gain times the time to go, for each
-policy-iteration round of solve. No S x S matrix is built; the largest
-arrays are S x (q_max + 2).
+One level elimination solves that chain with nothing subtracted, and
+_evaluate is its one entry point: it walks each excursion from the
+q_max + 2 kept states, one failure path since every success lands on the
+diagonal, and _gth solves the chain watched on them. It gives the
+stationary distribution pi and the gain pi . cost (the exact evaluation),
+and on request the bias, as the cost to go until the reference state less
+the gain times the time to go, for each policy-iteration round of solve.
+No S x S matrix is built: memory grows like S + q_max^2.
 """
 
 from __future__ import annotations
@@ -204,103 +205,99 @@ def _gth(p: np.ndarray, first: int, reward: np.ndarray | None = None):
     return x[order], togo[order]
 
 
-def _elimination_bytes(q_max: int) -> int:
+def _elimination_bytes(q_max: int, bias: bool) -> int:
     """Bytes a level elimination at q_max holds at once, an upper bound on its peak.
 
-    _excursions keeps visits and exits, S x (q_max + 2) float64 each, and
-    the flat climb blocks, sum of k^2 for k <= q_max float64, alive
-    together; the chain's edges, their indices and solve's Q-values add
-    about 19 words per state, counted as 24.
+    At its peak _evaluate holds 6 words per entry of the m x 2 q_max path
+    table (m = q_max + 2: the table, the visits, the flows and their bins),
+    m (m + 1) censored counts and, per state, 9 words of edges, kept targets
+    and walk and R = bit_length(2 q_max - 1) pointers, counted as 10 + R.
+    With bias, solve's Q-values and previous round add 7, counted as 8;
+    small arrays, Python objects and numpy's buffers take under 96 KiB.
     """
-    n_states = state_index(0, q_max + 1)
-    return 8 * (n_states * (2 * (q_max + 2) + 24) + q_max * (q_max + 1) * (2 * q_max + 1) // 6)
+    n_states, m = state_index(0, q_max + 1), q_max + 2
+    per_state = 10 + (2 * q_max - 1).bit_length() + (8 if bias else 0)
+    return 8 * (n_states * per_state + 6 * m * 2 * q_max + m * (m + 1)) + 96 * 2**10
 
 
-def _excursions(mdp: TruncatedMdp, actions: np.ndarray):
-    """The chain that takes action actions[i] in state i, watched on its kept states.
-
-    An off-diagonal state (r, q), r < q, is entered only by a failed step
-    from level q - 1, or, on the last level q_max, from (r - 1, q_max); so
-    every cycle of the chain passes through the kept set, the diagonal
-    states and (0, q_max), and a visit to any other state is part of an
-    excursion from a kept state that climbs (in q, then in r) until it
-    returns to the kept set. The expected visits per excursion start are
-    carried level by level with one small matrix product per level (and
-    state by state along the last level), with nothing subtracted.
-
-    Returns probs, targets (as _chain), kept (the kept states' indices),
-    first (ref's position in kept), visits (S, m) with visits[s, c] the
-    expected visits to s in an excursion from kept state c, 1 at s = c,
-    and censored (m, m), the chain watched on the kept set: visits.T @
-    exits, where exits[s, c] is the probability that state s steps to kept
-    state c.
-
-    Raises ValueError before it allocates anything when the elimination
-    would pass ELIMINATION_LIMIT_BYTES (_elimination_bytes), and
-    SolverError unless the chain has one recurrent class.
-    """
-    need = _elimination_bytes(mdp.q_max)
+def _check_size(q_max: int, bias: bool):
+    """Raise ValueError when _elimination_bytes(q_max, bias) passes ELIMINATION_LIMIT_BYTES."""
+    need = _elimination_bytes(q_max, bias)
     if need > ELIMINATION_LIMIT_BYTES:
         fits = 1
-        while _elimination_bytes(fits + 1) <= ELIMINATION_LIMIT_BYTES:
+        while _elimination_bytes(fits + 1, bias) <= ELIMINATION_LIMIT_BYTES:
             fits += 1
-        raise ValueError(f"the level elimination at q_max={mdp.q_max} needs {need} bytes "
-                         f"({need / 2**30:.3f} GiB) for its {mdp.n_states} states, over the "
+        raise ValueError(f"the level elimination at q_max={q_max} needs {need} bytes "
+                         f"({need / 2**30:.3f} GiB) for its {state_index(0, q_max + 1)} states, over the "
                          f"{ELIMINATION_LIMIT_BYTES}-byte limit; the largest q_max that fits is {fits}")
-    probs, targets, ref = _chain(mdp, actions)
-    n, states = mdp.q_max, np.arange(mdp.n_states)
-    diag = np.arange(n + 1)
-    kept = np.append(state_index(diag, diag), state_index(0, n))
-    m = len(kept)
-    where = np.full(mdp.n_states, -1)
-    where[kept] = np.arange(m)
-    into = where[targets]  # (2, S): each edge's target in the kept set, or -1
-    out = into >= 0
-    exits = np.bincount((states * m + into)[out], probs[out], minlength=mdp.n_states * m)
-    exits = exits.reshape(-1, m)
-    # every other edge climbs from level k - 1 into level k, or steps along level n;
-    # the climbs into level k form a (k, k) block [target r, source r], stored flat
-    src = np.broadcast_to(states, targets.shape)[~out]
-    to, p = targets[~out], probs[~out]
-    along = mdp.q[src] == mdp.q[to]
-    offset = np.r_[0, np.cumsum(diag ** 2)]  # block k starts at offset[k]
-    flat = offset[mdp.q[to]] + mdp.r[to] * mdp.q[to] + mdp.r[src]
-    blocks = np.bincount(flat[~along], p[~along], minlength=offset[-1])
-    visits = np.zeros((mdp.n_states, m))
-    visits[kept, np.arange(m)] = 1.0
-    for k in range(1, n + 1):  # only excursions from (j, j), j < k, reach level k
-        lo = state_index(0, k)
-        visits[lo:lo + k, :k] = blocks[offset[k]:offset[k + 1]].reshape(k, k) @ visits[lo - k:lo, :k]
-    for s, t, ps in sorted(zip(src[along].tolist(), to[along].tolist(), p[along].tolist())):
-        visits[t] += ps * visits[s]  # (r - 1, n) to (r, n), in increasing r
-    return probs, targets, kept, where[ref], visits, visits.T @ exits
 
 
 def _evaluate(mdp: TruncatedMdp, actions: np.ndarray, bias: bool = False):
     """One level elimination of the chain that takes action actions[i] in state i.
 
-    GTH solves the chain of _excursions, watched on its q_max + 2 kept
-    states, and the expected visits per excursion spread its solution over
-    every state as the stationary distribution pi, with nothing subtracted,
-    so every entry keeps full relative accuracy. The gain is pi . cost.
+    Every success lands on the diagonal, and an off-diagonal state (r, q),
+    r < q, is entered only by a failure from level q - 1 or, on level
+    q_max, from (r - 1, q_max). So an excursion from a kept state (the
+    diagonal and (0, q_max)) is one failure path, up the levels and along
+    level q_max, that ends at a success or back in the kept set, within
+    2 q_max states. The path table holds each kept state's path, built by
+    pointer jumping (Hillis and Steele, CACM 29, 1986): each round doubles
+    its length through the squared failure pointers. The expected visits
+    along a path are the running product of its failure probabilities; one
+    bincount of their flows gives the chain watched on the kept states,
+    which GTH solves, and another spreads its solution over every state as
+    pi, with nothing subtracted, so every entry keeps full relative
+    accuracy. The gain is pi . cost.
 
     With bias, GTH also carries each kept state's excursion cost and length
     to C and T, the expected cost paid and steps taken until the chain
-    enters ref (0 at ref), and one backward sweep fills in the other
-    states, along level q_max in decreasing r and then down the levels,
-    since each of their successors is kept or filled in before them. The
+    enters ref (0 at ref). Off the kept set they are first-order
+    recurrences along the failure paths, which the same pointers solve. The
     bias h = C - g T, h(ref) = 0, solves (I - P) h + g 1 = c with one
     subtraction per state, made last, so h keeps its accuracy where a dense
     LU solve loses it, in states that reach ref only with a tiny
-    probability. Without bias, neither the carry nor the sweep runs.
+    probability. Without bias, neither the carry nor the recurrence runs.
 
-    Returns pi, gain and h (None without bias). Raises SolverError unless
-    the chain is unichain with a gain in the range of the stage costs.
+    Returns pi, gain and h (None without bias). Raises ValueError first when
+    the elimination would pass ELIMINATION_LIMIT_BYTES (_elimination_bytes),
+    and SolverError unless the chain is unichain with a gain in the range of
+    the stage costs.
     """
-    probs, targets, kept, first, visits, censored = _excursions(mdp, actions)
-    stage = np.stack([mdp.cost, np.ones(mdp.n_states)], axis=1)  # paid per visit: cost, one step
-    x, kept_togo = _gth(censored, first, visits.T @ stage if bias else None)
-    pi = visits @ x
+    _check_size(mdp.q_max, bias)
+    probs, targets, ref = _chain(mdp, actions)
+    n, end = mdp.q_max, mdp.n_states  # end: a sentinel state past the last one
+    diag = np.arange(n + 1)
+    kept = np.append(state_index(diag, diag), state_index(0, n))
+    m = len(kept)
+    where = np.full(end + 1, m)  # each state's position in kept, m off the kept set
+    where[kept] = np.arange(m)
+    # (S + 1, 2), by state then success and failure: each edge's kept target (m off the
+    # kept set) and its probability, and at end a self-loop of probability 0
+    into = where[np.append(targets, [[end], [end]], axis=1).T]
+    p = np.append(probs, [[0.0], [0.0]], axis=1).T
+    # nxt[s]: where a failure takes s while it stays off the kept set, one level up or one
+    # step along level n, else end; walk[s]: the probability of that step
+    stays = into[:, 1] == m
+    nxt, walk = np.where(stays, np.append(targets[1], end), end), np.where(stays, p[:, 1], 0.0)
+    jumps = [nxt]  # jumps[k] takes 2^k failures at once
+    while 2 ** len(jumps) < 2 * n:
+        jumps.append(jumps[-1][jumps[-1]])
+    nodes = kept[:, None]  # nodes[c, j]: the state j failures on from kept state c, or end
+    for jump in jumps:
+        nodes = np.hstack([nodes, jump[nodes[:, :2 * n - nodes.shape[1]]]])
+    w = np.ones(nodes.shape)  # w[c, j]: expected visits to nodes[c, j] per excursion from c
+    np.cumprod(walk[nodes[:, :-1]], axis=1, out=w[:, 1:])
+    flow = p[nodes]  # (m, 2 n, 2): the success and the failure flow out of each node
+    flow *= w[:, :, None]
+    bins = into[nodes]
+    bins += np.arange(0, m * (m + 1), m + 1)[:, None, None]
+    censored = np.bincount(bins.ravel(), flow.ravel(), minlength=m * (m + 1)).reshape(m, m + 1)[:, :m]
+    del flow, bins  # the largest arrays, freed before the rest of the elimination
+    stage = np.zeros((end + 1, 2))  # paid per visit: cost, one step; nothing at end
+    stage[:end, 0], stage[:end, 1] = mdp.cost, 1.0
+    reward = np.einsum("cj,cjk->ck", w, stage[nodes]) if bias else None
+    x, kept_togo = _gth(censored, where[ref], reward)
+    pi = np.bincount(nodes.ravel(), (x[:, None] * w).ravel(), minlength=end + 1)[:end]
     pi /= pi.sum()
     gain = float(pi @ mdp.cost)
     # a unichain gain averages the stage costs over the stationary distribution
@@ -308,15 +305,14 @@ def _evaluate(mdp: TruncatedMdp, actions: np.ndarray, bias: bool = False):
         raise SolverError(f"the policy's chain gave gain {gain!r}, outside the range of the stage costs")
     if not bias:
         return pi, gain, None
-    togo = np.zeros_like(stage)
+    known = np.append(kept_togo, [[0.0, 0.0]], axis=0)  # by position in kept, 0 off the kept set
+    togo = stage + p[:, 0, None] * known[into[:, 0]] + p[:, 1, None] * known[into[:, 1]]
     togo[kept] = kept_togo
-    n = mdp.q_max
-    along = [slice(s, s + 1) for s in range(state_index(n - 1, n), state_index(0, n), -1)]
-    levels = [slice(state_index(0, k), state_index(k, k)) for k in range(n - 1, 0, -1)]
-    for s in along + levels:
-        togo[s] = (stage[s] + probs[0, s, None] * togo[targets[0, s]]
-                   + probs[1, s, None] * togo[targets[1, s]])
-    return pi, gain, togo[:, 0] - gain * togo[:, 1]
+    walk[kept] = 0.0
+    for jump in jumps:
+        togo += walk[:, None] * togo[jump]
+        walk *= walk[jump]
+    return pi, gain, togo[:end, 0] - gain * togo[:end, 1]
 
 
 def solve(mdp: TruncatedMdp, tol: float = 1e-9, max_iter: int = 100000) -> MdpSolution:
@@ -329,22 +325,25 @@ def solve(mdp: TruncatedMdp, tol: float = 1e-9, max_iter: int = 100000) -> MdpSo
     cost: relative to |Q|, with a floor that is absolute on a model whose
     costs are all 1 or more and scales with the costs on a cheaper one;
     stop when no state switches. Each round is one level elimination
-    (_evaluate), which gives pi, the gain and the bias with no S x S
-    matrix; every round improves the gain or the bias, so no policy
-    repeats, and 2-4 rounds suffice on the models tested. The returned
-    gain and pi are the final round's, which evaluate_policy and
-    stationary_distribution give for the returned policy bit for bit.
-    span_residual is the span of Bellman(h) - h at the returned bias,
-    zero in exact arithmetic.
+    (_evaluate), which walks each excursion's failure path, since every
+    success lands on the diagonal, and gives pi, the gain and the bias with
+    no S x S matrix and no per-level loop; every round improves the gain
+    or the bias, so no policy repeats, and 2-4 rounds suffice on the models
+    tested. The returned gain and pi are the final round's, which
+    evaluate_policy and stationary_distribution give for the returned
+    policy bit for bit. span_residual is the span of Bellman(h) - h at the
+    returned bias, zero in exact arithmetic.
 
     Raises ValueError before it allocates anything when the level
-    elimination would pass ELIMINATION_LIMIT_BYTES, and SolverError when a
-    policy's chain is not unichain or when max_iter rounds do not settle.
+    elimination with the bias would pass ELIMINATION_LIMIT_BYTES, and
+    SolverError when a policy's chain is not unichain or when max_iter
+    rounds do not settle.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    _check_size(mdp.q_max, bias=True)
     rows = np.arange(mdp.n_states)
     floor = min(1.0, float(mdp.cost.min()))
     actions = np.zeros(mdp.n_states, dtype=np.intp)

@@ -523,33 +523,35 @@ class TestSolveCommand:
         assert summary["gain"] == mdp.evaluate_policy(model, load_policy_csv(out / "policy_mse.csv"))
 
     def test_visits_past_the_limit_is_a_config_error(self):
-        # q_max 461 needs 1.00 GiB: two 106953 x 463 float64 arrays, visits and
-        # exits, 32.8 million floats of climb blocks and 24 words per state; the
-        # error comes before it, or anything of its size, is allocated
-        model = mdp.build_mdp(None, HarqModel(0.8, 0.5, r_cap=461), 461, "delay")
-        grid = psi_policy(461)
-        tracemalloc.start()
-        try:
-            for call in (lambda: mdp.solve(model), lambda: mdp.evaluate_policy(model, grid)):
-                with pytest.raises(ValueError, match="the largest q_max that fits is 460") as info:
-                    call()
-                assert "1074952648 bytes" in str(info.value)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**24
+        # past the largest q_max that fits, each call's elimination needs 1.00 GiB: solve's,
+        # with the bias and the Q-values, at q_max 2169 (2355535 states), and evaluate_policy's
+        # at 2340 (2741311 states); the error comes before anything of that size is allocated
+        for q_max, bias, need, fits in ((2169, True, 1074048584, 2168), (2340, False, 1074504856, 2339)):
+            model = mdp.build_mdp(None, HarqModel(0.8, 0.5, r_cap=q_max), q_max, "delay")
+            grid = psi_policy(q_max)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"the largest q_max that fits is {fits}") as info:
+                    mdp.solve(model) if bias else mdp.evaluate_policy(model, grid)
+                assert f"{need} bytes" in str(info.value)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**24
+            del model, grid  # one model of millions of states at a time
 
     def test_the_stated_bytes_cover_the_elimination(self):
-        # the bytes the limit counts bound what solve and evaluate_policy hold at once
+        # the bytes the limit counts for each call bound what it holds at once
         model = mdp.build_mdp(None, HarqModel(0.8, 0.5, r_cap=100), 100, "delay")
-        for call in (lambda: mdp.solve(model), lambda: mdp.evaluate_policy(model, psi_policy(100))):
+        for bias, call in ((True, lambda: mdp.solve(model)),
+                           (False, lambda: mdp.evaluate_policy(model, psi_policy(100)))):
             tracemalloc.start()
             try:
                 call()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert 0.9 * mdp._elimination_bytes(100) < peak <= mdp._elimination_bytes(100)
+            assert 0.9 * mdp._elimination_bytes(100, bias) < peak <= mdp._elimination_bytes(100, bias)
 
     def test_stability_gate_and_force(self, tmp_path):
         cfg = json.loads(json.dumps(SMALL_CONFIG))

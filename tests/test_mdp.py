@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -458,6 +459,16 @@ def zoo_of(model, name):
     return {"arq": arq_baseline_policy, "psi": psi_policy}[name](model.q_max)
 
 
+def longest_paths_policy(q_max):
+    """Fresh at r = 0 below level q_max - 1 and at the corner, retransmit elsewhere: the
+    failure path from (0, 0) climbs to (0, q_max - 1) and walks level q_max to the corner,
+    2 q_max - 1 states, the longest any policy makes."""
+    actions = np.ones((q_max + 1, q_max + 1), dtype=np.int8)
+    actions[0, :q_max - 1] = 0
+    actions[q_max, q_max] = 0
+    return PolicyGrid(q_max, actions)
+
+
 def corner_policies(q_max):
     """Policies under which the corner (q_max, q_max) retransmits, so it absorbs."""
     around_origin = np.ones((q_max + 1, q_max + 1), dtype=np.int8)
@@ -570,6 +581,18 @@ class TestStationary:
         assert verify_switching(solution.policy).ok
         assert solution.span_residual <= 16 * np.finfo(float).eps * np.abs(solution.bias).max()
 
+    def test_solve_at_q_max_300_holds_under_32_mib(self):
+        # the elimination holds O(S + q_max^2) floats; the S x (q_max + 2) arrays of the
+        # per-level elimination peaked near 297 MB at this q_max
+        model = build_mdp(None, HarqModel(0.8, 0.5, r_cap=300), 300, "delay")
+        tracemalloc.start()
+        try:
+            solve(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
 
 def random_unichain_grids(model, count, seed):
     """count random grids whose chains have one recurrent class."""
@@ -632,6 +655,25 @@ class TestPoisson:
         retransmit = PolicyGrid(q_max, np.ones((q_max + 1, q_max + 1), dtype=np.int8))
         for grid in [zoo_of(model, name) for name in ("optimal", "arq", "psi")] + [retransmit]:
             self.assert_matches(model, grid, *dense_poisson(model, grid.actions[model.r, model.q]))
+
+    @pytest.mark.parametrize("table", [False, True], ids=["geometric", "table"])
+    @pytest.mark.parametrize("q_max", [33, 64])
+    def test_longest_failure_paths(self, system, q_max, table):
+        # the path from (0, 0) has 65 states at q_max 33 and 127 at 64: a partial and a full
+        # last doubling round of the path table, and at 64 the bias's recurrence needs every
+        # round of pointers; on the table channel pi at the path's end is 1.9e-73 and 8.7e-145,
+        # and every entry of pi P above the underflow, a sum of positive terms, must match pi
+        # to full relative accuracy
+        model = level_model(system, q_max, table)
+        grid = longest_paths_policy(q_max)
+        actions, rows = grid.actions[model.r, model.q], np.arange(model.n_states)
+        self.assert_matches(model, grid, *dense_poisson(model, actions))
+        pi = stationary_distribution(model, grid)
+        pf = model.fail_prob[actions, rows]
+        step = (np.bincount(model.succ_idx[actions, rows], pi * (1.0 - pf), model.n_states)
+                + np.bincount(model.fail_idx[actions, rows], pi * pf, model.n_states))
+        normal = step > np.finfo(float).tiny
+        np.testing.assert_allclose(pi[normal], step[normal], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("table", [False, True], ids=["geometric", "table"])
     def test_bias_matches_exact_elimination(self, system, table):
