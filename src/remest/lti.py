@@ -202,10 +202,12 @@ def riccati_steady_state(
     n_entries = q_max + 5
     table = np.empty(n_entries)
     X = P
+    a, a_t, q = sys.A, sys.A.T, sys.Q
     # an overflowing prediction is reported below; numpy's warning would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_entries):
-            X = f_apply(sys, X)
+            out = a @ X @ a_t + q  # f_apply, without its per-call check of X
+            X = 0.5 * (out + out.T)
             table[n] = np.trace(X)
     overflow = np.flatnonzero(~np.isfinite(table))
     if overflow.size:

@@ -16,9 +16,10 @@ its cost and the walk and compare read. Its succ_idx, fail_idx and
 fail_prob arrays are the one definition of how the chain moves: _edges
 reads from them the policy chains that _chain and both simulators walk.
 One level elimination solves that chain with nothing subtracted, and
-_evaluate is its one entry point: it walks each excursion from the
-q_max + 2 kept states, one failure path since every success lands on the
-diagonal, and _gth solves the chain watched on them. It gives the
+_evaluate is its one entry point: it keeps the states a success enters,
+with (0, 0), (0, q_max) and the corner, walks each excursion from them,
+one failure path since every other state is entered only by a failure,
+and _gth solves the chain watched on them. It gives the
 stationary distribution pi and the gain pi . cost (the exact evaluation),
 and on request the bias, as the cost to go until the reference state less
 the gain times the time to go, for each policy-iteration round of solve.
@@ -36,7 +37,7 @@ from .lti import SteadyKalman
 from .policies import PolicyGrid, enumerate_states, state_index
 
 COST_KINDS = ("mse", "delay")
-# what a level elimination holds at once (_elimination_bytes): 1 GiB fits q_max up to 460
+# what a level elimination holds at once (_elimination_bytes): 1 GiB fits q_max up to 2168 for solve
 ELIMINATION_LIMIT_BYTES = 2**30
 
 
@@ -208,10 +209,13 @@ def _gth(p: np.ndarray, first: int, reward: np.ndarray | None = None):
 def _elimination_bytes(q_max: int, bias: bool) -> int:
     """Bytes a level elimination at q_max holds at once, an upper bound on its peak.
 
-    At its peak _evaluate holds 6 words per entry of the m x 2 q_max path
-    table (m = q_max + 2: the table, the visits, the flows and their bins),
-    m (m + 1) censored counts and, per state, 9 words of edges, kept targets
-    and walk and R = bit_length(2 q_max - 1) pointers, counted as 10 + R.
+    The bound is the worst case: a policy whose successes enter every
+    diagonal state, as psi's do, so that _evaluate keeps m = q_max + 2
+    states; a policy that keeps fewer holds less. At its peak _evaluate
+    holds 6 words per entry of the m x 2 q_max path table (the table, the
+    visits, the flows and their bins), m (m + 1) censored counts and, per
+    state, 9 words of edges, kept targets and walk and R =
+    bit_length(2 q_max - 1) pointers, counted as 10 + R.
     With bias, solve's Q-values and previous round add 7, counted as 8;
     small arrays, Python objects and numpy's buffers take under 96 KiB.
     """
@@ -235,15 +239,18 @@ def _check_size(q_max: int, bias: bool):
 def _evaluate(mdp: TruncatedMdp, actions: np.ndarray, bias: bool = False):
     """One level elimination of the chain that takes action actions[i] in state i.
 
-    Every success lands on the diagonal, and an off-diagonal state (r, q),
-    r < q, is entered only by a failure from level q - 1 or, on level
-    q_max, from (r - 1, q_max). So an excursion from a kept state (the
-    diagonal and (0, q_max)) is one failure path, up the levels and along
-    level q_max, that ends at a success or back in the kept set, within
-    2 q_max states. The path table holds each kept state's path, built by
-    pointer jumping (Hillis and Steele, CACM 29, 1986): each round doubles
-    its length through the squared failure pointers. The expected visits
-    along a path are the running product of its failure probabilities; one
+    The kept set holds every state a success enters, all on the diagonal,
+    with (0, 0), (0, q_max) and the corner: 3 states under always-fresh,
+    q_max + 2 when the successes enter every diagonal state. A state off
+    it is entered only by a failure, from level q - 1 or, on level q_max,
+    from (r - 1, q_max), and every cycle of failures passes through
+    (0, q_max) or the corner. So an excursion from a kept state is one
+    failure path, up the levels and along level q_max, that ends at a
+    success or back in the kept set, within 2 q_max states; ref, (0, 0)
+    or the corner, is kept. The path table holds each kept state's path,
+    built by pointer jumping (Hillis and Steele, CACM 29, 1986): each
+    round doubles its length through the squared failure pointers. The
+    expected visits along a path are the running product of its failure probabilities; one
     bincount of their flows gives the chain watched on the kept states,
     which GTH solves, and another spreads its solution over every state as
     pi, with nothing subtracted, so every entry keeps full relative
@@ -266,8 +273,11 @@ def _evaluate(mdp: TruncatedMdp, actions: np.ndarray, bias: bool = False):
     _check_size(mdp.q_max, bias)
     probs, targets, ref = _chain(mdp, actions)
     n, end = mdp.q_max, mdp.n_states  # end: a sentinel state past the last one
-    diag = np.arange(n + 1)
-    kept = np.append(state_index(diag, diag), state_index(0, n))
+    # kept: the states a success enters, (0, 0) and the corner, one of which is ref, then
+    # (0, n), where a fresh failure loops back
+    entered = np.zeros(end, dtype=bool)
+    entered[targets[0]] = entered[[0, end - 1]] = True
+    kept = np.append(np.flatnonzero(entered), state_index(0, n))
     m = len(kept)
     where = np.full(end + 1, m)  # each state's position in kept, m off the kept set
     where[kept] = np.arange(m)

@@ -501,7 +501,27 @@ class TestStationary:
                               HarqModel(0.8, 0.5, r_cap=q_max), q_max)]:
             pi, want = stationary_distribution(model, grid), gth_stationary(model, grid)
             assert np.array_equal(pi > 0, want > 0)
-            assert pi[want > 0] == pytest.approx(want[want > 0], rel=1e-12)
+            np.testing.assert_allclose(pi[want > 0], want[want > 0], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("g_table", [None, (0.2, 0.1, 0.05, 0.025), (0.2, 0.1, 0.0)],
+                             ids=["geometric", "table", "table-with-0"])
+    @pytest.mark.parametrize("q_max", [1, 2, 20])
+    def test_every_state_matches_the_dense_oracles(self, system, q_max, g_table):
+        # the elimination keeps only the states a success enters, with (0, 0), (0, q_max) and
+        # the corner: 3 under arq, 4 when only r = 0 retransmits, every diagonal state under
+        # psi; pi, the gain and the bias must still match whole-chain GTH and the dense Poisson
+        # solve at every state, those no success enters and those the chain never reaches too
+        channel = HarqModel.from_table(g_table) if g_table else HarqModel(0.8, 0.5, r_cap=q_max)
+        model = build_mdp(riccati_steady_state(system, q_max=q_max), channel, q_max, "mse")
+        at_r0 = np.zeros((q_max + 1, q_max + 1), dtype=np.int8)
+        at_r0[0] = 1
+        for grid in (arq_baseline_policy(q_max), PolicyGrid(q_max, at_r0), psi_policy(q_max)):
+            actions = grid.actions[model.r, model.q]
+            pi, gain, h = _evaluate(model, actions, bias=True)
+            np.testing.assert_allclose(pi, gth_stationary(model, grid), rtol=1e-12, atol=0.0)
+            want_gain, want_h = dense_poisson(model, actions)
+            assert gain == pytest.approx(want_gain, rel=1e-13)
+            assert np.all(np.abs(h - want_h) <= 1e-13 * np.maximum(1.0, np.abs(want_h)))
 
     @pytest.mark.parametrize("table", [False, True], ids=["geometric", "table"])
     @pytest.mark.parametrize("q_max", [1, 2, 20, 40])
