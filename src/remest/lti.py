@@ -10,12 +10,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# the Riccati step's stop is never stricter than this fraction of max |P|, a few float64 ulps
+# the doubling's stop is never stricter than this fraction of max |H|, a few float64 ulps
 _ROUNDING = 4 * np.finfo(float).eps
+# one filter step may change the returned P by this fraction of max |P|, well above rounding
+_RESIDUAL = 1e-12
 
 
 class RiccatiError(RuntimeError):
-    """Riccati iteration failed to converge; carries the last iterate."""
+    """The Riccati doubling diverged or did not settle, or its fixed point
+    failed the residual check; carries the last iterate."""
 
     def __init__(self, message, last_covariance):
         super().__init__(message)
@@ -136,28 +139,68 @@ def f_apply(sys: LtiSystem, X) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def _power_traces(powers: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """tr(A^k X A^k^T) for each stacked power A^k. An all-zero X gives zeros
+    without touching the powers, whose deep entries may have overflowed."""
+    if not X.any():
+        return np.zeros(len(powers))
+    return np.einsum("kij,jl,kil->k", powers, X, powers)
+
+
+def _update(sys: LtiSystem, P_pred: np.ndarray) -> tuple:
+    """Gain and Joseph-form posterior of a measurement update of the prior P_pred."""
+    innov = sys.C @ P_pred @ sys.C.T + sys.R
+    # K = P_pred C^T S^-1, solved as S^T K^T = (P_pred C^T)^T; S = innov
+    # is SPD because R is PD
+    gain = np.linalg.solve(innov.T, (P_pred @ sys.C.T).T).T
+    # Joseph form: (I - KC) P_pred alone cancels to rounding noise when
+    # P_pred >> R; this sum of PSD terms does not
+    ikc = np.eye(sys.n) - gain @ sys.C
+    P = ikc @ P_pred @ ikc.T + gain @ sys.R @ gain.T
+    return gain, 0.5 * (P + P.T)
+
+
 def riccati_steady_state(
     sys: LtiSystem,
     tol: float = 1e-9,
     max_iter: int = 100000,
     q_max: int = 20,
 ) -> SteadyKalman:
-    """Iterate the filter recursion to its steady state.
+    """Solve the filter's Riccati equation for its steady state by doubling.
 
-    Starting from the process-noise covariance, alternate prediction and
-    measurement update until a step changes the posterior covariance P by
-    at most max(tol * min(1, s), 4 eps s) elementwise, where s = max |P|
-    after the step and eps is float64's machine epsilon: tol is absolute
-    for a covariance of unit size or more, relative to s for a smaller
-    one, and never stricter than rounding. With Q = 0 the iterate stays 0
-    and the first step stops. The returned cost table has q_max + 5
-    entries so that one-step-lookahead policies and the saturating
-    boundary of the truncated decision model stay inside it.
+    The structure-preserving doubling algorithm (Chu, Fan, Lin and Wang,
+    Int. J. Control 2004) runs on the prediction form
+    M = A M (I + G M)^-1 A^T + Q, G = C^T R^-1 C, from A_0 = A^T, G_0 = G
+    and H_0 = Q. Its iterate H_k is the prior covariance after 2^k filter
+    steps from a zero posterior, so each doubling step doubles the filter
+    steps covered, at the price of one linear solve with I + G_k H_k. A
+    step settles when it changes H by at most max(tol * min(1, s), 4 eps s)
+    elementwise, where s = max |H| after the step and eps is float64's
+    machine epsilon: tol is absolute for a covariance of unit size or
+    more, relative to s for a smaller one, and never stricter than
+    rounding. With Q = 0 the iterate stays 0 and the first step settles.
+    From the settled prior, one measurement update gives the gain and the
+    Joseph-form posterior P.
 
-    Raises RiccatiError (carrying the last iterate, and naming the
-    iterations run and the last step's change relative to s) when the
-    recursion diverges to non-finite values or does not settle within
-    max_iter, which signals an undetectable or otherwise unstabilizable
+    P is then checked against the equation itself: one filter step
+    (prediction and update) from P must change it by at most
+    max(tol * min(1, s), 1e-12 s), s = max |P|. The doubling's rounding
+    grows with the condition of I + G H, so at a signal-to-noise ratio far
+    from 1 its P can miss this bound (by up to 1e-2 relative where Q / R
+    passes 1e15); filter steps from P then refine it until one passes the
+    check. Where I + G H is singular to working precision, or an unstable
+    mode that no noise excites takes A_k past float64, the doubling stops
+    and the filter steps carry on from its last prior. max_iter
+    caps the doubling steps and, separately, the filter steps. The
+    returned cost table has q_max + 5 entries so that one-step-lookahead
+    policies and the saturating boundary of the truncated decision model
+    stay inside it.
+
+    Raises RiccatiError, carrying the last iterate, when the doubling
+    diverges to non-finite values (naming the doubling step), when it does
+    not settle within max_iter steps, or when P fails its residual check
+    after max_iter filter steps (both naming the last change relative to
+    s). These signal an undetectable or otherwise unstabilizable
     configuration.
     Raises ValueError naming the first q whose staleness cost overflows
     float64; a smaller q_max keeps the table finite.
@@ -166,49 +209,75 @@ def riccati_steady_state(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    ident = np.eye(sys.n)
-    P = sys.Q.copy()
-    gain = None
+    n = sys.n
+    ident = np.eye(n)
+    a_k = sys.A.T
+    g_k = sys.C.T @ np.linalg.solve(sys.R, sys.C)
+    h_k = sys.Q
     # a diverging iterate overflows on its way to the non-finite check,
     # which reports it as a RiccatiError; numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, max_iter + 1):
-            P_pred = sys.A @ P @ sys.A.T + sys.Q
-            innov = sys.C @ P_pred @ sys.C.T + sys.R
-            # K = P_pred C^T S^-1, solved as S^T K^T = (P_pred C^T)^T; S = innov
-            # is SPD because R is PD
-            gain = np.linalg.solve(innov.T, (P_pred @ sys.C.T).T).T
-            # Joseph form: (I - KC) P_pred alone cancels to rounding noise
-            # above tol when P_pred >> R; this sum of PSD terms does not
-            ikc = ident - gain @ sys.C
-            P_new = ikc @ P_pred @ ikc.T + gain @ sys.R @ gain.T
-            P_new = 0.5 * (P_new + P_new.T)
-            if not np.all(np.isfinite(P_new)):
+        for steps in range(1, max_iter + 1):
+            try:
+                # I + G H has eigenvalues >= 1, since G and H are PSD
+                solved = np.linalg.solve(ident + g_k @ h_k, np.hstack([a_k, g_k]))
+            except np.linalg.LinAlgError:
+                break  # singular to working precision: the filter steps below carry on from H
+            wa, wg = solved[:, :n], solved[:, n:]
+            h_new = h_k + a_k.T @ h_k @ wa
+            h_new = 0.5 * (h_new + h_new.T)
+            g_k = g_k + a_k @ wg @ a_k.T
+            g_k = 0.5 * (g_k + g_k.T)
+            a_k = a_k @ wa
+            if not np.isfinite(h_new).all():
                 raise RiccatiError(
-                    f"Riccati iteration diverged to non-finite values at iteration {iterations}", P
+                    f"Riccati doubling diverged to non-finite values at doubling step {steps}", h_k
                 )
-            size = float(np.abs(P_new).max())
-            step = float(np.abs(P_new - P).max())
-            P = P_new
-            if step <= max(tol * min(1.0, size), _ROUNDING * size):
+            size, change = float(np.abs(h_new).max()), float(np.abs(h_new - h_k).max())
+            h_k = h_new
+            if change <= max(tol * min(1.0, size), _ROUNDING * size):
+                break
+            # an unstable mode that no noise excites takes A_k past float64 while H stays
+            # finite; the filter steps below carry on from H
+            if not (np.isfinite(a_k).all() and np.isfinite(g_k).all()):
                 break
         else:
             raise RiccatiError(
-                f"Riccati iteration did not converge within {max_iter} iterations: the last "
-                f"step changed P by {step / size:.3g} of max |P| = {size:.3g}",
-                P,
+                f"Riccati doubling did not settle within {max_iter} doubling steps: the last "
+                f"step changed the prior M by {change / size:.3g} of max |M| = {size:.3g}",
+                h_k,
             )
 
+    gain, P = _update(sys, h_k)
+    for _ in range(max_iter):
+        next_gain, next_P = _update(sys, sys.A @ P @ sys.A.T + sys.Q)
+        size, change = float(np.abs(next_P).max()), float(np.abs(next_P - P).max())
+        if change <= max(tol * min(1.0, size), _RESIDUAL * size):
+            break
+        gain, P = next_gain, next_P
+    else:
+        raise RiccatiError(
+            f"Riccati fixed point failed its residual check after {max_iter} filter steps: the "
+            f"last step changed P by {change / size:.3g} of max |P| = {size:.3g}",
+            P,
+        )
+
+    # powers[k] = A^k for k <= q_max + 5, stacked by doubling: each pass
+    # multiplies the powers held so far by the highest one
     n_entries = q_max + 5
-    table = np.empty(n_entries)
-    X = P
-    a, a_t, q = sys.A, sys.A.T, sys.Q
-    # an overflowing prediction is reported below; numpy's warning would only repeat it
+    powers = np.empty((n_entries + 1, n, n))
+    powers[0] = ident
+    powers[1] = sys.A
+    held = 1
+    # an overflowing power or trace is reported below; numpy's warning would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_entries):
-            out = a @ X @ a_t + q  # f_apply, without its per-call check of X
-            X = 0.5 * (out + out.T)
-            table[n] = np.trace(X)
+        while held < n_entries:
+            more = min(held, n_entries - held)
+            np.matmul(powers[1:more + 1], powers[held], out=powers[held + 1:held + more + 1])
+            held += more
+        # tr f^(k+1)(P) = tr(A^(k+1) P A^(k+1)^T) + sum_{j <= k} tr(A^j Q A^j^T): every term
+        # is the trace of a PSD matrix, so nothing cancels
+        table = _power_traces(powers[1:], P) + np.cumsum(_power_traces(powers[:-1], sys.Q))
     overflow = np.flatnonzero(~np.isfinite(table))
     if overflow.size:
         raise ValueError(

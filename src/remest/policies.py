@@ -57,7 +57,8 @@ class PolicyGrid:
             raise ValueError(f"actions must have shape {(q_max + 1, q_max + 1)}, got {arr.shape}")
         valid = np.triu(np.ones(arr.shape, dtype=bool))  # r <= q with [r, q] indexing
         # checked before the cast, which would wrap 256 to 0 and truncate 0.7 to 0
-        if not np.isin(arr[valid], (0, 1)).all():
+        v = arr[valid]
+        if not np.all((v == 0) | (v == 1)):
             raise ValueError("actions must be 0 or 1 on every state with r <= q")
         arr = np.where(valid, arr, 0).astype(np.int8)
         arr.flags.writeable = False

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -18,6 +19,37 @@ def scalar_riccati_brute_force(a, c, q, r, iters=10000):
         gain = p_pred * c / (c * p_pred * c + r)
         p = (1.0 - gain * c) * p_pred
     return p
+
+
+def filter_step(system, P):
+    """One prediction and Joseph-form update of the posterior P."""
+    prior = system.A @ P @ system.A.T + system.Q
+    gain = prior @ system.C.T @ np.linalg.inv(system.C @ prior @ system.C.T + system.R)
+    ikc = np.eye(system.n) - gain @ system.C
+    return ikc @ prior @ ikc.T + gain @ system.R @ gain.T
+
+
+def scalar_posterior(a, q):
+    """Closed-form steady posterior of x' = a x + w, y = x + v with Var v = 1."""
+    # the prior M solves M^2 + b M - q = 0 with b = 1 - a^2 - q
+    b = 1.0 - a * a - q
+    prior = (-b + math.sqrt(b * b + 4.0 * q)) / 2
+    return prior / (prior + 1.0)
+
+
+def quiet_system(*matrices):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a = 1 is not expansive
+        return LtiSystem(*matrices)
+
+
+RESIDUAL_SYSTEMS = {
+    "default": (A, [[1.0, 1.0]], np.eye(2), [[1.0]]),
+    "stiff-scalar": ([[1e4]], [[1.0]], [[1.0]], [[1.0]]),
+    "perfect-measurement": (A, np.eye(2), np.eye(2), 1e-12 * np.eye(2)),
+    "slow": ([[1.0]], [[1.0]], [[1e-8]], [[1.0]]),
+    "rotating": (ROTATING, [[1.0, 1.0, 1.0]], np.eye(3), [[1.0]]),
+}
 
 
 class TestLtiSystem:
@@ -162,28 +194,78 @@ class TestRiccati:
         assert out.p_bar0[0, 0] == pytest.approx(prior / (prior + 1.0), rel=1e-9)
 
     def test_unconverged_error_says_how_far_it_got(self, system):
-        with pytest.raises(RiccatiError) as err9:
-            riccati_steady_state(system, max_iter=9)
-        with pytest.raises(RiccatiError, match="within 10 iterations") as err10:
-            riccati_steady_state(system, max_iter=10)
-        last, previous = err10.value.last_covariance, err9.value.last_covariance
+        # the default system's doubling settles at step 6
+        with pytest.raises(RiccatiError) as err4:
+            riccati_steady_state(system, max_iter=4)
+        with pytest.raises(RiccatiError, match="within 5 doubling steps") as err5:
+            riccati_steady_state(system, max_iter=5)
+        riccati_steady_state(system, max_iter=6)
+        last, previous = err5.value.last_covariance, err4.value.last_covariance
         size = np.abs(last).max()
-        assert str(err10.value).endswith(
-            f"changed P by {np.abs(last - previous).max() / size:.3g} of max |P| = {size:.3g}")
+        assert str(err5.value).endswith(
+            f"changed the prior M by {np.abs(last - previous).max() / size:.3g} of max |M| = {size:.3g}")
 
     def test_diverging_error_names_the_iteration(self):
-        sys4 = LtiSystem(np.diag([20.0, 0.5]), [[0.0, 1.0]], np.eye(2), [[1.0]])
-        with pytest.raises(RiccatiError, match="non-finite values at iteration") as err:
-            riccati_steady_state(sys4, q_max=2)
-        iterations = int(str(err.value).rsplit(" ", 1)[1])
-        # the hidden mode's variance grows like 400^k and passes float64's 1.8e308 near k = 118
-        assert 110 < iterations < 125
-        assert np.all(np.isfinite(err.value.last_covariance))
+        # doubling step k covers 2^k filter steps, over which the hidden mode's variance grows
+        # like a^(2^(k+1)): it passes float64's 1.8e308 after 118 filter steps for a = 20 and
+        # after 323 for a = 3
+        for a, step in ((20.0, 7), (3.0, 9)):
+            sys4 = LtiSystem(np.diag([a, 0.5]), [[0.0, 1.0]], np.eye(2), [[1.0]])
+            with pytest.raises(RiccatiError, match=f"non-finite values at doubling step {step}$") as err:
+                riccati_steady_state(sys4, q_max=2)
+            assert np.all(np.isfinite(err.value.last_covariance))
 
     def test_max_iter_below_one_rejected(self, system):
         with pytest.raises(ValueError, match="max_iter"):
             riccati_steady_state(system, max_iter=0)
 
+    def test_slow_contraction_meets_the_closed_form(self):
+        # the filter's error contracts by about 1 - 2e-4 a step: a step-by-step iteration ran
+        # 64496 steps (seconds) and stopped 5.0e-6 below the closed form
+        system = quiet_system([[1.0]], [[1.0]], [[1e-8]], [[1.0]])
+        riccati_steady_state(system, q_max=2)
+        t0 = time.perf_counter()
+        out = riccati_steady_state(system, q_max=2)
+        assert time.perf_counter() - t0 < 0.05
+        assert out.p_bar0[0, 0] == pytest.approx(scalar_posterior(1.0, 1e-8), rel=1e-9)
+
+    @pytest.mark.parametrize("name", list(RESIDUAL_SYSTEMS))
+    def test_dare_residual(self, name):
+        system = quiet_system(*RESIDUAL_SYSTEMS[name])
+        P = riccati_steady_state(system, q_max=2).p_bar0
+        assert np.abs(filter_step(system, P) - P).max() <= 1e-13 * np.abs(P).max()
+
+    @pytest.mark.parametrize("r", [1e-12, 1e-16])
+    def test_high_signal_to_noise_is_refined(self, r):
+        # at r = 1e-12 the doubling's rounding leaves P off its fixed point, and at r = 1e-16
+        # I + G H is singular to working precision; filter steps finish both
+        system = LtiSystem(A, [[1.0, 1.0]], np.eye(2), [[r]])
+        out = riccati_steady_state(system, q_max=2)
+        oracle = np.eye(2)
+        for _ in range(200):
+            oracle = filter_step(system, oracle)
+        np.testing.assert_allclose(out.p_bar0, oracle, rtol=1e-9, atol=0)
+
+    def test_unexcited_unstable_mode(self):
+        # no noise reaches the 1e10 mode, so its error stays 0 while A_k passes float64 at
+        # doubling step 5; the other mode is the scalar a = 2, q = r = 1
+        system = LtiSystem(np.diag([1e10, 2.0]), [[1.0, 1.0]], np.diag([0.0, 1.0]), [[1.0]])
+        out = riccati_steady_state(system, q_max=20)
+        assert out.p_bar0[0, 0] == out.p_bar0[0, 1] == 0.0
+        assert out.p_bar0[1, 1] == pytest.approx(scalar_posterior(2.0, 1.0), rel=1e-9)
+
+    def test_residual_error_says_how_far_it_got(self):
+        # the doubling settles within 6 steps but leaves P off its fixed point, so the filter
+        # steps that refine it run out
+        system = LtiSystem(A, [[1.0, 1.0]], np.eye(2), [[1e-12]])
+        with pytest.raises(RiccatiError) as err7:
+            riccati_steady_state(system, max_iter=7, q_max=2)
+        with pytest.raises(RiccatiError, match="residual check after 8 filter steps") as err8:
+            riccati_steady_state(system, max_iter=8, q_max=2)
+        last, previous = err8.value.last_covariance, err7.value.last_covariance
+        size = np.abs(last).max()
+        assert str(err8.value).endswith(
+            f"changed P by {np.abs(last - previous).max() / size:.3g} of max |P| = {size:.3g}")
 
 class TestFApply:
     def test_benchmark_one_step(self, system, sk):
@@ -244,6 +326,22 @@ class TestCostTable:
         for value in out.cost_table:
             X = system.A @ X @ system.A.T + system.Q
             assert value == pytest.approx(np.trace(X), rel=1e-12)
+
+    @pytest.mark.parametrize("matrices, q_max", [
+        ((A, [[1.0, 1.0]], np.eye(2), [[1.0]]), 20),
+        ((ROTATING, [[1.0, 1.0, 1.0]], np.eye(3), [[1.0]]), 20),
+        (([[1000.0]], [[1.0]], [[1.0]], [[1.0]]), 46),  # the last q_max before q = 51 overflows
+    ], ids=["default", "rotating", "near-overflow"])
+    def test_matches_an_f_apply_loop(self, matrices, q_max):
+        system = LtiSystem(*matrices)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = riccati_steady_state(system, q_max=q_max)
+            X, loop = out.p_bar0, []
+            for _ in range(q_max + 5):
+                X = f_apply(system, X)
+                loop.append(np.trace(X))
+        np.testing.assert_allclose(out.cost_table, loop, rtol=1e-13, atol=0)
 
     def test_overflow_names_the_first_q(self):
         # Tr f^(q+1)(p_bar0) ~ 1e6^(q+1) first passes float64's range at q = 51

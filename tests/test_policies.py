@@ -50,6 +50,23 @@ class TestPolicyGrid:
             with pytest.raises(ValueError):
                 PolicyGrid(1, np.array(actions))
 
+    @pytest.mark.parametrize("actions, accepted", [
+        (np.array([["0", "1"], ["0", "1"]]), False),
+        (np.array([[0, 1], [0, 1]], dtype=object), True),
+        (np.array([[0, "1"], [0, 1]], dtype=object), False),
+        (np.array([[0, 0.7], [0, 1]]), False),
+        (np.array([[0, 256], [0, 1]]), False),
+        (np.array([[0, np.nan], [0, 1]]), False),
+        (np.array([[False, True], [True, True]]), True),
+        (np.array([[0.0, 1.0], [0.0, 1.0]]), True),
+    ], ids=["str", "object", "object-str", "0.7", "256", "nan", "bool", "float"])
+    def test_accepts_exactly_0_and_1(self, actions, accepted):
+        if accepted:
+            np.testing.assert_array_equal(PolicyGrid(1, actions).actions, [[0, 1], [0, 1]])
+        else:
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                PolicyGrid(1, actions)
+
     def test_action_accessor(self):
         grid = psi_policy(4)
         assert grid.action(2, 2) == 0
