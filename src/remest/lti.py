@@ -139,14 +139,6 @@ def f_apply(sys: LtiSystem, X) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _power_traces(powers: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """tr(A^k X A^k^T) for each stacked power A^k. An all-zero X gives zeros
-    without touching the powers, whose deep entries may have overflowed."""
-    if not X.any():
-        return np.zeros(len(powers))
-    return np.einsum("kij,jl,kil->k", powers, X, powers)
-
-
 def _update(sys: LtiSystem, P_pred: np.ndarray) -> tuple:
     """Gain and Joseph-form posterior of a measurement update of the prior P_pred."""
     innov = sys.C @ P_pred @ sys.C.T + sys.R
@@ -262,22 +254,15 @@ def riccati_steady_state(
             P,
         )
 
-    # powers[k] = A^k for k <= q_max + 5, stacked by doubling: each pass
-    # multiplies the powers held so far by the highest one
-    n_entries = q_max + 5
-    powers = np.empty((n_entries + 1, n, n))
-    powers[0] = ident
-    powers[1] = sys.A
-    held = 1
-    # an overflowing power or trace is reported below; numpy's warning would only repeat it
+    # table[k] = tr f^(k+1)(P), one prediction at a time: each is a sum of PSD terms, so
+    # nothing cancels, and a mode that no noise excites keeps its exact zeros however fast
+    # it grows; an overflowing entry is reported below, and numpy's warning would only repeat it
+    table = np.empty(q_max + 5)
+    X = P
     with np.errstate(over="ignore", invalid="ignore"):
-        while held < n_entries:
-            more = min(held, n_entries - held)
-            np.matmul(powers[1:more + 1], powers[held], out=powers[held + 1:held + more + 1])
-            held += more
-        # tr f^(k+1)(P) = tr(A^(k+1) P A^(k+1)^T) + sum_{j <= k} tr(A^j Q A^j^T): every term
-        # is the trace of a PSD matrix, so nothing cancels
-        table = _power_traces(powers[1:], P) + np.cumsum(_power_traces(powers[:-1], sys.Q))
+        for k in range(len(table)):
+            X = f_apply(sys, X)
+            table[k] = np.trace(X)
     overflow = np.flatnonzero(~np.isfinite(table))
     if overflow.size:
         raise ValueError(

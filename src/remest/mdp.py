@@ -14,15 +14,18 @@ state for the exact evaluation and both simulators. The model alone says
 what a state costs: cost, and age = q + 1, which the delay model takes as
 its cost and the walk and compare read. Its succ_idx, fail_idx and
 fail_prob arrays are the one definition of how the chain moves: _edges
-reads from them the policy chains that _chain and both simulators walk.
-One level elimination solves that chain with nothing subtracted, and
-_evaluate is its one entry point: it keeps the states a success enters,
-with (0, 0), (0, q_max) and the corner, walks each excursion from them,
-one failure path since every other state is entered only by a failure,
-and _gth solves the chain watched on them. It gives the
-stationary distribution pi and the gain pi . cost (the exact evaluation),
-and on request the bias, as the cost to go until the reference state less
-the gain times the time to go, for each policy-iteration round of solve.
+reads from them the policy chains that _evaluate and both simulators
+walk. One level elimination solves that chain with nothing subtracted,
+and _evaluate is its one entry point: it keeps the states a success
+enters, with (0, 0), (0, q_max) and the corner, walks each excursion from
+them, one failure path since every other state is entered only by a
+failure, and _gth solves the chain watched on them. The reference state
+is the corner when the policy retransmits there and (0, 0) otherwise;
+_gth raises SolverError when some closed class misses it. The
+elimination gives the stationary distribution pi and the gain pi . cost
+(the exact evaluation), and on request the bias, as the cost to go until
+the reference state less the gain times the time to go, for each
+policy-iteration round of solve.
 No S x S matrix is built: memory grows like S + q_max^2.
 """
 
@@ -123,17 +126,6 @@ def build_mdp(sk: SteadyKalman | None, m: HarqModel, q_max: int, cost_kind: str 
     )
 
 
-def _reached_by_all(successors: np.ndarray, target: int) -> bool:
-    """Whether every state has a path to target; successors is (2, S)."""
-    seen = np.zeros(successors.shape[1], dtype=bool)
-    seen[target] = True
-    while True:
-        grow = seen[successors].any(axis=0) & ~seen
-        if not grow.any():
-            return bool(seen.all())
-        seen |= grow
-
-
 def _edges(mdp: TruncatedMdp, actions: np.ndarray):
     """fail_prob and targets of the chains that take action actions[..., i] in state i, for (S,)
     or (P, S) action rows: state i fails with probability fail_prob[..., i], and goes to
@@ -143,37 +135,18 @@ def _edges(mdp: TruncatedMdp, actions: np.ndarray):
     return mdp.fail_prob[actions, rows], targets
 
 
-def _chain(mdp: TruncatedMdp, actions: np.ndarray):
-    """The chain that takes action actions[i] in state i, and its reference state.
-
-    State i goes to targets[0, i] with probability probs[0, i] =
-    1 - fail_prob and to targets[1, i] with probs[1, i] = fail_prob (_edges).
-
-    The chain has a unique stationary distribution only when it has one
-    recurrent class, i.e. some state is reachable from every state. A
-    fresh transmission returns to (0, 0) with probability lambda > 0 and a
-    retransmission raises r until the corner (q_max, q_max), so if such a
-    state exists, (0, 0) or the corner is one. ref is (0, 0) when every
-    state reaches it, as under every policy that sends fresh at the
-    corner, else the corner. Raises SolverError when neither qualifies.
-    """
-    pf, targets = _edges(mdp, actions)
-    probs = np.stack([1.0 - pf, pf])
-    # successors along edges of positive probability
-    successors = np.where(probs > 0.0, targets, targets[::-1])
-    for ref in (0, mdp.n_states - 1):  # (0, 0), then the corner
-        if _reached_by_all(successors, ref):
-            return probs, targets, ref
-    raise SolverError("the policy's chain has more than one recurrent class")
-
-
 def _gth(p: np.ndarray, first: int, reward: np.ndarray | None = None):
     """Stationary vector of the stochastic matrix p, and reward to go until first, by GTH.
 
     Grassmann, Taksar and Heyman (Operations Research 33, 1985): eliminate
     the states one by one, taking each one's escape probability as the sum
     of its row over the states left instead of 1 - p(k, k), so nothing is
-    ever subtracted. first is eliminated last; every state must reach it.
+    ever subtracted. first is eliminated last. Only non-negative numbers
+    are added and multiplied, so an escape probability is exactly 0 when
+    the states left hold a class that misses first and that is closed:
+    exactly, or to working precision, where every way out of it
+    underflows float64. Then p has more than one recurrent class, and
+    SolverError is raised before that escape divides anything.
     Returns the unnormalised stationary vector x and togo. With reward
     (m, k), paid on each visit to a state, the same multipliers carry it
     onto the states left, and a back-substitution gives togo[i], the
@@ -188,6 +161,8 @@ def _gth(p: np.ndarray, first: int, reward: np.ndarray | None = None):
     escape = np.ones(m)
     for k in range(m - 1, 0, -1):
         escape[k] = np.add.reduce(t[:k, k])
+        if escape[k] == 0.0:
+            raise SolverError("the policy's chain has more than one recurrent class")
         t[k, :k] /= escape[k]
         t[:k, :k] += t[:k, k, None] * t[k, :k]
     x = np.zeros(m)
@@ -246,15 +221,24 @@ def _evaluate(mdp: TruncatedMdp, actions: np.ndarray, bias: bool = False):
     from (r - 1, q_max), and every cycle of failures passes through
     (0, q_max) or the corner. So an excursion from a kept state is one
     failure path, up the levels and along level q_max, that ends at a
-    success or back in the kept set, within 2 q_max states; ref, (0, 0)
-    or the corner, is kept. The path table holds each kept state's path,
-    built by pointer jumping (Hillis and Steele, CACM 29, 1986): each
-    round doubles its length through the squared failure pointers. The
+    success or back in the kept set, within 2 q_max states. The path
+    table holds each kept state's path, built by pointer jumping (Hillis
+    and Steele, CACM 29, 1986): each round doubles its length through the
+    squared failure pointers. The
     expected visits along a path are the running product of its failure probabilities; one
     bincount of their flows gives the chain watched on the kept states,
     which GTH solves, and another spreads its solution over every state as
     pi, with nothing subtracted, so every entry keeps full relative
     accuracy. The gain is pi . cost.
+
+    ref, the state GTH eliminates last, is set by the corner's action. A
+    corner that retransmits absorbs, so it is ref. Otherwise ref is (0, 0),
+    which every state then reaches: each state succeeds with probability
+    at least lambda, as g(r) <= g(0) = 1 - lambda, so a closed class that
+    avoids (0, 0) sends fresh nowhere, and retransmissions climb r to the
+    corner, which would then lie in it. A second recurrent class, which
+    only a retransmitting corner admits, is one that misses ref; GTH finds
+    it as an escape probability of exactly 0 (_gth).
 
     With bias, GTH also carries each kept state's excursion cost and length
     to C and T, the expected cost paid and steps taken until the chain
@@ -271,8 +255,9 @@ def _evaluate(mdp: TruncatedMdp, actions: np.ndarray, bias: bool = False):
     the stage costs.
     """
     _check_size(mdp.q_max, bias)
-    probs, targets, ref = _chain(mdp, actions)
+    pf, targets = _edges(mdp, actions)
     n, end = mdp.q_max, mdp.n_states  # end: a sentinel state past the last one
+    ref = end - 1 if actions[-1] else 0  # the corner if it retransmits, else (0, 0)
     # kept: the states a success enters, (0, 0) and the corner, one of which is ref, then
     # (0, n), where a fresh failure loops back
     entered = np.zeros(end, dtype=bool)
@@ -284,7 +269,7 @@ def _evaluate(mdp: TruncatedMdp, actions: np.ndarray, bias: bool = False):
     # (S + 1, 2), by state then success and failure: each edge's kept target (m off the
     # kept set) and its probability, and at end a self-loop of probability 0
     into = where[np.append(targets, [[end], [end]], axis=1).T]
-    p = np.append(probs, [[0.0], [0.0]], axis=1).T
+    p = np.append(np.stack([1.0 - pf, pf]), [[0.0], [0.0]], axis=1).T
     # nxt[s]: where a failure takes s while it stays off the kept set, one level up or one
     # step along level n, else end; walk[s]: the probability of that step
     stays = into[:, 1] == m

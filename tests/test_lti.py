@@ -248,11 +248,14 @@ class TestRiccati:
 
     def test_unexcited_unstable_mode(self):
         # no noise reaches the 1e10 mode, so its error stays 0 while A_k passes float64 at
-        # doubling step 5; the other mode is the scalar a = 2, q = r = 1
+        # doubling step 5; the other mode is the scalar a = 2, q = r = 1. At q_max 30, A^31
+        # passes float64 too, yet the cost table, which only that mode's zeros meet, stays finite
         system = LtiSystem(np.diag([1e10, 2.0]), [[1.0, 1.0]], np.diag([0.0, 1.0]), [[1.0]])
-        out = riccati_steady_state(system, q_max=20)
-        assert out.p_bar0[0, 0] == out.p_bar0[0, 1] == 0.0
-        assert out.p_bar0[1, 1] == pytest.approx(scalar_posterior(2.0, 1.0), rel=1e-9)
+        for q_max in (20, 30):
+            out = riccati_steady_state(system, q_max=q_max)
+            assert out.p_bar0[0, 0] == out.p_bar0[0, 1] == 0.0
+            assert out.p_bar0[1, 1] == pytest.approx(scalar_posterior(2.0, 1.0), rel=1e-9)
+            assert np.isfinite(out.cost_table).all()
 
     def test_residual_error_says_how_far_it_got(self):
         # the doubling settles within 6 steps but leaves P off its fixed point, so the filter

@@ -23,7 +23,7 @@ from remest import (
     stationary_distribution,
     verify_switching,
 )
-from remest.mdp import _chain, _evaluate
+from remest.mdp import COST_KINDS, _evaluate
 from remest.policies import enumerate_states, state_index
 
 Q_MAX = 20
@@ -72,11 +72,41 @@ def gth_stationary(model, policy):
     return pi / pi.sum()
 
 
+def reached_by_all(successors, target):
+    """Whether every state has a path to target; successors is (2, S). Breadth first: each
+    round adds the states one step further from target."""
+    seen = np.zeros(successors.shape[1], dtype=bool)
+    seen[target] = True
+    while True:
+        grow = seen[successors].any(axis=0) & ~seen
+        if not grow.any():
+            return bool(seen.all())
+        seen |= grow
+
+
+def chain_oracle(model, actions):
+    """The chain that takes action actions[i] in state i, with its successors and reference
+    state, read off the model's arrays by search rather than by the level elimination.
+
+    State i goes to targets[0, i] with probability probs[0, i] = 1 - fail_prob and to
+    targets[1, i] with probs[1, i] = fail_prob; successors keeps the edges of positive
+    probability. ref is (0, 0) when every state reaches it, else the corner when every state
+    reaches that, else None.
+    """
+    rows = np.arange(model.n_states)
+    pf = model.fail_prob[actions, rows]
+    probs = np.stack([1.0 - pf, pf])
+    targets = np.stack([model.succ_idx[actions, rows], model.fail_idx[actions, rows]])
+    successors = np.where(probs > 0.0, targets, targets[::-1])
+    ref = next((s for s in (0, model.n_states - 1) if reached_by_all(successors, s)), None)
+    return probs, targets, successors, ref
+
+
 def dense_poisson(model, actions):
     """Gain and bias by one dense LU solve of the Poisson equation
     (I - P) h + g 1 = c with h(ref) = 0: the column of I - P that h(ref)
     would multiply is replaced by the ones that multiply g."""
-    probs, targets, ref = _chain(model, actions)
+    probs, targets, _, ref = chain_oracle(model, actions)
     n = model.n_states
     lhs = np.eye(n)
     np.add.at(lhs, (np.arange(n), targets), -probs)
@@ -93,7 +123,7 @@ def fraction_poisson(model, actions):
     and succeeds with exactly 1 - pf, so each row sums to 1 exactly: with
     1 - pf rounded, a row would leak up to 1e-16 per step, which outweighs
     a chance of 1e-14 to reach ref."""
-    probs, targets, ref = _chain(model, actions)
+    probs, targets, _, ref = chain_oracle(model, actions)
     n = model.n_states
     a = [[Fraction(int(i == j)) for j in range(n)] + [Fraction(model.cost[i])] for i in range(n)]
     for i in range(n):
@@ -346,6 +376,50 @@ class TestUnits:
         assert solution.gain / s == pytest.approx(mse_solution.gain, rel=1e-8)
 
 
+def ref_rule_channels(q_max):
+    """The channels of ref_rule_failures: geometric at lambda 0.8 and 1, and two tables whose
+    deepest failure probability is 0."""
+    return {"geometric-0.8": HarqModel(0.8, 0.5, r_cap=q_max),
+            "geometric-1": HarqModel(1.0, 0.5, r_cap=q_max),
+            "table-0.2-0.1-0": HarqModel.from_table([0.2, 0.1, 0.0]),
+            "table-0.3-0": HarqModel.from_table([0.3, 0.0])}
+
+
+def ref_rule_failures(system, grids_per_model, seed):
+    """Check the elimination's reference rule on random upper-triangular grids.
+
+    Draws grids_per_model grids for each q_max in 1..10, channel of ref_rule_channels and
+    cost. evaluate_policy must raise SolverError, naming a second recurrent class, exactly
+    where chain_oracle's search finds no state that every state reaches. Elsewhere the
+    oracle's ref must be the corner when the corner retransmits and (0, 0) when it does not.
+    Returns the grids that break this, as (q_max, channel, cost, actions, evaluate_policy's
+    verdict, the oracle's ref), the number of grids drawn and the number of them with more
+    than one recurrent class.
+    """
+    rng = np.random.default_rng(seed)
+    failures, drawn, multi = [], 0, 0
+    for q_max in range(1, 11):
+        sk_q = riccati_steady_state(system, q_max=q_max)
+        for name, channel in ref_rule_channels(q_max).items():
+            for kind in COST_KINDS:
+                model = build_mdp(sk_q, channel, q_max, kind)
+                for _ in range(grids_per_model):
+                    grid = PolicyGrid(q_max, np.triu(rng.integers(0, 2, (q_max + 1,) * 2)))
+                    actions = grid.actions[model.r, model.q]
+                    _, _, successors, ref = chain_oracle(model, actions)
+                    unichain = any(reached_by_all(successors, s) for s in range(model.n_states))
+                    try:
+                        evaluate_policy(model, grid)
+                        verdict = "unichain"
+                    except SolverError as err:
+                        verdict = str(err)
+                    want = "unichain" if unichain else "the policy's chain has more than one recurrent class"
+                    if verdict != want or unichain and ref != (model.n_states - 1 if actions[-1] else 0):
+                        failures.append((q_max, name, kind, grid.actions.tolist(), verdict, ref))
+                    drawn, multi = drawn + 1, multi + (not unichain)
+    return failures, drawn, multi
+
+
 class TestEvaluatePolicy:
     def test_perfect_channel_fresh_policy(self, sk):
         channel = HarqModel(1.0, 0.5, r_cap=Q_MAX)
@@ -427,6 +501,13 @@ class TestEvaluatePolicy:
         actions[Q_MAX, Q_MAX] = 1
         with pytest.raises(SolverError):
             evaluate_policy(mse_mdp, PolicyGrid(Q_MAX, actions))
+
+    def test_second_class_detected_exactly_where_search_finds_it(self, system):
+        # evaluate_policy's elimination takes the corner as ref when it retransmits and (0, 0)
+        # otherwise, and finds a second class as an escape probability of 0
+        failures, drawn, multi = ref_rule_failures(system, grids_per_model=8, seed=32)
+        assert failures == []
+        assert 0 < multi < drawn
 
     def test_absorbing_corner_gain_is_its_cost(self, sk, mse_mdp):
         # fresh on (0, q < q_max), retransmit elsewhere: a run leaves the
@@ -620,11 +701,8 @@ def random_unichain_grids(model, count, seed):
     grids = []
     while len(grids) < count:
         grid = PolicyGrid(model.q_max, np.triu(rng.integers(0, 2, (model.q_max + 1,) * 2)))
-        try:
-            _chain(model, grid.actions[model.r, model.q])
-        except SolverError:
-            continue
-        grids.append(grid)
+        if chain_oracle(model, grid.actions[model.r, model.q])[3] is not None:
+            grids.append(grid)
     return grids
 
 
